@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import dsp
+from . import dsp, jsonl
 
 EMOTIONS = ("angry", "disgust", "fear", "happy", "neutral", "sad", "surprise", "others")
 
@@ -25,7 +25,7 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 class ManifestError(ValueError):
-    """A manifest row is invalid; the message carries the row number."""
+    """A manifest row is invalid; the message starts with ``path:lineno:``."""
 
 
 @dataclass(frozen=True)
@@ -67,37 +67,23 @@ class ClipRecord:
         return row
 
 
+def _record_from_row(row: dict) -> ClipRecord:
+    return ClipRecord(
+        movie_id=str(row["movie_id"]),
+        clip_index=jsonl.integer(row, "clip_index"),
+        speaker=str(row["speaker"]),
+        emotion=str(row["emotion"]),
+        text=str(row["text"]),
+        start_ms=jsonl.integer(row, "start_ms"),
+        end_ms=jsonl.integer(row, "end_ms"),
+        audio_path=row.get("audio_path"),
+        video_path=row.get("video_path"),
+    )
+
+
 def load_manifest(path) -> list[ClipRecord]:
     """Read a JSONL clip manifest, validating every row."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"row {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(row, dict):
-                raise ManifestError(f"row {lineno}: not an object")
-            for key in _REQUIRED_FIELDS:
-                if key not in row:
-                    raise ManifestError(f"row {lineno}: missing field {key!r}")
-            try:
-                records.append(ClipRecord(
-                    movie_id=str(row["movie_id"]),
-                    clip_index=int(row["clip_index"]),
-                    speaker=str(row["speaker"]),
-                    emotion=str(row["emotion"]),
-                    text=str(row["text"]),
-                    start_ms=int(row["start_ms"]),
-                    end_ms=int(row["end_ms"]),
-                    audio_path=row.get("audio_path"),
-                    video_path=row.get("video_path"),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(f"row {lineno}: {exc}") from None
-    return records
+    return jsonl.load_objects(path, _record_from_row, _REQUIRED_FIELDS, ManifestError)
 
 
 def save_manifest(records, path) -> None:
@@ -349,11 +335,3 @@ def corpus_stats(records, pitch_tracks=None, include_unvoiced: bool = False) -> 
         pitch_variance=pitch_var,
     )
 
-
-def records_from_entries(entries, movie_id: str, speaker: str = "unknown",
-                         emotion: str = "neutral") -> list[ClipRecord]:
-    """Seed clip records from parsed subtitle cues, pending annotation."""
-    return [ClipRecord(movie_id=movie_id, clip_index=e.index, speaker=speaker,
-                       emotion=emotion, text=e.text, start_ms=e.start_ms,
-                       end_ms=e.end_ms)
-            for e in entries]

@@ -19,7 +19,6 @@ class FrameParams:
     fft_size: int = 1024
     hop: int = 256
     win_length: int = 1024
-    window: str = "hann"
 
     def __post_init__(self):
         if not 0 < self.hop <= self.win_length <= self.fft_size:
@@ -27,8 +26,6 @@ class FrameParams:
                 f"need 0 < hop <= win_length <= fft_size, got "
                 f"hop={self.hop}, win={self.win_length}, fft={self.fft_size}"
             )
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +43,6 @@ class Spectrogram:
     @property
     def frame_rate(self) -> float:
         return self.sample_rate / self.params.hop
-
-    def bin_frequencies(self) -> np.ndarray:
-        return np.arange(self.frames.shape[1]) * self.sample_rate / self.params.fft_size
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +133,6 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
     rising = (bin_freqs - lower) / (center - lower)
     falling = (upper - bin_freqs) / (upper - center)
     return np.maximum(0.0, np.minimum(rising, falling))
-
-
-def mel_band_centers(n_mels: int, fmin: float, fmax: float) -> np.ndarray:
-    """Center frequency (Hz) of each mel band."""
-    return mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))[1:-1]
 
 
 def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
@@ -256,8 +245,3 @@ def pitch_stats(tracks, include_unvoiced: bool = False) -> tuple[float, float]:
     if pooled.size == 0:
         raise ValueError("no pitch frames retained")
     return float(pooled.mean()), float(pooled.var())
-
-
-def format_pitch_stats(mean: float, variance: float) -> str:
-    """Render pitch statistics as 'mean ± variance' with two decimals."""
-    return f"{mean:.2f} ± {variance:.2f}"

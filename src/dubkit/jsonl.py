@@ -1,0 +1,54 @@
+"""JSON Lines input shared by every dubkit loader: one JSON object per
+non-blank line, each problem raised as the caller's error class with the
+message ``"{path}:{lineno}: {problem}"``.
+"""
+
+import json
+
+_INT64 = 2**63
+
+
+def parse_object(text: str, required=()) -> dict:
+    """One JSON object holding every ``required`` key, else ValueError."""
+    try:
+        row = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(row, dict):
+        raise ValueError("row is not an object")
+    for key in required:
+        if key not in row:
+            raise ValueError(f"missing field {key!r}")
+    return row
+
+
+def load_lines(path, convert, error=ValueError) -> list:
+    """``convert(line)`` for each non-blank line of a UTF-8 file; a ValueError
+    is re-raised as ``error`` with the location, formatted only then."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                out.append(convert(line))
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def load_objects(path, convert, required, error=ValueError) -> list:
+    """``convert(row)`` for each JSON object row, as in load_lines."""
+    return load_lines(path, lambda line: convert(parse_object(line, required)), error)
+
+
+def integer(row: dict, key: str) -> int:
+    """``row[key]`` if it is an integral JSON number in the int64 range
+    (``12`` or ``12.0``); booleans, fractions, non-finite values and
+    strings raise ValueError."""
+    value = row[key]
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is int and -_INT64 <= value < _INT64:
+        return value
+    raise ValueError(f"{key} must be an integer, got {row[key]!r}")

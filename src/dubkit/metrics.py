@@ -9,13 +9,13 @@ alignment path length R. The length-weighted score additionally multiplies
 by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 """
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import jsonl
 from .audio import Waveform, read_wav, resample, to_mono, pad_to_length
 from .dsp import FrameParams, mel_spectrogram, mfcc, stft_magnitude
 
@@ -253,13 +253,12 @@ def evaluate_pair(gen: Waveform, ref: Waveform,
     else:
         raise ValueError(f"unknown pad_mode {cfg.pad_mode!r}")
 
+    # padding returns the longer waveform itself, whose MFCCs are reused
     c_gen = extract_mfcc(gen, cfg)
     c_ref = extract_mfcc(ref, cfg)
-    if gen_padded is gen and ref_padded is ref:
-        plain = mcd(c_gen, c_ref, cfg.scale)
-    else:
-        plain = mcd(extract_mfcc(gen_padded, cfg), extract_mfcc(ref_padded, cfg),
-                    cfg.scale)
+    plain = mcd(c_gen if gen_padded is gen else extract_mfcc(gen_padded, cfg),
+                c_ref if ref_padded is ref else extract_mfcc(ref_padded, cfg),
+                cfg.scale)
 
     alignment = dtw_align(c_gen, c_ref)
     dtw_value = mcd_dtw(alignment)
@@ -282,21 +281,10 @@ class PairEntry:
 
 def load_pair_manifest(path) -> list[PairEntry]:
     """Read a JSON Lines pair manifest ({id, generated, reference} rows)."""
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            for key in ("id", "generated", "reference"):
-                if key not in row:
-                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            entries.append(PairEntry(str(row["id"]), str(row["generated"]),
-                                     str(row["reference"])))
-    return entries
+    return jsonl.load_objects(
+        path, lambda row: PairEntry(str(row["id"]), str(row["generated"]),
+                                    str(row["reference"])),
+        ("id", "generated", "reference"))
 
 
 def _evaluate_entry(entry: PairEntry, cfg: PipelineConfig) -> PairMetrics:

@@ -9,15 +9,16 @@ labels alike. MOS ratings live on the 1..5 scale in half-point steps and
 are summarized as mean ± a 95% normal-approximation half-width.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonl
+
 
 class EmbeddingFormatError(ValueError):
-    """A JSONL embedding row is malformed (reported with its line number)."""
+    """An embedding row is malformed; the message starts with its location."""
 
 
 class RatingError(ValueError):
@@ -41,63 +42,58 @@ class EmbeddingSet:
     @classmethod
     def from_rows(cls, rows) -> "EmbeddingSet":
         """Build from (label, id, vector) triples, normalizing each vector."""
-        numbered = [(f"row {n}", label, rid, vec)
-                    for n, (label, rid, vec) in enumerate(rows, start=1)]
-        return cls(*_build_records(numbered))
+        check = _RecordChecker()
+        records = []
+        for n, (label, record_id, vector) in enumerate(rows, start=1):
+            try:
+                records.append(check(label, record_id, vector))
+            except EmbeddingFormatError as exc:
+                raise EmbeddingFormatError(f"row {n}: {exc}") from None
+        return cls(records, check.dim)
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-def _build_records(rows) -> tuple[list, int | None]:
-    """Validate and normalize (position, label, id, vector) rows."""
-    records = []
-    dim = None
-    seen = set()
-    for where, label, record_id, vector in rows:
+class _RecordChecker:
+    """Validates and normalizes (label, id, vector) rows one at a time,
+    against the rows checked before; ``dim`` is the established size."""
+
+    def __init__(self):
+        self.dim = None
+        self._seen = set()
+
+    def __call__(self, label, record_id, vector) -> EmbeddingRecord:
         try:
             v = np.asarray(vector, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise EmbeddingFormatError(f"{where}: vector is not numeric") from None
+        except (TypeError, ValueError, OverflowError):
+            raise EmbeddingFormatError("vector is not numeric") from None
         if v.ndim != 1 or v.size == 0:
-            raise EmbeddingFormatError(f"{where}: vector must be a flat, "
-                                       "nonempty number list")
+            raise EmbeddingFormatError("vector must be a flat, nonempty number list")
         if not np.all(np.isfinite(v)):
-            raise EmbeddingFormatError(f"{where}: non-finite vector entry")
-        if dim is None:
-            dim = v.size
-        elif v.size != dim:
-            raise EmbeddingFormatError(f"{where}: dimension {v.size} does not match "
-                                       f"established dimension {dim}")
+            raise EmbeddingFormatError("non-finite vector entry")
+        if self.dim is None:
+            self.dim = v.size
+        elif v.size != self.dim:
+            raise EmbeddingFormatError(f"dimension {v.size} does not match "
+                                       f"established dimension {self.dim}")
         norm = np.sqrt((v**2).sum())
         if norm == 0.0:
-            raise EmbeddingFormatError(f"{where}: zero vector")
+            raise EmbeddingFormatError("zero vector")
         key = (str(label), str(record_id))
-        if key in seen:
-            raise EmbeddingFormatError(f"{where}: duplicate (label, id) {key}")
-        seen.add(key)
-        records.append(EmbeddingRecord(str(label), str(record_id), v / norm))
-    return records, dim
+        if key in self._seen:
+            raise EmbeddingFormatError(f"duplicate (label, id) {key}")
+        self._seen.add(key)
+        return EmbeddingRecord(str(label), str(record_id), v / norm)
 
 
 def load_embeddings(path) -> EmbeddingSet:
     """Read a JSONL embedding file ({label, id, vector} rows)."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EmbeddingFormatError(f"line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(row, dict):
-                raise EmbeddingFormatError(f"line {lineno}: row is not an object")
-            for key in ("label", "id", "vector"):
-                if key not in row:
-                    raise EmbeddingFormatError(f"line {lineno}: missing field {key!r}")
-            rows.append((f"line {lineno}", row["label"], row["id"], row["vector"]))
-    return EmbeddingSet(*_build_records(rows))
+    check = _RecordChecker()
+    records = jsonl.load_objects(
+        path, lambda row: check(row["label"], row["id"], row["vector"]),
+        ("label", "id", "vector"), EmbeddingFormatError)
+    return EmbeddingSet(records, check.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,32 +204,25 @@ def mos_aggregate(ratings) -> MosSummary:
     return MosSummary(mean, half_width, len(arr), std)
 
 
+def _rating(line: str) -> float:
+    text = line.strip()
+    if text.startswith("{"):
+        value = jsonl.parse_object(text, ("score",))["score"]
+        if not isinstance(value, bool):
+            try:
+                return float(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ValueError(f"score is not a number: {value!r}")
+    fields = [f.strip() for f in text.split(",") if f.strip()]
+    if len(fields) != 1:
+        raise ValueError("expected a single rating column")
+    try:
+        return float(fields[0])
+    except ValueError:
+        raise ValueError(f"not a number: {fields[0]!r}") from None
+
+
 def load_ratings(path) -> list[float]:
     """Read ratings from a single-column CSV or a JSONL of {rater, item, score}."""
-    ratings = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("{"):
-                try:
-                    row = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
-                if "score" not in row:
-                    raise ValueError(f"line {lineno}: missing field 'score'")
-                try:
-                    ratings.append(float(row["score"]))
-                except (TypeError, ValueError):
-                    raise ValueError(f"line {lineno}: score is not a number: "
-                                     f"{row['score']!r}") from None
-            else:
-                fields = [f.strip() for f in text.split(",") if f.strip()]
-                if len(fields) != 1:
-                    raise ValueError(f"line {lineno}: expected a single rating column")
-                try:
-                    ratings.append(float(fields[0]))
-                except ValueError:
-                    raise ValueError(f"line {lineno}: not a number: {fields[0]!r}") from None
-    return ratings
+    return jsonl.load_lines(path, _rating)

@@ -8,9 +8,15 @@ so file-reading tests do not depend on the writer under test.
 """
 
 import math
+import re
 import struct
 
 import numpy as np
+
+
+def at(path, lineno):
+    """Regex for the ``path:lineno: `` prefix every JSONL error starts with."""
+    return "^" + re.escape(f"{path}:{lineno}: ")
 
 
 def make_tone(freq, duration_s, sample_rate, amplitude=0.8, phase=0.0):

@@ -116,6 +116,16 @@ class TestBatchCommand:
         row = json.loads(out)["rows"][0]
         assert {"mcd", "mcd_dtw", "mcd_dtw_sl"} <= set(row)
 
+    def test_non_object_row_is_a_located_error(self, tmp_path, capsys):
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("5\n")
+        code, out, err = invoke(capsys, "batch", str(manifest))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{manifest}:1: ")
+
 
 class TestAccuracyCommand:
     def test_matches_oracle_on_three_clusters(self, tmp_path, capsys):
@@ -145,6 +155,19 @@ class TestAccuracyCommand:
         assert payload["label_key"] == "emotion"
         assert payload["n_train"] == 30
         assert payload["n_test"] == 12
+
+    def test_bad_test_file_is_named(self, tmp_path, capsys):
+        train = jsonl(tmp_path / "train.jsonl",
+                      [{"label": "a", "id": "1", "vector": [1.0, 0.0]}])
+        test = jsonl(tmp_path / "test.jsonl",
+                     [{"label": "a", "id": "2", "vector": [1.0, 0.0]},
+                      {"label": "a", "id": "3", "vector": [1.0, 0.0, 0.0]}])
+        code, out, err = invoke(capsys, "accuracy", "--train", train, "--test", test)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "EmbeddingFormatError"
+        assert error["message"].startswith(f"{test}:2: dimension 3")
 
 
 class TestMosCommand:

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dubkit.corpus import (EMOTIONS, ClipRecord, ManifestError, build_clip_plan,
-                           corpus_stats, load_manifest, records_from_entries,
-                           save_manifest, split_dataset, tokenize_for_counts)
+                           corpus_stats, load_manifest, save_manifest,
+                           split_dataset, tokenize_for_counts)
 from dubkit.dsp import PitchTrack
 from dubkit.srt import SrtEntry
+
+from helpers import at
 
 
 def record(i=1, movie="frozen", speaker="elsa", emotion="neutral",
@@ -55,19 +57,42 @@ class TestManifest:
             ' "text": "t", "start_ms": 0, "end_ms": 10}\n'
             '{"movie_id": "m", "clip_index": 2, "speaker": "s", "emotion": "joyful",'
             ' "text": "t", "start_ms": 0, "end_ms": 10}\n')
-        with pytest.raises(ManifestError, match="row 2"):
+        with pytest.raises(ManifestError, match=at(path, 2)):
             load_manifest(path)
 
     def test_missing_field_names_row(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"movie_id": "m", "clip_index": 1}\n')
-        with pytest.raises(ManifestError, match="row 1"):
+        with pytest.raises(ManifestError, match=at(path, 1)):
             load_manifest(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")
         assert load_manifest(path) == []
+
+    ROW = ('{{"movie_id": "m", "clip_index": {index}, "speaker": "s", '
+           '"emotion": "sad", "text": "t", "start_ms": 0, "end_ms": {end}}}\n')
+
+    @pytest.mark.parametrize("index, end", [
+        ("1.7", "10"), ("true", "10"), ("Infinity", "10"), ("1e999", "10"),
+        ('"1"', "10"), ("1", "Infinity"), ("1", "1e999"), ("1", "NaN"),
+        ("1", "10.5"), ("1", "false"), ("9223372036854775808", "10"),
+        ("1", "1e300")])
+    def test_non_integer_fields_rejected_with_location(self, tmp_path, index, end):
+        path = tmp_path / "m.jsonl"
+        path.write_text(self.ROW.format(index=1, end=10)
+                        + self.ROW.format(index=index, end=end))
+        with pytest.raises(ManifestError, match=at(path, 2) + ".* must be an integer"):
+            load_manifest(path)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(self.ROW.format(index="12.0", end="10.0")
+                        + self.ROW.format(index="9223372036854775807", end="10"))
+        [rec, big] = load_manifest(path)
+        assert (rec.clip_index, rec.end_ms, big.clip_index) == (12, 10, 2**63 - 1)
+        assert type(rec.clip_index) is int and type(rec.end_ms) is int
 
 
 class TestClipPlan:
@@ -276,11 +301,3 @@ class TestCorpusStats:
         stats = corpus_stats(records)
         assert len(stats.to_dict(top_words=3)["word_counts"]) == 3
 
-
-def test_records_from_entries():
-    entries = [SrtEntry(3, 100, 600, "Some line")]
-    records = records_from_entries(entries, movie_id="m1", speaker="who",
-                                   emotion="others")
-    assert records[0].clip_id == "m1_00003"
-    assert records[0].text == "Some line"
-    assert records[0].duration_s == pytest.approx(0.5)

@@ -1,0 +1,105 @@
+"""The shared JSON Lines reader and the four loaders built on it."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dubkit import jsonl
+from dubkit.corpus import EMOTIONS, ManifestError, load_manifest
+from dubkit.metrics import load_pair_manifest
+from dubkit.scoring import EmbeddingFormatError, load_embeddings, load_ratings
+
+from helpers import at
+
+LOADERS = {
+    "pairs": (load_pair_manifest, ValueError, ("id", "generated", "reference")),
+    "embeddings": (load_embeddings, EmbeddingFormatError, ("label", "id", "vector")),
+    "manifest": (load_manifest, ManifestError,
+                 ("movie_id", "clip_index", "speaker", "emotion", "text",
+                  "start_ms", "end_ms")),
+    "ratings": (load_ratings, ValueError, ("score",)),
+}
+
+
+# JSON text, built as strings so literals json.dumps never writes (1e999,
+# 12.0 spelled out) can appear anywhere in a value
+scalar_texts = st.one_of(
+    st.sampled_from(["null", "true", "false", "NaN", "Infinity", "-Infinity",
+                     "1e999", "-1e999", "12.0", "1.7", "0", "3"]),
+    st.integers().map(str),
+    st.floats().map(json.dumps),
+    st.one_of(st.text(max_size=6), st.sampled_from(EMOTIONS)).map(json.dumps),
+)
+field_names = st.one_of(
+    st.sampled_from(sorted({key for *_, keys in LOADERS.values() for key in keys})),
+    st.text(max_size=4))
+
+
+def render_object(fields: dict) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+
+
+json_texts = st.recursive(
+    scalar_texts,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.dictionaries(field_names, inner, max_size=8).map(render_object)),
+    max_leaves=12)
+# objects that carry every field one loader requires, each of any type
+complete_rows = st.sampled_from([keys for *_, keys in LOADERS.values()]).flatmap(
+    lambda keys: st.fixed_dictionaries({k: json_texts for k in keys})).map(render_object)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=st.one_of(json_texts, complete_rows))
+def test_any_json_line_loads_or_raises_located_error(tmp_path, name, line):
+    loader, error, _ = LOADERS[name]
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        loader(path)
+    except error as exc:
+        assert str(exc).startswith(f"{path}:1: "), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_bad_row_after_blank_lines_is_located(tmp_path, name):
+    loader, error, _ = LOADERS[name]
+    path = tmp_path / "x.jsonl"
+    path.write_text("\n\n[1, 2]\n")
+    with pytest.raises(error, match=at(path, 3)):
+        loader(path)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_missing_field_is_named(tmp_path, name):
+    loader, error, keys = LOADERS[name]
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"unrelated": 1}\n')
+    with pytest.raises(error, match=at(path, 1) + f"missing field '{keys[0]}'"):
+        loader(path)
+
+
+class TestParseObject:
+    def test_oversized_integer_literal_is_invalid_json(self):
+        with pytest.raises(ValueError, match="invalid JSON"):
+            jsonl.parse_object('{"a": ' + "9" * 5000 + "}")
+
+    def test_deep_nesting_is_invalid_json(self):
+        with pytest.raises(ValueError, match="invalid JSON"):
+            jsonl.parse_object("[" * 100_000 + "]" * 100_000)
+
+
+def test_converter_bugs_are_not_relabelled(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_text("a\n")
+
+    def broken(line):
+        raise RuntimeError("bug")
+
+    with pytest.raises(RuntimeError, match="^bug$"):
+        jsonl.load_lines(path, broken)

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dubkit.audio import Waveform, write_wav
+from dubkit import metrics
+from dubkit.audio import Waveform, pad_to_length, write_wav
 from dubkit.metrics import (CONVENTIONAL_SCALE, AlignmentResult, PairEntry,
                             PipelineConfig, dtw_align, evaluate_corpus,
-                            evaluate_pair, frame_distance, load_pair_manifest,
-                            mcd, mcd_dtw, mcd_dtw_sl)
+                            evaluate_pair, extract_mfcc, frame_distance,
+                            load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
 
-from helpers import brute_force_dtw_cost, enumerate_dtw_paths, make_tone
+from helpers import at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone
 
 SR = 22050
 
@@ -270,6 +271,30 @@ class TestEvaluatePair:
         assert conv.mcd_dtw == pytest.approx(plain.mcd_dtw * CONVENTIONAL_SCALE,
                                              rel=1e-12)
 
+    @pytest.mark.parametrize("gen_s, ref_s, expected", [
+        (0.3, 0.42, 3), (0.42, 0.3, 3), (0.3, 0.3, 2)])
+    def test_each_waveform_extracted_once(self, monkeypatch, gen_s, ref_s, expected):
+        calls = []
+
+        def counting(w, cfg):
+            calls.append(w.n_frames)
+            return extract_mfcc(w, cfg)
+
+        monkeypatch.setattr(metrics, "extract_mfcc", counting)
+        gen = Waveform(make_tone(300, gen_s, SR), SR)
+        ref = Waveform(make_tone(320, ref_s, SR), SR)
+        evaluate_pair(gen, ref)
+        assert len(calls) == expected
+
+    def test_reused_mfccs_give_the_padded_mcd_exactly(self):
+        gen = Waveform(make_tone(300, 0.3, SR), SR)
+        ref = Waveform(make_tone(320, 0.42, SR), SR)
+        cfg = PipelineConfig()
+        longest = ref.n_frames
+        expected = mcd(extract_mfcc(pad_to_length(gen, longest), cfg),
+                       extract_mfcc(pad_to_length(ref, longest), cfg))
+        assert evaluate_pair(gen, ref, cfg).mcd == expected
+
 
 def write_pair_corpus(tmp_path, pairs):
     manifest = tmp_path / "pairs.jsonl"
@@ -366,7 +391,7 @@ class TestPairManifest:
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "x", "generated": "a.wav", "reference": "b.wav"}\nnot json\n')
-        with pytest.raises(ValueError, match="2"):
+        with pytest.raises(ValueError, match=at(path, 2) + "invalid JSON"):
             load_pair_manifest(path)
 
 

@@ -10,7 +10,7 @@ from dubkit.scoring import (EmbeddingFormatError, EmbeddingSet, RatingError,
                             accuracy, build_centroids, classify,
                             load_embeddings, load_ratings, mos_aggregate)
 
-from helpers import brute_force_accuracy
+from helpers import at, brute_force_accuracy
 
 
 def jsonl(path, rows):
@@ -33,7 +33,7 @@ class TestLoadEmbeddings:
             {"label": "a", "id": "1", "vector": [1.0, 0.0, 0.0, 0.0]},
             {"label": "a", "id": "2", "vector": [1.0, 0.0, 0.0, 0.0, 0.0]},
         ])
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
+        with pytest.raises(EmbeddingFormatError, match=at(path, 2)):
             load_embeddings(path)
 
     def test_empty_file_is_empty_set(self, tmp_path):
@@ -59,19 +59,20 @@ class TestLoadEmbeddings:
 
     def test_missing_field_names_line(self, tmp_path):
         path = jsonl(tmp_path / "e.jsonl", [{"label": "a", "vector": [1.0]}])
-        with pytest.raises(EmbeddingFormatError, match="line 1.*'id'"):
+        with pytest.raises(EmbeddingFormatError,
+                           match=at(path, 1) + "missing field 'id'"):
             load_embeddings(path)
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text('{"label": "a", "id": "1", "vector": [1.0]}\nnot json\n')
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
+        with pytest.raises(EmbeddingFormatError, match=at(path, 2) + "invalid JSON"):
             load_embeddings(path)
 
     def test_non_numeric_vector_names_line(self, tmp_path):
         path = jsonl(tmp_path / "e.jsonl",
                      [{"label": "a", "id": "1", "vector": ["x", "y"]}])
-        with pytest.raises(EmbeddingFormatError, match="line 1.*not numeric"):
+        with pytest.raises(EmbeddingFormatError, match=at(path, 1) + ".*not numeric"):
             load_embeddings(path)
 
 
@@ -268,19 +269,26 @@ class TestLoadRatings:
 
     def test_missing_score_names_line(self, tmp_path):
         path = jsonl(tmp_path / "r.jsonl", [{"rater": "r1", "item": "a"}])
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match=at(path, 1)):
             load_ratings(path)
 
     def test_non_numeric_score_names_line(self, tmp_path):
         path = jsonl(tmp_path / "r.jsonl",
                      [{"rater": "r1", "item": "a", "score": "great"}])
-        with pytest.raises(ValueError, match="line 1.*not a number"):
+        with pytest.raises(ValueError, match=at(path, 1) + ".*not a number"):
+            load_ratings(path)
+
+    @pytest.mark.parametrize("score", ["true", "false", "null", "[4]", '{"v": 4}'])
+    def test_non_numeric_json_score_rejected(self, tmp_path, score):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"score": 4.0}\n{"score": %s}\n' % score)
+        with pytest.raises(ValueError, match=at(path, 2) + "score is not a number"):
             load_ratings(path)
 
     def test_non_number_names_line(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("4.0\nhello\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match=at(path, 2)):
             load_ratings(path)
 
     def test_multi_column_rejected(self, tmp_path):
