@@ -7,11 +7,11 @@ sample vectors in [-1, 1].
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 DEFAULT_SAMPLE_RATE = 22050
 
@@ -21,6 +21,11 @@ _PCM_SCALE = 32768.0
 _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
+
+# sample rates read_wav accepts, in Hz; a corrupt header's rate would
+# otherwise size the resampling filter
+MIN_SAMPLE_RATE = 1000
+MAX_SAMPLE_RATE = 768000
 
 
 class UnsupportedFormatError(ValueError):
@@ -72,10 +77,11 @@ class Waveform:
 
 
 def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) < n:
-        raise TruncatedFileError(f"file ends inside {what} ({len(data)} of {n} bytes)")
-    return data
+    # checked before reading, so a corrupt size cannot size the read buffer
+    left = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
+    if n > left:
+        raise TruncatedFileError(f"file ends inside {what} ({left} of {n} bytes)")
+    return fh.read(n)
 
 
 def read_wav(path) -> Waveform:
@@ -83,7 +89,8 @@ def read_wav(path) -> Waveform:
 
     Supports 16-bit PCM and 32-bit IEEE float payloads (including the
     WAVE_FORMAT_EXTENSIBLE wrappers around them), any channel count and
-    rate. PCM samples are normalized by 1/32768.
+    rates from MIN_SAMPLE_RATE to MAX_SAMPLE_RATE. PCM samples are
+    normalized by 1/32768.
     """
     with open(path, "rb") as fh:
         header = fh.read(12)
@@ -135,6 +142,10 @@ def read_wav(path) -> Waveform:
 
     if n_channels < 1:
         raise UnsupportedFormatError(f"{path}: invalid channel count {n_channels}")
+    if not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
+        raise UnsupportedFormatError(
+            f"{path}: sample rate {sample_rate} Hz is outside "
+            f"{MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
     if samples.size % n_channels:
         raise TruncatedFileError(f"{path}: data chunk is not a whole number of frames")
     if n_channels > 1:
@@ -203,9 +214,13 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     x = w.mono_samples()
     if target_rate == w.sample_rate:
         return w
+    # imported here because scipy.signal is slow to import and only
+    # resampling needs it
+    from scipy.signal import kaiser_beta, resample_poly
+
     g = math.gcd(target_rate, w.sample_rate)
     up, down = target_rate // g, w.sample_rate // g
-    y = signal.resample_poly(x, up, down, window=("kaiser", signal.kaiser_beta(80.0)))
+    y = resample_poly(x, up, down, window=("kaiser", kaiser_beta(80.0)))
     return Waveform(np.clip(y, -1.0, 1.0), target_rate)
 
 

@@ -6,9 +6,9 @@ input always produces bit-identical output.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
 from scipy.fft import dct, irfft, rfft
 
 
@@ -102,12 +102,29 @@ def _frame(x: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
     return frames[:n_frames]
 
 
+@lru_cache(maxsize=16)
+def _hann(length: int) -> np.ndarray:
+    """Periodic Hann window, bit-equal to scipy.signal.get_window("hann",
+    length, fftbins=True): the symmetric window of length + 1 computed as
+    scipy.signal.windows.general_cosine does, minus its last sample."""
+    if length <= 1:
+        window = np.ones(length)
+    else:
+        fac = np.linspace(-np.pi, np.pi, length + 1)
+        window = np.zeros(length + 1)
+        for k in range(2):
+            window += 0.5 * np.cos(k * fac)
+        window = window[:-1]
+    window.flags.writeable = False  # shared by every caller through the cache
+    return window
+
+
 def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     """Magnitude spectrogram of a mono waveform."""
     x = w.mono_samples()
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
-    window = sps.get_window("hann", p.win_length, fftbins=True)
+    window = _hann(p.win_length)
     frames = _frame(x, p.win_length, p.hop) * window
     mags = np.abs(rfft(frames, n=p.fft_size, axis=1))
     return Spectrogram(mags, p, w.sample_rate)

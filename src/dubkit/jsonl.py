@@ -22,16 +22,27 @@ def parse_object(text: str, required=()) -> dict:
     return row
 
 
+def _raw_lines(fh):
+    # the line breaks of text mode: \n, \r\n and a lone \r
+    for raw in fh:
+        if b"\r" in raw:
+            yield from raw.splitlines()
+        else:
+            yield raw
+
+
 def load_lines(path, convert, error=ValueError) -> list:
-    """``convert(line)`` for each non-blank line of a UTF-8 file; a ValueError
-    is re-raised as ``error`` with the location, formatted only then."""
+    """``convert(line)`` for each non-blank line of a UTF-8 file; a ValueError,
+    invalid UTF-8 included, is re-raised as ``error`` with the location,
+    formatted only then. Lines are decoded one at a time so that a bad byte
+    is located."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(_raw_lines(fh), start=1):
             try:
-                out.append(convert(line))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    out.append(convert(line))
             except ValueError as exc:
                 raise error(f"{path}:{lineno}: {exc}") from None
     return out

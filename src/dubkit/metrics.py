@@ -152,13 +152,15 @@ def mcd(c1, c2, scale: str = "plain") -> float:
     return value * CONVENTIONAL_SCALE if scale == "conventional" else value
 
 
-def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row-at-a-time keeps memory at O(M*N) and the arithmetic identical to
-    # frame_distance (no a^2+b^2-2ab cancellation)
-    out = np.empty((len(a), len(b)))
-    for i in range(len(a)):
-        out[i] = np.sqrt(((a[i] - b) ** 2).sum(axis=1))
-    return out
+# A DTW backpointer per cell costs 1 B, so this caps its buffer at 2 GiB.
+MAX_DTW_CELLS = 2**31
+
+# backpointer codes: 0 horizontal, 1 vertical, 2 or 3 diagonal
+_HORIZ, _VERT, _DIAG = 0, 1, 2
+
+
+class AlignmentTooLargeError(ValueError):
+    """An alignment needs more than MAX_DTW_CELLS cells."""
 
 
 def dtw_align(c1, c2) -> AlignmentResult:
@@ -168,6 +170,11 @@ def dtw_align(c1, c2) -> AlignmentResult:
     predecessors; backtracking breaks ties preferring the diagonal step,
     then the vertical (i-1, j), then the horizontal (i, j-1), which yields
     the shortest path among equal-cost greedy backtracks.
+
+    The sweep runs over anti-diagonals i + j = s and keeps only the costs of
+    the last two, so memory is O(M + N) floats plus one int8 backpointer
+    per cell. More than MAX_DTW_CELLS cells raise AlignmentTooLargeError
+    before anything is allocated.
     """
     a, b = _coeff_matrix(c1), _coeff_matrix(c2)
     if a.shape[1] != b.shape[1]:
@@ -175,38 +182,72 @@ def dtw_align(c1, c2) -> AlignmentResult:
     m, n = len(a), len(b)
     if m == 0 or n == 0:
         raise ValueError("cannot align an empty sequence")
+    if m * n > MAX_DTW_CELLS:
+        raise AlignmentTooLargeError(
+            f"aligning {m} x {n} frames needs {m * n} cells, "
+            f"more than the {MAX_DTW_CELLS} cell limit")
 
-    dist = _distance_matrix(a, b)
-    gamma = np.empty((m, n))
-    gamma[0, :] = np.cumsum(dist[0, :])
-    gamma[:, 0] = np.cumsum(dist[:, 0])
-    # sweep anti-diagonals: cells on i + j = s depend only on s-1 and s-2
-    for s in range(2, m + n - 1):
-        i = np.arange(max(1, s - n + 1), min(m - 1, s - 1) + 1)
-        if len(i) == 0:
+    # cell (i, s - i) of diagonal s sits at pointers[starts[s] + i]
+    pointers = np.empty(m * n, dtype=np.int8)
+    starts = []
+    # b[s - i] for rising i is a forward slice of b_rev, contiguous for speed
+    b_rev = np.ascontiguousarray(b[::-1])
+    diff = np.empty((min(m, n), a.shape[1]))
+    prev2 = prev1 = None
+    filled = 0
+    for s in range(m + n - 1):
+        lo, hi = max(0, s - n + 1), min(m - 1, s)
+        size = hi - lo + 1
+        starts.append(filled - lo)
+        # frame distances of the diagonal, with frame_distance's arithmetic
+        d = diff[:size]
+        np.subtract(a[lo:hi + 1], b_rev[n - 1 - s + lo:n - s + hi], out=d)
+        np.multiply(d, d, out=d)
+        cur = d.sum(axis=1)
+        np.sqrt(cur, out=cur)
+        if s == 0:
+            prev1 = cur
+            filled = 1
             continue
-        j = s - i
-        best = np.minimum(gamma[i - 1, j - 1], np.minimum(gamma[i - 1, j], gamma[i, j - 1]))
-        gamma[i, j] = dist[i, j] + best
+        # interior cells i0..i1 take the cheapest of their three predecessors
+        i0, i1 = max(1, lo), min(hi, s - 1)
+        if i0 <= i1:
+            lo1, lo2 = max(0, s - n), max(0, s - n - 1)
+            vert = prev1[i0 - 1 - lo1:i1 - lo1]
+            horiz = prev1[i0 - lo1:i1 + 1 - lo1]
+            diag = prev2[i0 - 1 - lo2:i1 - lo2]
+            near = np.minimum(vert, horiz)
+            inner = cur[i0 - lo:i1 + 1 - lo]
+            np.add(inner, np.minimum(diag, near), out=inner)
+            # 2 * (diag <= both others) + (vert <= horiz): the backtrack tie rule
+            step = pointers[filled + i0 - lo:filled + i1 + 1 - lo]
+            np.less_equal(diag, near, out=step.view(np.bool_))
+            step += step
+            step += vert <= horiz
+        # row 0 and column 0 have one predecessor each
+        if lo == 0:
+            cur[0] += prev1[0]
+            pointers[filled] = _HORIZ
+        if hi == s:
+            cur[-1] += prev1[-1]
+            pointers[filled + size - 1] = _VERT
+        prev2, prev1 = prev1, cur
+        filled += size
 
-    path = [(m - 1, n - 1)]
-    i, j = m - 1, n - 1
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
+    steps = memoryview(pointers)
+    i, j, s = m - 1, n - 1, m + n - 2
+    path = [(i, j)]
+    while s:
+        step = steps[starts[s] + i]
+        if step >= _DIAG:
+            i, j, s = i - 1, j - 1, s - 2
+        elif step == _VERT:
+            i, s = i - 1, s - 1
         else:
-            diag, vert, horiz = gamma[i - 1, j - 1], gamma[i - 1, j], gamma[i, j - 1]
-            if diag <= vert and diag <= horiz:
-                i, j = i - 1, j - 1
-            elif vert <= horiz:
-                i -= 1
-            else:
-                j -= 1
+            j, s = j - 1, s - 1
         path.append((i, j))
     path.reverse()
-    return AlignmentResult(float(gamma[m - 1, n - 1]), np.array(path, dtype=np.intp), m, n)
+    return AlignmentResult(float(prev1[0]), np.array(path, dtype=np.intp), m, n)
 
 
 def mcd_dtw(a: AlignmentResult) -> float:

@@ -191,7 +191,11 @@ def mos_aggregate(ratings) -> MosSummary:
     The half-width is 1.96 * sample std / sqrt(n); a single rating has
     std 0 by convention.
     """
-    values = [float(r) for r in ratings]
+    values = []
+    for r in ratings:
+        if isinstance(r, (bool, np.bool_)):
+            raise RatingError(f"rating {r!r} is a boolean, not a number")
+        values.append(float(r))
     if not values:
         raise RatingError("no ratings given")
     for r in values:

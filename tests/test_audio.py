@@ -1,13 +1,25 @@
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dubkit
 from dubkit.audio import (TruncatedFileError, UnsupportedFormatError, Waveform,
                           pad_to_length, read_wav, resample, to_mono, write_wav)
 from dubkit.dsp import mel_spectrogram, stft_magnitude
 
 from helpers import make_tone, write_float32_wav, write_pcm16_raw, write_pcm16_wav
+
+
+def riff_header(sample_rate):
+    """RIFF/WAVE header and a mono PCM16 fmt chunk (byte rate left 0)."""
+    return (b"RIFF" + struct.pack("<I", 0) + b"WAVE" + b"fmt "
+            + struct.pack("<IHHIIHH", 16, 1, 1, sample_rate, 0, 2, 16))
 
 
 def spectrum_peak_hz(samples, sample_rate):
@@ -81,6 +93,39 @@ class TestReadWav:
         path.write_bytes(data[:-30])
         with pytest.raises(TruncatedFileError):
             read_wav(path)
+
+    def test_oversized_chunk_is_refused_before_reading(self, tmp_path):
+        # 244 bytes whose data chunk declares 0xFFFFFFF0: under a 1.5 GiB
+        # address-space limit, reading that size first raises MemoryError
+        path = tmp_path / "huge.wav"
+        path.write_bytes(riff_header(22050) + b"data"
+                         + struct.pack("<I", 0xFFFFFFF0) + b"\x00" * 200)
+        assert path.stat().st_size == 244
+        code = ("import resource, sys\n"
+                "from dubkit.audio import TruncatedFileError, read_wav\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+                "try:\n"
+                f"    read_wav({str(path)!r})\n"
+                "except TruncatedFileError as exc:\n"
+                "    print(exc)\n")
+        env = {"PYTHONPATH": str(Path(dubkit.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "file ends inside data chunk (200 of 4294967280 bytes)" in result.stdout
+
+    @pytest.mark.parametrize("rate", [0, 999, 768_001, 3_200_000_000])
+    def test_implausible_sample_rate_rejected(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        path.write_bytes(riff_header(rate) + b"data" + struct.pack("<I", 4) + b"\x00" * 4)
+        with pytest.raises(UnsupportedFormatError, match=f"sample rate {rate} Hz"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("rate", [1000, 768_000])
+    def test_sample_rate_range_is_inclusive(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        write_pcm16_raw(path, [0, 1], 1, rate)
+        assert read_wav(path).sample_rate == rate
 
     def test_read_write_read_round_trip(self, tmp_path):
         first = tmp_path / "a.wav"

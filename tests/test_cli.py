@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dubkit
 from dubkit.audio import Waveform, write_wav
 from dubkit.cli import build_parser, run
 from dubkit.corpus import ClipRecord, save_manifest
@@ -125,6 +130,18 @@ class TestBatchCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert error["message"].startswith(f"{manifest}:1: ")
+
+    def test_non_utf8_row_is_a_located_error(self, tmp_path, capsys):
+        wav = write_tone(tmp_path / "a.wav")
+        row = json.dumps({"id": "p", "generated": wav, "reference": wav}).encode()
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_bytes(row + b"\n" + row.replace(b'"p"', b'"\xff"') + b"\n")
+        code, out, err = invoke(capsys, "batch", str(manifest))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith(f"{manifest}:2: ")
 
 
 class TestAccuracyCommand:
@@ -329,3 +346,15 @@ class TestCliShell:
 
     def test_parser_builds(self):
         assert build_parser().prog == "dubkit"
+
+
+def test_same_rate_scoring_never_imports_scipy_signal():
+    # scipy.signal is slow to import and only resampling needs it
+    code = ("import sys, numpy as np, dubkit.cli, dubkit as dk; "
+            "w = dk.Waveform(np.sin(np.arange(8000) / 5.0), 22050); "
+            "dk.evaluate_pair(w, w); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(dubkit.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

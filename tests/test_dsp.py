@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.fft import idct
 
+from dubkit import dsp
 from dubkit.audio import Waveform
 from dubkit.dsp import (EnergyTrack, FrameParams, MelSpectrogram, PitchTrack,
                         Spectrogram, energy_track, hz_to_mel, mel_filterbank,
@@ -237,3 +238,11 @@ def test_energy_and_pitch_tracks_share_frame_rate():
 def test_energy_track_type():
     spec = stft_magnitude(tone_wave(440))
     assert isinstance(energy_track(spec), EnergyTrack)
+
+
+def test_hann_window_is_scipys():
+    from scipy.signal import get_window
+    for length in range(1, 4097):
+        window = dsp._hann(length)
+        assert np.array_equal(window, get_window("hann", length, fftbins=True)), length
+        assert not window.flags.writeable

@@ -103,3 +103,26 @@ def test_converter_bugs_are_not_relabelled(tmp_path):
 
     with pytest.raises(RuntimeError, match="^bug$"):
         jsonl.load_lines(path, broken)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_invalid_utf8_is_located(tmp_path, name):
+    loader, error, _ = LOADERS[name]
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(b"\n" + b'{"id": "caf\xe9"}\n')
+    with pytest.raises(error, match=at(path, 2) + "'utf-8' codec can't decode"):
+        loader(path)
+
+
+def test_line_breaks_are_those_of_text_mode(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"a\r\nb\rc\n\r\xc3\xa9\r\nx")
+    assert jsonl.load_lines(path, str.strip) == ["a", "b", "c", "\u00e9", "x"]
+
+    def reject_x(line):
+        if line == "x":
+            raise ValueError("x")
+        return line
+
+    with pytest.raises(ValueError, match=at(path, 6) + "x$"):
+        jsonl.load_lines(path, reject_x)

@@ -244,6 +244,11 @@ class TestMosAggregate:
         with pytest.raises(RatingError):
             mos_aggregate([])
 
+    @pytest.mark.parametrize("ratings", [[True, 5], [4.0, np.bool_(True)]])
+    def test_booleans_rejected(self, ratings):
+        with pytest.raises(RatingError, match="boolean"):
+            mos_aggregate(ratings)
+
     @given(st.lists(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]),
                     min_size=2, max_size=30))
     @settings(max_examples=50)
