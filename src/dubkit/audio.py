@@ -26,6 +26,9 @@ _FMT_EXTENSIBLE = 0xFFFE
 # otherwise size the resampling filter
 MIN_SAMPLE_RATE = 1000
 MAX_SAMPLE_RATE = 768000
+# largest up/down factor resample accepts (its filter has 20x this many
+# taps); standard rates need at most 5120 (768 kHz -> 22.05 kHz)
+MAX_RESAMPLE_FACTOR = 8192
 
 
 class UnsupportedFormatError(ValueError):
@@ -207,19 +210,24 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     """Resample mono audio with a windowed-sinc (Kaiser) polyphase filter.
 
     The Kaiser beta is chosen for an 80 dB alias floor. Resampling to the
-    source rate is the identity.
+    source rate is the identity. A rate ratio whose reduced up or down
+    factor exceeds MAX_RESAMPLE_FACTOR raises ValueError.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     x = w.mono_samples()
     if target_rate == w.sample_rate:
         return w
+    g = math.gcd(target_rate, w.sample_rate)
+    up, down = target_rate // g, w.sample_rate // g
+    if max(up, down) > MAX_RESAMPLE_FACTOR:
+        raise ValueError(
+            f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the rate "
+            f"ratio {up}/{down} exceeds the factor limit {MAX_RESAMPLE_FACTOR}")
     # imported here because scipy.signal is slow to import and only
     # resampling needs it
     from scipy.signal import kaiser_beta, resample_poly
 
-    g = math.gcd(target_rate, w.sample_rate)
-    up, down = target_rate // g, w.sample_rate // g
     y = resample_poly(x, up, down, window=("kaiser", kaiser_beta(80.0)))
     return Waveform(np.clip(y, -1.0, 1.0), target_rate)
 

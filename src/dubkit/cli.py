@@ -111,13 +111,11 @@ def cmd_mcd(args) -> dict:
 
 
 def cmd_batch(args) -> dict:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _pipeline_config(args)
     entries = load_pair_manifest(args.manifest)
-    report = evaluate_corpus(entries, cfg, jobs=args.jobs)
+    report = evaluate_corpus(entries, cfg)
     config = cfg.to_dict()
-    config.update({"manifest": args.manifest, "jobs": args.jobs})
+    config["manifest"] = args.manifest
     return {"config": config, **report.to_dict()}
 
 
@@ -236,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="score every pair in a JSONL manifest")
     p.add_argument("manifest", help="JSONL with {id, generated, reference} rows")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; output order is manifest order "
-                        "(default 1)")
     _add_pipeline_flags(p)
     _add_metric_flags(p)
     _add_output_flags(p)

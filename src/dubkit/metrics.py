@@ -10,7 +10,6 @@ by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -328,34 +327,14 @@ def load_pair_manifest(path) -> list[PairEntry]:
         ("id", "generated", "reference"))
 
 
-def _evaluate_entry(entry: PairEntry, cfg: PipelineConfig) -> PairMetrics:
-    gen = to_mono(read_wav(entry.generated))
-    ref = to_mono(read_wav(entry.reference))
-    return replace(evaluate_pair(gen, ref, cfg), pair_id=entry.pair_id)
-
-
-def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig(),
-                    jobs: int = 1) -> MetricReport:
-    """Evaluate every manifest pair; failures are collected, not fatal.
-
-    Rows come back in manifest order regardless of ``jobs``.
-    """
-    results = [None] * len(entries)
-
-    def run(index):
-        entry = entries[index]
+def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricReport:
+    """Evaluate every manifest pair in order; failures are collected, not fatal."""
+    rows, failures = [], []
+    for entry in entries:
         try:
-            results[index] = ("ok", _evaluate_entry(entry, cfg))
+            gen = to_mono(read_wav(entry.generated))
+            ref = to_mono(read_wav(entry.reference))
+            rows.append(replace(evaluate_pair(gen, ref, cfg), pair_id=entry.pair_id))
         except Exception as exc:  # collected per-row, reported in the summary
-            results[index] = ("err", (entry.pair_id, f"{type(exc).__name__}: {exc}"))
-
-    if jobs > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, range(len(entries))))
-    else:
-        for index in range(len(entries)):
-            run(index)
-
-    rows = [payload for kind, payload in results if kind == "ok"]
-    failures = [payload for kind, payload in results if kind == "err"]
+            failures.append((entry.pair_id, f"{type(exc).__name__}: {exc}"))
     return MetricReport(rows, failures)

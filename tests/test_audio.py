@@ -16,6 +16,11 @@ from dubkit.dsp import mel_spectrogram, stft_magnitude
 from helpers import make_tone, write_float32_wav, write_pcm16_raw, write_pcm16_wav
 
 
+STANDARD_SOURCE_RATES = (8000, 11025, 16000, 24000, 32000, 44100, 48000, 88200,
+                         96000, 176400, 192000, 352800, 384000, 705600, 768000)
+STANDARD_TARGET_RATES = (16000, 22050, 24000, 44100, 48000)
+
+
 def riff_header(sample_rate):
     """RIFF/WAVE header and a mono PCM16 fmt chunk (byte rate left 0)."""
     return (b"RIFF" + struct.pack("<I", 0) + b"WAVE" + b"fmt "
@@ -254,6 +259,13 @@ class TestResample:
         w = Waveform(make_tone(1000, 0.5, 16000), 16000)
         out = resample(w, 22050)
         assert spectrum_peak_hz(out.samples, 22050) == pytest.approx(1000, abs=2)
+
+    @pytest.mark.parametrize("target", STANDARD_TARGET_RATES)
+    def test_standard_rates_within_factor_limit(self, target):
+        for source in STANDARD_SOURCE_RATES:
+            n = source // 100
+            out = resample(Waveform(np.zeros(n), source), target)
+            assert abs(out.n_frames - n * target / source) < 1
 
 
 class TestPadToLength:

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import dubkit
 from dubkit.audio import Waveform, write_wav
 from dubkit.cli import build_parser, run
 from dubkit.corpus import ClipRecord, save_manifest
+from dubkit.metrics import PipelineConfig
 
 from helpers import brute_force_accuracy, make_tone
 
@@ -25,6 +28,12 @@ def invoke(capsys, *argv):
 
 def write_tone(path, freq=440.0, duration=0.3):
     write_wav(path, Waveform(make_tone(freq, duration, SR), SR))
+    return str(path)
+
+
+def write_odd_rate_wav(path):
+    # 767999 Hz is in read_wav's range but shares no useful factor with 22050
+    write_wav(path, Waveform(make_tone(440, 1e-4, 767999), 767999))
     return str(path)
 
 
@@ -91,6 +100,17 @@ class TestFeaturesCommand:
         _, second, _ = invoke(capsys, "features", wav)
         assert first == second
 
+    def test_unresamplable_rate_fails_fast(self, tmp_path, capsys):
+        wav = write_odd_rate_wav(tmp_path / "odd.wav")
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "features", wav)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "767999 Hz to 22050 Hz" in error["message"]
+
 
 class TestBatchCommand:
     def make_manifest(self, tmp_path, n=3):
@@ -109,11 +129,31 @@ class TestBatchCommand:
         assert [row["id"] for row in payload["rows"]] == ["p0", "p1", "p2"]
         assert payload["aggregate"]["n_pairs"] == 3
 
-    def test_jobs_do_not_change_output(self, tmp_path, capsys):
-        manifest = self.make_manifest(tmp_path)
-        _, serial, _ = invoke(capsys, "batch", manifest)
-        _, parallel, _ = invoke(capsys, "batch", manifest, "--jobs", "4")
-        assert json.loads(serial)["rows"] == json.loads(parallel)["rows"]
+    def test_config_echoes_pipeline_and_manifest_only(self, tmp_path, capsys):
+        manifest = self.make_manifest(tmp_path, n=1)
+        _, out, _ = invoke(capsys, "batch", manifest, "--k", "20", "--scale", "conventional")
+        expected = PipelineConfig(n_coeffs=20, scale="conventional").to_dict()
+        assert json.loads(out)["config"] == {**expected, "manifest": manifest}
+
+    def test_jobs_flag_is_a_usage_error(self, tmp_path):
+        manifest = self.make_manifest(tmp_path, n=1)
+        with pytest.raises(SystemExit) as excinfo:
+            run(["batch", manifest, "--jobs", "2"])
+        assert excinfo.value.code == 2
+
+    def test_unresamplable_rate_is_a_failure_row(self, tmp_path, capsys):
+        odd = write_odd_rate_wav(tmp_path / "odd.wav")
+        good = write_tone(tmp_path / "good.wav")
+        manifest = jsonl(tmp_path / "pairs.jsonl", [
+            {"id": "good", "generated": good, "reference": good},
+            {"id": "odd", "generated": odd, "reference": good}])
+        code, out, _ = invoke(capsys, "batch", manifest)
+        assert code == 0
+        payload = json.loads(out)
+        assert [row["id"] for row in payload["rows"]] == ["good"]
+        [failure] = payload["failures"]
+        assert failure["id"] == "odd"
+        assert failure["error"].startswith("ValueError: cannot resample 767999 Hz to 22050 Hz")
 
     def test_report_field_names(self, tmp_path, capsys):
         manifest = self.make_manifest(tmp_path, n=1)
@@ -346,6 +386,16 @@ class TestCliShell:
 
     def test_parser_builds(self):
         assert build_parser().prog == "dubkit"
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("dubkit ")]
+        assert len(commands) >= 10
+        parser = build_parser()
+        for command in commands:
+            parser.parse_args(shlex.split(command)[1:])
 
 
 def test_same_rate_scoring_never_imports_scipy_signal():

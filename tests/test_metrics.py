@@ -351,28 +351,17 @@ class TestEvaluateCorpus:
 
     def test_failures_collected_not_fatal(self, tmp_path):
         w = Waveform(make_tone(440, 0.2, SR), SR)
-        manifest = write_pair_corpus(tmp_path, [("ok", w, w)])
-        with open(manifest, "a") as fh:
-            fh.write(json.dumps({"id": "broken", "generated": str(tmp_path / "no.wav"),
-                                 "reference": str(tmp_path / "no.wav")}) + "\n")
+        manifest = write_pair_corpus(tmp_path, [("a", w, w), ("b", w, w)])
+        missing = str(tmp_path / "no.wav")
+        lines = manifest.read_text().splitlines(keepends=True)
+        broken = [json.dumps({"id": pair_id, "generated": missing,
+                              "reference": missing}) + "\n"
+                  for pair_id in ("broken_mid", "broken_end")]
+        manifest.write_text(lines[0] + broken[0] + lines[1] + broken[1])
         report = evaluate_corpus(load_pair_manifest(manifest))
-        assert len(report.rows) == 1
-        assert len(report.failures) == 1
-        assert report.failures[0][0] == "broken"
-        assert report.aggregate()["n_failures"] == 1
-
-    def test_parallel_matches_serial_order(self, tmp_path):
-        pairs = []
-        for i in range(6):
-            gen = Waveform(make_tone(300 + 20 * i, 0.2, SR), SR)
-            ref = Waveform(make_tone(310 + 20 * i, 0.22, SR), SR)
-            pairs.append((f"p{i}", gen, ref))
-        manifest = write_pair_corpus(tmp_path, pairs)
-        entries = load_pair_manifest(manifest)
-        serial = evaluate_corpus(entries, jobs=1)
-        parallel = evaluate_corpus(entries, jobs=4)
-        assert [r.pair_id for r in serial.rows] == [f"p{i}" for i in range(6)]
-        assert serial.to_dict() == parallel.to_dict()
+        assert [row.pair_id for row in report.rows] == ["a", "b"]
+        assert [pair_id for pair_id, _ in report.failures] == ["broken_mid", "broken_end"]
+        assert report.aggregate()["n_failures"] == 2
 
 
 class TestPairManifest:
