@@ -25,7 +25,7 @@ from .scoring import (CentroidModel, EmbeddingSet, MosSummary, accuracy,
 from .srt import SrtEntry, parse_srt, serialize_srt
 from .corpus import (ClipPlan, ClipRecord, CorpusStats, EMOTIONS,
                      SplitAssignment, build_clip_plan, corpus_stats,
-                     load_manifest, save_manifest, split_dataset)
+                     load_manifest, split_dataset)
 
 __all__ = [
     "__version__",
@@ -45,5 +45,5 @@ __all__ = [
     # corpus
     "SrtEntry", "parse_srt", "serialize_srt", "ClipRecord", "ClipPlan",
     "CorpusStats", "SplitAssignment", "EMOTIONS", "build_clip_plan",
-    "corpus_stats", "load_manifest", "save_manifest", "split_dataset",
+    "corpus_stats", "load_manifest", "split_dataset",
 ]

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SAMPLE_RATE = 22050
-
 _PCM_SCALE = 32768.0
 
 # RIFF format tags we accept
@@ -68,10 +66,6 @@ class Waveform:
     @property
     def n_frames(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_frames / self.sample_rate
 
     def mono_samples(self) -> np.ndarray:
         if self.n_channels != 1:
@@ -181,13 +175,10 @@ def to_mono(w: Waveform, mode: str = "average", channel: int | None = None) -> W
     """Reduce a waveform to one channel.
 
     mode "average" takes the arithmetic mean across channels; "center"
-    (alias "center-channel") selects the front-center channel (index 2 in
-    the standard FL, FR, FC speaker ordering) and requires at least 3
-    channels; "channel" selects the explicit ``channel`` index. Mono input
-    is returned unchanged.
+    selects the front-center channel (index 2 in the standard FL, FR, FC
+    speaker ordering) and requires at least 3 channels; "channel" selects
+    the explicit ``channel`` index. Mono input is returned unchanged.
     """
-    if mode == "center-channel":
-        mode = "center"
     if mode not in ("average", "center", "channel"):
         raise ValueError(f"unknown mono mode {mode!r}")
     if mode == "channel":

@@ -12,11 +12,12 @@ import json
 import sys
 
 from . import __version__
-from .audio import read_wav, resample, to_mono
-from .corpus import build_clip_plan, corpus_stats, load_manifest, split_dataset
+from .audio import Waveform, read_wav, resample, to_mono
+from .corpus import (build_clip_plan, check_ratios, corpus_stats, load_manifest,
+                     split_dataset)
 from .dsp import (FrameParams, energy_track, mel_spectrogram, mfcc, pitch_track,
                   stft_magnitude)
-from .metrics import (PipelineConfig, evaluate_corpus, evaluate_pair,
+from .metrics import (PipelineConfig, evaluate_corpus, evaluate_pair, extract_mfcc,
                       load_pair_manifest)
 from .scoring import accuracy, build_centroids, load_embeddings, load_ratings, \
     mos_aggregate
@@ -62,28 +63,36 @@ def _add_metric_flags(parser):
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    """The pipeline flags as a config, checked before any file is read by
+    running the library's own extractors on one sample of silence."""
     try:
         frame = FrameParams(fft_size=args.fft, hop=args.hop, win_length=args.win)
-        return PipelineConfig(sample_rate=args.rate, frame=frame,
-                              n_mels=args.n_mels, fmin=args.fmin, fmax=args.fmax,
-                              n_coeffs=args.k,
-                              scale=getattr(args, "scale", "plain"),
-                              pad_mode=getattr(args, "pad_mode", "pad"))
+        cfg = PipelineConfig(sample_rate=args.rate, frame=frame,
+                             n_mels=args.n_mels, fmin=args.fmin, fmax=args.fmax,
+                             n_coeffs=args.k,
+                             scale=getattr(args, "scale", "plain"),
+                             pad_mode=getattr(args, "pad_mode", "pad"))
+        silence = Waveform([0.0], cfg.sample_rate)
+        extract_mfcc(silence, cfg)
+        if hasattr(args, "pitch_fmin"):
+            _pitch(silence, args, cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return cfg
 
 
-def _load_mono(path, rate):
-    return resample(to_mono(read_wav(path)), rate)
+def _pitch(w, args, cfg):
+    return pitch_track(w, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
+                       hop=cfg.frame.hop)
 
 
 def cmd_features(args) -> dict:
     cfg = _pipeline_config(args)
-    w = _load_mono(args.audio, cfg.sample_rate)
+    w = resample(to_mono(read_wav(args.audio)), cfg.sample_rate)
     spec = stft_magnitude(w, cfg.frame)
     mel = mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
     coeffs = mfcc(mel, cfg.n_coeffs)
-    pitch = pitch_track(w, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold)
+    pitch = _pitch(w, args, cfg)
     energy = energy_track(spec)
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
@@ -101,8 +110,8 @@ def cmd_features(args) -> dict:
 
 def cmd_mcd(args) -> dict:
     cfg = _pipeline_config(args)
-    gen = _load_mono(args.generated, cfg.sample_rate)
-    ref = _load_mono(args.reference, cfg.sample_rate)
+    gen = to_mono(read_wav(args.generated))
+    ref = to_mono(read_wav(args.reference))
     row = evaluate_pair(gen, ref, cfg).to_dict()
     row.pop("id")
     config = cfg.to_dict()
@@ -150,8 +159,7 @@ def cmd_srt_parse(args) -> dict:
     return {
         "config": {"srt": args.srt},
         "n_entries": len(entries),
-        "entries": [{"index": e.index, "start_ms": e.start_ms,
-                     "end_ms": e.end_ms, "text": e.text} for e in entries],
+        "entries": [vars(e) for e in entries],
     }
 
 
@@ -179,12 +187,13 @@ def _parse_ratios(text: str):
 
 def cmd_split(args) -> dict:
     ratios = _parse_ratios(args.ratios)
-    records = load_manifest(args.manifest)
     try:
-        assignment = split_dataset(records, ratios, seed=args.seed,
-                                   stratify_by_speaker=args.stratify_by_speaker)
+        check_ratios(ratios)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    records = load_manifest(args.manifest)
+    assignment = split_dataset(records, ratios, seed=args.seed,
+                               stratify_by_speaker=args.stratify_by_speaker)
     return {
         "config": {"manifest": args.manifest, "ratios": list(ratios),
                    "seed": args.seed,
@@ -194,6 +203,8 @@ def cmd_split(args) -> dict:
 
 
 def cmd_stats(args) -> dict:
+    if args.top_words < 0:
+        raise UsageError(f"--top-words must be >= 0, got {args.top_words}")
     records = load_manifest(args.manifest)
     stats = corpus_stats(records)
     top = None if args.top_words == 0 else args.top_words

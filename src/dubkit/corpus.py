@@ -7,7 +7,6 @@ itself is delegated to an external tool; the clip plan is pure data with
 optional FFmpeg-style argument vectors as a convenience.
 """
 
-import json
 import random
 import string
 from collections import Counter
@@ -58,14 +57,6 @@ class ClipRecord:
     def duration_s(self) -> float:
         return (self.end_ms - self.start_ms) / 1000.0
 
-    def to_dict(self) -> dict:
-        row = {f: getattr(self, f) for f in _REQUIRED_FIELDS}
-        if self.audio_path is not None:
-            row["audio_path"] = self.audio_path
-        if self.video_path is not None:
-            row["video_path"] = self.video_path
-        return row
-
 
 def _record_from_row(row: dict) -> ClipRecord:
     return ClipRecord(
@@ -86,13 +77,6 @@ def load_manifest(path) -> list[ClipRecord]:
     return jsonl.load_objects(path, _record_from_row, _REQUIRED_FIELDS, ManifestError)
 
 
-def save_manifest(records, path) -> None:
-    """Write clip records as JSONL; load_manifest(save_manifest(r)) == r."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict()) + "\n")
-
-
 @dataclass(frozen=True)
 class ClipJob:
     """One planned video cut plus audio extraction."""
@@ -106,10 +90,7 @@ class ClipJob:
     out_video: str
 
     def to_dict(self) -> dict:
-        return {"movie_id": self.movie_id, "index": self.index,
-                "start_s": self.start_s, "end_s": self.end_s,
-                "audio_mode": self.audio_mode, "out_audio": self.out_audio,
-                "out_video": self.out_video}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -124,11 +105,9 @@ class ClipPlan:
     commands: list | None = None
 
     def to_dict(self) -> dict:
-        plan = {"movie_id": self.movie_id, "movie_path": self.movie_path,
-                "out_dir": self.out_dir, "audio_mode": self.audio_mode,
-                "jobs": [job.to_dict() for job in self.jobs]}
-        if self.commands is not None:
-            plan["commands"] = self.commands
+        plan = {**vars(self), "jobs": [job.to_dict() for job in self.jobs]}
+        if self.commands is None:
+            del plan["commands"]
         return plan
 
 
@@ -196,17 +175,18 @@ class SplitAssignment:
     seed: int
 
     def to_dict(self) -> dict:
-        return {"train": self.train, "val": self.val, "test": self.test,
-                "seed": self.seed,
+        return {**vars(self),
                 "sizes": {"train": len(self.train), "val": len(self.val),
                           "test": len(self.test)}}
 
 
-def _floor_sizes(n: int, ratios) -> tuple[int, int]:
-    # epsilon guards float products like 0.6 * n that are integral in exact arithmetic
-    n_train = int(ratios[0] * n + 1e-9)
-    n_val = int(ratios[1] * n + 1e-9)
-    return n_train, n_val
+def check_ratios(ratios) -> None:
+    """Raise ValueError unless ``ratios`` are three positive numbers summing
+    to 1; written so that NaN fails."""
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+        raise ValueError(f"ratios must be three positive numbers, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
 
 
 def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
@@ -216,45 +196,36 @@ def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
     Sizes are floor(r_train * n) and floor(r_val * n) with the remainder
     going to test; the shuffle is fully determined by ``seed``. The
     speaker-stratified mode applies the same rule within each speaker's
-    records instead.
+    records instead, in sorted speaker order.
     """
     records = list(records)
-    n = len(records)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-    if n < 3:
-        raise ValueError(f"need at least 3 records to split, got {n}")
-
-    rng = random.Random(seed)
-
-    def assign(group):
-        order = list(group)
-        rng.shuffle(order)
-        n_train, n_val = _floor_sizes(len(order), ratios)
-        return (order[:n_train], order[n_train : n_train + n_val],
-                order[n_train + n_val :])
-
+    check_ratios(ratios)
+    if len(records) < 3:
+        raise ValueError(f"need at least 3 records to split, got {len(records)}")
     ids = [r.clip_id for r in records]
     if len(set(ids)) != len(ids):
         seen = set()
         clash = next(i for i in ids if i in seen or seen.add(i))
         raise ValueError(f"duplicate clip id {clash!r}; cannot partition")
+
+    groups = [ids]
     if stratify_by_speaker:
         by_speaker: dict = {}
         for record in records:
             by_speaker.setdefault(record.speaker, []).append(record.clip_id)
-        train: list = []
-        val: list = []
-        test: list = []
-        for speaker in sorted(by_speaker):
-            tr, va, te = assign(by_speaker[speaker])
-            train += tr
-            val += va
-            test += te
-    else:
-        train, val, test = assign(ids)
+        groups = [by_speaker[speaker] for speaker in sorted(by_speaker)]
+    rng = random.Random(seed)
+    train: list = []
+    val: list = []
+    test: list = []
+    for group in groups:
+        rng.shuffle(group)
+        # epsilon guards float products like 0.6 * n that are integral in exact arithmetic
+        n_train = int(ratios[0] * len(group) + 1e-9)
+        n_val = int(ratios[1] * len(group) + 1e-9)
+        train += group[:n_train]
+        val += group[n_train : n_train + n_val]
+        test += group[n_train + n_val :]
     return SplitAssignment(train, val, test, seed)
 
 

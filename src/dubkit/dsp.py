@@ -11,6 +11,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dct, irfft, rfft
 
+PITCH_FRAME_LENGTH = 2048
+
 
 @dataclass(frozen=True)
 class FrameParams:
@@ -93,12 +95,12 @@ class EnergyTrack:
     frame_rate: float
 
 
-def _frame(x: np.ndarray, frame_length: int, hop: int) -> np.ndarray:
-    """Centered framing: reflect-pad frame_length//2 on both ends."""
-    pad = frame_length // 2
+def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """Centered framing: reflect-pad length//2 on both ends."""
+    pad = length // 2
     padded = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + (len(padded) - frame_length) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(padded, frame_length)[::hop]
+    n_frames = 1 + (len(padded) - length) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(padded, length)[::hop]
     return frames[:n_frames]
 
 
@@ -184,16 +186,15 @@ def energy_track(s: Spectrogram) -> EnergyTrack:
 
 
 def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
-                voicing_threshold: float = 0.15, frame_length: int = 2048,
-                hop: int = 256) -> PitchTrack:
+                voicing_threshold: float = 0.15, hop: int = 256) -> PitchTrack:
     """YIN pitch track of a mono waveform.
 
     Computes the cumulative-mean-normalized difference function per frame,
     takes the trough of its first dip below ``voicing_threshold`` inside
     [f_min, f_max], and refines the lag by parabolic interpolation. Frames
     with no dip below the threshold are unvoiced and report 0. The longest
-    measurable period is frame_length/2 samples, which caps how low f_min
-    can effectively reach.
+    measurable period is PITCH_FRAME_LENGTH/2 samples, which caps how low
+    f_min can effectively reach.
     """
     x = w.mono_samples()
     sr = w.sample_rate
@@ -202,17 +203,17 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
 
-    win = frame_length // 2
+    win = PITCH_FRAME_LENGTH // 2
     tau_min = max(1, int(np.ceil(sr / f_max)))
     tau_max = min(win, int(np.floor(sr / f_min)))
     if tau_min >= tau_max:
         raise ValueError(f"band [{f_min}, {f_max}] Hz is degenerate at rate {sr}")
 
-    frames = _frame(x, frame_length, hop)
+    frames = _frame(x, PITCH_FRAME_LENGTH, hop)
     n_frames = len(frames)
 
     # difference function d[t, tau] = e0 + e_tau - 2 * xcorr(tau), batched over frames
-    n_fft = 2 * frame_length
+    n_fft = 2 * PITCH_FRAME_LENGTH
     spec_full = rfft(frames, n=n_fft, axis=1)
     spec_head = rfft(frames[:, :win], n=n_fft, axis=1)
     xcorr = irfft(spec_full * spec_head.conj(), n=n_fft, axis=1)[:, : tau_max + 1]

@@ -28,7 +28,6 @@ class RatingError(ValueError):
 @dataclass(frozen=True, eq=False)
 class EmbeddingRecord:
     label: str
-    record_id: str
     vector: np.ndarray
 
 
@@ -84,7 +83,7 @@ class _RecordChecker:
         if key in self._seen:
             raise EmbeddingFormatError(f"duplicate (label, id) {key}")
         self._seen.add(key)
-        return EmbeddingRecord(str(label), str(record_id), v / norm)
+        return EmbeddingRecord(str(label), v / norm)
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -181,8 +180,7 @@ class MosSummary:
         return f"{self.mean:.2f} ± {self.half_width:.2f}"
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "half_width": self.half_width, "n": self.n,
-                "std": self.std, "rendered": self.rendered}
+        return {**vars(self), "rendered": self.rendered}
 
 
 def mos_aggregate(ratings) -> MosSummary:

@@ -7,6 +7,7 @@ brute-force cosine loop. Fixture WAVs are written with raw struct packing
 so file-reading tests do not depend on the writer under test.
 """
 
+import json
 import math
 import re
 import struct
@@ -17,6 +18,14 @@ import numpy as np
 def at(path, lineno):
     """Regex for the ``path:lineno: `` prefix every JSONL error starts with."""
     return "^" + re.escape(f"{path}:{lineno}: ")
+
+
+def jsonl(path, rows):
+    """Write ``rows`` as JSON Lines to ``path`` and return the path as a string."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+    return str(path)
 
 
 def make_tone(freq, duration_s, sample_rate, amplitude=0.8, phase=0.0):

@@ -183,11 +183,6 @@ class TestToMono:
         out = to_mono(Waveform(frame, 22050), "center")
         assert out.samples.tolist() == [pytest.approx(0.3)]
 
-    def test_center_channel_alias(self):
-        frame = np.array([[0.1, 0.2, 0.3, 0.4]])
-        out = to_mono(Waveform(frame, 22050), "center-channel")
-        assert out.samples.tolist() == [pytest.approx(0.3)]
-
     def test_center_channel_carries_its_tone(self, tmp_path):
         # distinct per-channel tones: FC (index 2) carries 300 Hz
         sr = 22050

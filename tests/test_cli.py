@@ -12,10 +12,9 @@ import pytest
 import dubkit
 from dubkit.audio import Waveform, write_wav
 from dubkit.cli import build_parser, run
-from dubkit.corpus import ClipRecord, save_manifest
 from dubkit.metrics import PipelineConfig
 
-from helpers import brute_force_accuracy, make_tone
+from helpers import brute_force_accuracy, jsonl, make_tone
 
 SR = 22050
 
@@ -37,11 +36,18 @@ def write_odd_rate_wav(path):
     return str(path)
 
 
-def jsonl(path, rows):
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    return str(path)
+def manifest_rows(n, **fields):
+    """``n`` valid clip-manifest rows with clip_index 1..n; ``fields`` override."""
+    return [{"movie_id": "m", "clip_index": i, "speaker": "s", "emotion": "neutral",
+             "text": "hi", "start_ms": 0, "end_ms": 1000, **fields}
+            for i in range(1, n + 1)]
+
+
+PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 81", "--n-mels 0", "--rate 0",
+                  "--fmax 20000", "--fmin -5"]
+BAD_FLAG_CASES = ([(command, flag) for command in ("features", "mcd", "batch")
+                   for flag in PIPELINE_FLAGS]
+                  + [("features", "--pitch-fmin 0"), ("features", "--pitch-fmax 20000")])
 
 
 class TestMcdCommand:
@@ -76,10 +82,15 @@ class TestMcdCommand:
         assert out == ""
         assert json.loads(target.read_text())["mcd"] == 0.0
 
-    def test_bad_frame_flags_exit_two(self, tmp_path, capsys):
-        wav = write_tone(tmp_path / "a.wav")
-        code, _, err = invoke(capsys, "mcd", wav, wav, "--hop", "0")
+    @pytest.mark.parametrize("command,flag", BAD_FLAG_CASES)
+    def test_bad_frame_flags_exit_two(self, tmp_path, capsys, command, flag):
+        missing = str(tmp_path / "missing")
+        inputs = [missing, missing] if command == "mcd" else [missing]
+        # the inputs alone fail at the read, so exit 2 means no file was read
+        assert invoke(capsys, command, *inputs)[0] == 1
+        code, out, err = invoke(capsys, command, *inputs, *flag.split())
         assert code == 2
+        assert out == ""
         assert json.loads(err)["error"]["type"] == "usage"
 
 
@@ -93,6 +104,16 @@ class TestFeaturesCommand:
             assert len(payload[key]) == payload["n_frames"]
         assert payload["config"]["fft_size"] == 1024
         assert payload["config"]["n_mels"] == 80
+
+    @pytest.mark.parametrize("hop", [128, 256, 512])
+    def test_pitch_frames_follow_hop(self, tmp_path, capsys, hop):
+        wav = write_tone(tmp_path / "a.wav")
+        code, out, _ = invoke(capsys, "features", wav, "--hop", str(hop))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_frames"] == 1 + int(0.3 * SR) // hop
+        for key in ("mel", "mfcc", "pitch", "energy"):
+            assert len(payload[key]) == payload["n_frames"]
 
     def test_deterministic_output(self, tmp_path, capsys):
         wav = write_tone(tmp_path / "a.wav")
@@ -234,6 +255,7 @@ class TestMosCommand:
         code, out, _ = invoke(capsys, "mos", str(path))
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["config", "mean", "half_width", "n", "std", "rendered"]
         assert payload["mean"] == 4.0
         assert payload["rendered"] == "4.00 ± 1.13"
 
@@ -262,6 +284,8 @@ class TestSrtCommands:
         code, out, _ = invoke(capsys, "srt", "parse", str(path))
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["config", "n_entries", "entries"]
+        assert list(payload["entries"][0]) == ["index", "start_ms", "end_ms", "text"]
         assert payload["n_entries"] == 2
         assert payload["entries"][0]["start_ms"] == 1000
 
@@ -272,10 +296,19 @@ class TestSrtCommands:
                               "--movie", "frozen.mkv", "--emit-commands")
         assert code == 0
         payload = json.loads(out)
+        plan_keys = ["config", "movie_id", "movie_path", "out_dir", "audio_mode", "jobs"]
+        assert list(payload) == plan_keys + ["commands"]
+        assert list(payload["jobs"][0]) == ["movie_id", "index", "start_s", "end_s",
+                                            "audio_mode", "out_audio", "out_video"]
         assert payload["movie_id"] == "frozen"
         assert len(payload["jobs"]) == 2
         assert payload["jobs"][0]["start_s"] == 1.0
         assert len(payload["commands"]) == 4
+        code, out, _ = invoke(capsys, "srt", "plan", str(path), "--movie", "frozen.mkv")
+        assert code == 0
+        without = json.loads(out)
+        assert list(without) == plan_keys
+        assert without["jobs"] == payload["jobs"]
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.srt"
@@ -287,12 +320,7 @@ class TestSrtCommands:
 
 class TestSplitCommand:
     def write_manifest(self, tmp_path, n=10):
-        records = [ClipRecord(movie_id="m", clip_index=i, speaker="s",
-                              emotion="neutral", text="hi", start_ms=0,
-                              end_ms=1000) for i in range(1, n + 1)]
-        path = tmp_path / "m.jsonl"
-        save_manifest(records, path)
-        return str(path)
+        return jsonl(tmp_path / "m.jsonl", manifest_rows(n))
 
     def test_runs_twice_identically(self, tmp_path, capsys):
         manifest = self.write_manifest(tmp_path)
@@ -301,7 +329,9 @@ class TestSplitCommand:
         code2, out2, _ = invoke(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
-        assert json.loads(out1)["sizes"] == {"train": 6, "val": 1, "test": 3}
+        payload = json.loads(out1)
+        assert list(payload) == ["config", "train", "val", "test", "seed", "sizes"]
+        assert payload["sizes"] == {"train": 6, "val": 1, "test": 3}
 
     def test_seed_required(self, tmp_path, capsys):
         manifest = self.write_manifest(tmp_path)
@@ -314,19 +344,35 @@ class TestSplitCommand:
         code, _, err = invoke(capsys, "split", manifest, "--ratios", "1,2",
                               "--seed", "1")
         assert code == 2
+        # NaN fails both ratio checks instead of reaching the size arithmetic
+        code, _, err = invoke(capsys, "split", manifest, "--ratios", "nan,0.5,0.5",
+                              "--seed", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "usage",
+            "message": "ratios must be three positive numbers, got (nan, 0.5, 0.5)"}
+
+    def test_data_errors_exit_one(self, tmp_path, capsys):
+        duplicate = jsonl(tmp_path / "dup.jsonl", manifest_rows(3) + manifest_rows(1))
+        code, out, err = invoke(capsys, "split", duplicate, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "type": "ValueError",
+            "message": "duplicate clip id 'm_00001'; cannot partition"}
+        short = jsonl(tmp_path / "short.jsonl", manifest_rows(2))
+        code, out, err = invoke(capsys, "split", short, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 class TestStatsCommand:
     def test_stats_payload(self, tmp_path, capsys):
-        records = [ClipRecord(movie_id="m", clip_index=1, speaker="a",
-                              emotion="happy", text="go go go", start_ms=0,
-                              end_ms=2000),
-                   ClipRecord(movie_id="m", clip_index=2, speaker="b",
-                              emotion="sad", text="stop", start_ms=0,
-                              end_ms=4000)]
-        path = tmp_path / "m.jsonl"
-        save_manifest(records, path)
-        code, out, _ = invoke(capsys, "stats", str(path))
+        path = jsonl(tmp_path / "m.jsonl", [
+            {"movie_id": "m", "clip_index": 1, "speaker": "a", "emotion": "happy",
+             "text": "go go go", "start_ms": 0, "end_ms": 2000},
+            {"movie_id": "m", "clip_index": 2, "speaker": "b", "emotion": "sad",
+             "text": "stop", "start_ms": 0, "end_ms": 4000}])
+        code, out, _ = invoke(capsys, "stats", path)
         assert code == 0
         payload = json.loads(out)
         assert payload["n_clips"] == 2
@@ -334,6 +380,16 @@ class TestStatsCommand:
         assert payload["avg_duration_s"] == 3.0
         assert payload["word_counts"][0] == ["go", 3]
         assert payload["emotion_counts"]["happy"] == 1
+
+    def test_negative_top_words_exit_two(self, tmp_path, capsys):
+        path = jsonl(tmp_path / "m.jsonl",
+                     manifest_rows(1, text="one two three four five six seven"))
+        code, out, _ = invoke(capsys, "stats", path, "--top-words", "3")
+        assert code == 0
+        assert len(json.loads(out)["word_counts"]) == 3
+        code, out, err = invoke(capsys, "stats", path, "--top-words", "-3")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "usage"
 
 
 class TestCliShell:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,14 +9,7 @@ from dubkit.scoring import (EmbeddingFormatError, EmbeddingSet, RatingError,
                             accuracy, build_centroids, classify,
                             load_embeddings, load_ratings, mos_aggregate)
 
-from helpers import at, brute_force_accuracy
-
-
-def jsonl(path, rows):
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    return path
+from helpers import at, brute_force_accuracy, jsonl
 
 
 class TestLoadEmbeddings:
