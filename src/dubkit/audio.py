@@ -131,6 +131,8 @@ def read_wav(path) -> Waveform:
         if len(data) % 4:
             raise TruncatedFileError(f"{path}: data chunk ends mid-sample")
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise UnsupportedFormatError(f"{path}: float samples must be finite")
     else:
         raise UnsupportedFormatError(
             f"{path}: unsupported codec (format tag {format_tag}, {bits}-bit); "

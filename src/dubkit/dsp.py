@@ -12,6 +12,8 @@ import numpy as np
 from scipy.fft import dct, irfft, rfft
 
 PITCH_FRAME_LENGTH = 2048
+PITCH_BLOCK = 128  # frames per pitch_track block; larger blocks measured slower
+_MIN_PITCH_BLOCK = 8  # frames in 256 KiB of rfft output, numpy's in-place threshold
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
                    fmin: float, fmax: float) -> np.ndarray:
-    """Triangular HTK-mel filterbank, shape (n_mels, fft_size//2 + 1)."""
+    """Triangular HTK-mel filterbank, shape (n_mels, fft_size//2 + 1).
+
+    Cached per argument tuple; the returned array is read-only.
+    """
     if not 0 <= fmin < fmax <= sample_rate / 2:
         raise ValueError(f"need 0 <= fmin < fmax <= sr/2, got fmin={fmin}, fmax={fmax}")
     edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
@@ -151,7 +157,9 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
     lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bin_freqs - lower) / (center - lower)
     falling = (upper - bin_freqs) / (upper - center)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    fb = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False  # shared by every caller through the cache
+    return fb
 
 
 def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
@@ -194,28 +202,53 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     [f_min, f_max], and refines the lag by parabolic interpolation. Frames
     with no dip below the threshold are unvoiced and report 0. The longest
     measurable period is PITCH_FRAME_LENGTH/2 samples, which caps how low
-    f_min can effectively reach.
+    f_min can effectively reach. ``voicing_threshold`` must be finite and
+    positive. Frames are analysed PITCH_BLOCK at a time, so the working
+    memory does not grow with the clip.
     """
     x = w.mono_samples()
     sr = w.sample_rate
     if not 0 < f_min < f_max <= sr / 2:
         raise ValueError(f"need 0 < f_min < f_max <= sr/2, got [{f_min}, {f_max}]")
+    if not 0 < voicing_threshold < np.inf:
+        raise ValueError("voicing_threshold must be finite and positive, "
+                         f"got {voicing_threshold}")
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
 
-    win = PITCH_FRAME_LENGTH // 2
     tau_min = max(1, int(np.ceil(sr / f_max)))
-    tau_max = min(win, int(np.floor(sr / f_min)))
+    tau_max = min(PITCH_FRAME_LENGTH // 2, int(np.floor(sr / f_min)))
     if tau_min >= tau_max:
         raise ValueError(f"band [{f_min}, {f_max}] Hz is degenerate at rate {sr}")
 
     frames = _frame(x, PITCH_FRAME_LENGTH, hop)
     n_frames = len(frames)
+    # a tail shorter than _MIN_PITCH_BLOCK joins the block before it (see _pitch_block)
+    starts = list(range(0, n_frames, PITCH_BLOCK))
+    if len(starts) > 1 and n_frames - starts[-1] < _MIN_PITCH_BLOCK:
+        starts.pop()
+    values = np.zeros(n_frames)
+    for lo, hi in zip(starts, starts[1:] + [n_frames]):
+        values[lo:hi] = _pitch_block(frames[lo:hi], sr, f_min, f_max,
+                                     voicing_threshold, tau_min, tau_max)
+    return PitchTrack(values, sr / hop)
+
+
+def _pitch_block(frames: np.ndarray, sr: int, f_min: float, f_max: float,
+                 voicing_threshold: float, tau_min: int, tau_max: int) -> np.ndarray:
+    """Pitch in Hz (0 when unvoiced) of each row of ``frames``."""
+    n_frames = len(frames)
+    win = PITCH_FRAME_LENGTH // 2
 
     # difference function d[t, tau] = e0 + e_tau - 2 * xcorr(tau), batched over frames
     n_fft = 2 * PITCH_FRAME_LENGTH
     spec_full = rfft(frames, n=n_fft, axis=1)
     spec_head = rfft(frames[:, :win], n=n_fft, axis=1)
+    # Keep this product as written. From 256 KiB (_MIN_PITCH_BLOCK frames) on,
+    # numpy reuses the conj temporary and computes conj * full in place, and
+    # the swapped operands round differently in the FMA loop. So that a
+    # frame's pitch does not depend on where the blocks are cut, no block is
+    # below that size unless the whole clip is.
     xcorr = irfft(spec_full * spec_head.conj(), n=n_fft, axis=1)[:, : tau_max + 1]
     sq = np.cumsum(frames**2, axis=1)
     e0 = sq[:, win - 1]
@@ -230,25 +263,26 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     cmnd = np.ones_like(diff)
     np.divide(diff[:, 1:] * taus, running, out=cmnd[:, 1:], where=running > 0)
 
-    values = np.zeros(n_frames)
-    for t in range(n_frames):
-        d = cmnd[t]
-        below = np.nonzero(d[tau_min : tau_max + 1] < voicing_threshold)[0]
-        if len(below) == 0:
-            continue
-        tau = tau_min + below[0]
-        while tau + 1 <= tau_max and d[tau + 1] < d[tau]:
-            tau += 1
-        # parabolic refinement of the trough
-        shift = 0.0
-        if 0 < tau < tau_max:
-            a, b, c = d[tau - 1], d[tau], d[tau + 1]
-            denom = a - 2.0 * b + c
-            if denom > 0:
-                shift = 0.5 * (a - c) / denom
-        values[t] = min(max(sr / (tau + shift), f_min), f_max)
+    # first dip below the threshold, then down to where the curve stops falling
+    band = cmnd[:, tau_min:]
+    below = band < voicing_threshold
+    voiced = below.any(axis=1)
+    stops = np.ones_like(below)
+    stops[:, :-1] = ~(band[:, 1:] < band[:, :-1])
+    stops &= np.arange(band.shape[1]) >= below.argmax(axis=1)[:, None]
+    tau = tau_min + stops.argmax(axis=1)
 
-    return PitchTrack(values, sr / hop)
+    # parabolic refinement of the trough
+    rows = np.arange(n_frames)
+    inner = tau < tau_max  # tau >= tau_min >= 1, so tau - 1 is a lag
+    a = cmnd[rows, tau - 1]
+    b = cmnd[rows, tau]
+    c = cmnd[rows, np.where(inner, tau + 1, tau)]
+    denom = a - 2.0 * b + c
+    shift = np.zeros(n_frames)
+    np.divide(0.5 * (a - c), denom, out=shift, where=inner & (denom > 0))
+    pitch = np.minimum(np.maximum(sr / (tau + shift), f_min), f_max)
+    return np.where(voiced, pitch, 0.0)
 
 
 def pitch_stats(tracks, include_unvoiced: bool = False) -> tuple[float, float]:

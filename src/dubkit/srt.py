@@ -29,7 +29,11 @@ class SrtEntry:
 
 
 def _parse_timestamp(field: tuple, entry_no: int, lineno: int) -> int:
-    hours, minutes, seconds, millis = (int(x) for x in field)
+    try:
+        hours, minutes, seconds, millis = (int(x) for x in field)
+    except ValueError:  # more digits than int() converts
+        raise SrtParseError(f"entry {entry_no} (line {lineno}): "
+                            "timestamp field too long") from None
     if minutes > 59 or seconds > 59:
         raise SrtParseError(f"entry {entry_no} (line {lineno}): "
                             f"minutes/seconds out of range in timestamp")

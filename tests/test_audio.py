@@ -63,6 +63,13 @@ class TestReadWav:
         assert w.sample_rate == 16000
         assert np.allclose(w.samples, values, atol=1e-9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_payload(self, tmp_path, value):
+        path = tmp_path / "f32.wav"
+        write_float32_wav(path, [0.5, value], 16000)
+        with pytest.raises(UnsupportedFormatError, match=f"{path}: float samples must be finite"):
+            read_wav(path)
+
     def test_stereo_shape(self, tmp_path):
         path = tmp_path / "st.wav"
         write_pcm16_wav(path, [np.full(100, 0.25), np.full(100, -0.25)], 8000)

@@ -47,7 +47,9 @@ PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 81", "--n-mels 0", "--rate 0",
                   "--fmax 20000", "--fmin -5"]
 BAD_FLAG_CASES = ([(command, flag) for command in ("features", "mcd", "batch")
                    for flag in PIPELINE_FLAGS]
-                  + [("features", "--pitch-fmin 0"), ("features", "--pitch-fmax 20000")])
+                  + [("features", "--pitch-fmin 0"), ("features", "--pitch-fmax 20000")]
+                  + [("features", f"--pitch-threshold {value}")
+                     for value in ("nan", "inf", "-1", "0")])
 
 
 class TestMcdCommand:

@@ -78,6 +78,14 @@ class TestMel:
             assert np.array_equal(support, np.arange(support[0], support[-1] + 1))
             peak = np.argmax(row)
             assert np.all(np.diff(row[support[0]:peak + 1]) >= 0)
+
+    def test_filterbank_cached_read_only(self):
+        fb = mel_filterbank(SR, 1024, 80, 0.0, 8000.0)
+        assert mel_filterbank(SR, 1024, 80, 0.0, 8000.0) is fb
+        assert not fb.flags.writeable
+        assert np.array_equal(fb, mel_filterbank.__wrapped__(SR, 1024, 80, 0.0, 8000.0))
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
             assert np.all(np.diff(row[peak:support[-1] + 1]) <= 0)
 
     def test_tone_lands_on_nearest_band(self):
@@ -195,6 +203,11 @@ class TestPitch:
             pitch_track(w, f_min=600.0, f_max=600.0)
         with pytest.raises(ValueError):
             pitch_track(w, f_min=0.0, f_max=600.0)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(ValueError, match="voicing_threshold"):
+            pitch_track(tone_wave(220), voicing_threshold=threshold)
 
     def test_deterministic(self):
         w = tone_wave(220)

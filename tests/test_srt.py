@@ -55,6 +55,12 @@ class TestParse:
         with pytest.raises(SrtParseError, match="out of range"):
             parse_srt(text)
 
+    def test_overlong_hours_field(self):
+        # int() refuses strings of more than 4300 digits
+        text = "1\n" + "9" * 5000 + ":00:01,000 --> 00:00:02,000\nhi\n"
+        with pytest.raises(SrtParseError, match=r"entry 1 \(line 2\): timestamp field too long"):
+            parse_srt(text)
+
     def test_empty_text_rejected(self):
         text = "1\n00:00:01,000 --> 00:00:02,000\n\n"
         with pytest.raises(SrtParseError, match="missing timestamp|empty"):
