@@ -13,7 +13,11 @@ from scipy.fft import dct, irfft, rfft
 
 PITCH_FRAME_LENGTH = 2048
 PITCH_BLOCK = 128  # frames per pitch_track block; larger blocks measured slower
-_MIN_PITCH_BLOCK = 8  # frames in 256 KiB of rfft output, numpy's in-place threshold
+# 8 frames x 2049 bins x 16 B = 256 KiB of rfft output, numpy's NPY_MIN_ELIDE_BYTES:
+# from there on numpy elides the conj temporary in pitch_track's spectrum product
+# (see _pitch_block). If a numpy upgrade moves that threshold, pitch drifts by an
+# ulp at block edges and tests/test_pitch_kernel.py's block-boundary test fails.
+_MIN_PITCH_BLOCK = 8
 
 
 @dataclass(frozen=True)
