@@ -13,7 +13,7 @@ from .audio import (Waveform, pad_to_length, read_wav, resample, to_mono,
                     write_wav)
 from .dsp import (EnergyTrack, FrameParams, MelSpectrogram, MfccSequence,
                   PitchTrack, Spectrogram, energy_track, mel_filterbank,
-                  mel_spectrogram, mfcc, pitch_stats, pitch_track,
+                  mel_spectrogram, mfcc, pitch_track,
                   stft_magnitude)
 from .metrics import (AlignmentResult, MetricReport, PairEntry, PairMetrics,
                       PipelineConfig, dtw_align, evaluate_corpus, evaluate_pair,
@@ -34,7 +34,7 @@ __all__ = [
     # dsp
     "FrameParams", "Spectrogram", "MelSpectrogram", "MfccSequence", "PitchTrack",
     "EnergyTrack", "stft_magnitude", "mel_filterbank", "mel_spectrogram", "mfcc",
-    "energy_track", "pitch_track", "pitch_stats",
+    "energy_track", "pitch_track",
     # metrics
     "AlignmentResult", "PairMetrics", "MetricReport", "PipelineConfig",
     "PairEntry", "frame_distance", "mcd", "dtw_align", "mcd_dtw", "mcd_dtw_sl",

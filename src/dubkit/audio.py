@@ -1,7 +1,7 @@
 """Waveform ingestion and preprocessing.
 
-Reads RIFF/WAVE files (16-bit PCM and 32-bit IEEE float), selects or
-downmixes channels, resamples with a band-limited polyphase filter, and
+Reads RIFF/WAVE files (16-bit PCM and 32-bit IEEE float), averages
+channels to mono, resamples with a band-limited polyphase filter, and
 zero-pads. Everything downstream of this module works on mono float64
 sample vectors in [-1, 1].
 """
@@ -173,30 +173,14 @@ def write_wav(path, w: Waveform) -> None:
             fh.write(b"\x00")
 
 
-def to_mono(w: Waveform, mode: str = "average", channel: int | None = None) -> Waveform:
-    """Reduce a waveform to one channel.
+def to_mono(w: Waveform) -> Waveform:
+    """Reduce a waveform to one channel: the arithmetic mean across channels.
 
-    mode "average" takes the arithmetic mean across channels; "center"
-    selects the front-center channel (index 2 in the standard FL, FR, FC
-    speaker ordering) and requires at least 3 channels; "channel" selects
-    the explicit ``channel`` index. Mono input is returned unchanged.
+    Mono input is returned unchanged (an (n, 1) array as its 1-D column).
     """
-    if mode not in ("average", "center", "channel"):
-        raise ValueError(f"unknown mono mode {mode!r}")
-    if mode == "channel":
-        if channel is None:
-            raise ValueError("mode='channel' requires a channel index")
-        if channel < 0 or channel >= w.n_channels:
-            raise IndexError(f"channel {channel} out of range for {w.n_channels}-channel audio")
     if w.n_channels == 1:
         return w if w.samples.ndim == 1 else Waveform(w.samples[:, 0], w.sample_rate)
-    if mode == "average":
-        return Waveform(w.samples.mean(axis=1), w.sample_rate)
-    if mode == "center":
-        if w.n_channels < 3:
-            raise ValueError(f"center channel needs >= 3 channels, got {w.n_channels}")
-        return Waveform(w.samples[:, 2], w.sample_rate)
-    return Waveform(w.samples[:, channel], w.sample_rate)
+    return Waveform(w.samples.mean(axis=1), w.sample_rate)
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
@@ -226,17 +210,14 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
 
 def pad_to_length(w: Waveform, target_len: int) -> Waveform:
-    """Append zeros so the waveform has ``target_len`` frames.
+    """Append zeros so the mono waveform has ``target_len`` samples.
 
-    The original samples are untouched; shrinking is an error.
+    The original samples are untouched; shrinking is an error, and so is
+    multichannel input.
     """
-    if target_len < w.n_frames:
-        raise ValueError(f"target_len {target_len} < current length {w.n_frames}")
-    if target_len == w.n_frames:
+    x = w.mono_samples()
+    if target_len < len(x):
+        raise ValueError(f"target_len {target_len} < current length {len(x)}")
+    if target_len == len(x):
         return w
-    pad = target_len - w.n_frames
-    if w.samples.ndim == 1:
-        padded = np.concatenate([w.samples, np.zeros(pad)])
-    else:
-        padded = np.concatenate([w.samples, np.zeros((pad, w.samples.shape[1]))])
-    return Waveform(padded, w.sample_rate)
+    return Waveform(np.concatenate([x, np.zeros(target_len - len(x))]), w.sample_rate)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import dsp, jsonl
+from . import jsonl
 
 EMOTIONS = ("angry", "disgust", "fear", "happy", "neutral", "sad", "surprise", "others")
 
@@ -241,8 +241,6 @@ class CorpusStats:
     emotion_counts: dict
     word_counts: list
     utterance_length_histogram: dict
-    pitch_mean_hz: float | None = None
-    pitch_variance: float | None = None
 
     def to_dict(self, top_words: int | None = None) -> dict:
         words = self.word_counts if top_words is None else self.word_counts[:top_words]
@@ -256,8 +254,9 @@ class CorpusStats:
             "word_counts": [[w, c] for w, c in words],
             "utterance_length_histogram": {str(k): v for k, v
                                            in sorted(self.utterance_length_histogram.items())},
-            "pitch_mean_hz": self.pitch_mean_hz,
-            "pitch_variance": self.pitch_variance,
+            # kept so the stats document keeps its keys; stats reads no audio
+            "pitch_mean_hz": None,
+            "pitch_variance": None,
         }
 
 
@@ -266,8 +265,8 @@ def tokenize_for_counts(text: str) -> list[str]:
     return [t for t in text.lower().translate(_PUNCT_TABLE).split() if t]
 
 
-def corpus_stats(records, pitch_tracks=None, include_unvoiced: bool = False) -> CorpusStats:
-    """Compute manifest statistics; pitch stats only when tracks are given.
+def corpus_stats(records) -> CorpusStats:
+    """Compute manifest statistics.
 
     Average subtitle length counts whitespace tokens; ranked word counts
     use lowercased, punctuation-stripped tokens.
@@ -289,10 +288,6 @@ def corpus_stats(records, pitch_tracks=None, include_unvoiced: bool = False) -> 
     for record in records:
         emotion_counts[record.emotion] += 1
 
-    pitch_mean = pitch_var = None
-    if pitch_tracks:
-        pitch_mean, pitch_var = dsp.pitch_stats(pitch_tracks, include_unvoiced)
-
     return CorpusStats(
         n_movies=len({r.movie_id for r in records}),
         n_clips=len(records),
@@ -302,7 +297,5 @@ def corpus_stats(records, pitch_tracks=None, include_unvoiced: bool = False) -> 
         emotion_counts=emotion_counts,
         word_counts=ranked,
         utterance_length_histogram=dict(histogram),
-        pitch_mean_hz=pitch_mean,
-        pitch_variance=pitch_var,
     )
 

@@ -176,20 +176,16 @@ def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
     return MelSpectrogram(frames, n_mels, fmin, fmax, floor, s.frame_rate)
 
 
-def mfcc(m: MelSpectrogram, n_coeffs: int = 13, include_zeroth: bool = False) -> MfccSequence:
+def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
     """Orthonormal DCT-II of the log-mel frames.
 
-    Keeps coefficients 1..n_coeffs; the 0th (frame log energy) is dropped
-    unless ``include_zeroth`` is set, in which case 0..n_coeffs-1 are kept.
+    Keeps coefficients 1..n_coeffs; the 0th (frame log energy) is dropped,
+    so n_coeffs must be below the band count.
     """
-    if not 1 <= n_coeffs <= m.n_mels:
-        raise ValueError(f"n_coeffs must be in [1, {m.n_mels}], got {n_coeffs}")
+    if not 1 <= n_coeffs < m.n_mels:
+        raise ValueError(f"n_coeffs must be in [1, {m.n_mels - 1}], got {n_coeffs}")
     cepstra = dct(m.frames, type=2, norm="ortho", axis=1)
-    if include_zeroth:
-        frames = cepstra[:, :n_coeffs]
-    else:
-        frames = cepstra[:, 1 : n_coeffs + 1]
-    return MfccSequence(frames, m.frame_rate)
+    return MfccSequence(cepstra[:, 1 : n_coeffs + 1], m.frame_rate)
 
 
 def energy_track(s: Spectrogram) -> EnergyTrack:
@@ -287,17 +283,3 @@ def _pitch_block(frames: np.ndarray, sr: int, f_min: float, f_max: float,
     np.divide(0.5 * (a - c), denom, out=shift, where=inner & (denom > 0))
     pitch = np.minimum(np.maximum(sr / (tau + shift), f_min), f_max)
     return np.where(voiced, pitch, 0.0)
-
-
-def pitch_stats(tracks, include_unvoiced: bool = False) -> tuple[float, float]:
-    """Pooled population mean and variance of pitch values across tracks.
-
-    Unvoiced (0 Hz) frames are dropped unless ``include_unvoiced`` is set.
-    """
-    pooled = np.concatenate([np.asarray(t.values, dtype=np.float64) for t in tracks]) \
-        if tracks else np.array([])
-    if not include_unvoiced:
-        pooled = pooled[pooled > 0]
-    if pooled.size == 0:
-        raise ValueError("no pitch frames retained")
-    return float(pooled.mean()), float(pooled.var())

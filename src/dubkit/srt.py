@@ -9,9 +9,12 @@ parse(serialize(entries)) round-trips exactly.
 import re
 from dataclasses import dataclass
 
+# [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones
 _TIMESTAMP_LINE = re.compile(
-    r"^(\d{2,}):(\d{2}):(\d{2}),(\d{3})\s*-->\s*(\d{2,}):(\d{2}):(\d{2}),(\d{3})$"
+    r"^([0-9]{2,}):([0-9]{2}):([0-9]{2}),([0-9]{3})\s*-->\s*"
+    r"([0-9]{2,}):([0-9]{2}):([0-9]{2}),([0-9]{3})$"
 )
+_CUE_NUMBER = re.compile(r"[0-9]+")
 
 
 class SrtParseError(ValueError):
@@ -26,6 +29,11 @@ class SrtEntry:
     start_ms: int
     end_ms: int
     text: str
+
+
+def _excerpt(line: str) -> str:
+    """repr of ``line``, cut to 40 characters so that a huge line is not echoed whole."""
+    return repr(line) if len(line) <= 40 else f"{line[:40]!r}... ({len(line)} characters)"
 
 
 def _parse_timestamp(field: tuple, entry_no: int, lineno: int) -> int:
@@ -44,7 +52,8 @@ def parse_srt(text: str) -> list[SrtEntry]:
     """Parse SRT text into entries, in file order.
 
     Tolerates a UTF-8 BOM and CRLF line endings. Cue numbers are taken as
-    written (they need not be consecutive).
+    written (they need not be consecutive). Cue numbers and timestamp
+    fields take ASCII digits only.
     """
     lines = text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -63,11 +72,15 @@ def parse_srt(text: str) -> list[SrtEntry]:
     entries = []
     for entry_no, block in enumerate(blocks, start=1):
         index_lineno, index_line = block[0]
-        try:
-            index = int(index_line.strip())
-        except ValueError:
+        number = index_line.strip()
+        if not _CUE_NUMBER.fullmatch(number):
             raise SrtParseError(f"entry {entry_no} (line {index_lineno}): "
-                                f"non-numeric cue number {index_line.strip()!r}") from None
+                                f"non-numeric cue number {_excerpt(number)}")
+        try:
+            index = int(number)
+        except ValueError:  # more digits than int() converts
+            raise SrtParseError(f"entry {entry_no} (line {index_lineno}): "
+                                f"cue number too long ({len(number)} digits)") from None
         if index < 1:
             raise SrtParseError(f"entry {entry_no} (line {index_lineno}): "
                                 f"cue number must be >= 1, got {index}")
@@ -78,7 +91,7 @@ def parse_srt(text: str) -> list[SrtEntry]:
         match = _TIMESTAMP_LINE.match(ts_line.strip())
         if not match:
             raise SrtParseError(f"entry {entry_no} (line {ts_lineno}): "
-                                f"malformed timestamp line {ts_line.strip()!r}")
+                                f"malformed timestamp line {_excerpt(ts_line.strip())}")
         start_ms = _parse_timestamp(match.groups()[:4], entry_no, ts_lineno)
         end_ms = _parse_timestamp(match.groups()[4:], entry_no, ts_lineno)
         if start_ms >= end_ms:

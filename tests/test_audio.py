@@ -168,65 +168,35 @@ class TestReadWav:
 
 
 class TestToMono:
-    def test_mono_unchanged_any_mode(self):
+    def test_mono_unchanged(self):
         w = Waveform(np.array([0.1, 0.2, 0.3]), 22050)
-        for mode, channel in (("average", None), ("center", None), ("channel", 0)):
-            out = to_mono(w, mode, channel=channel)
-            assert np.array_equal(out.samples, w.samples)
+        assert to_mono(w) is w
 
-    def test_mono_invalid_index_errors(self):
-        w = Waveform(np.array([0.1, 0.2]), 22050)
-        with pytest.raises(IndexError):
-            to_mono(w, "channel", channel=1)
+    def test_single_column_becomes_its_1d_column(self):
+        samples = np.array([[0.1], [-0.7], [0.3]])
+        out = to_mono(Waveform(samples, 22050))
+        assert out.samples.ndim == 1
+        assert np.array_equal(out.samples, samples[:, 0])
 
     def test_stereo_average(self):
         w = Waveform(np.array([[0.2, 0.4]]), 22050)
-        out = to_mono(w, "average")
+        out = to_mono(w)
         assert out.samples.tolist() == [pytest.approx(0.3)]
         assert out.n_channels == 1
-
-    def test_six_channel_center_is_index_two(self):
-        frame = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]])
-        out = to_mono(Waveform(frame, 22050), "center")
-        assert out.samples.tolist() == [pytest.approx(0.3)]
-
-    def test_center_channel_carries_its_tone(self, tmp_path):
-        # distinct per-channel tones: FC (index 2) carries 300 Hz
-        sr = 22050
-        tones = [make_tone(100 * (i + 1), 0.5, sr, amplitude=0.3) for i in range(6)]
-        path = tmp_path / "six.wav"
-        write_pcm16_wav(path, tones, sr)
-        center = to_mono(read_wav(path), "center")
-        assert spectrum_peak_hz(center.samples, sr) == pytest.approx(300, abs=2)
-
-    def test_center_needs_three_channels(self):
-        w = Waveform(np.zeros((10, 2)), 22050)
-        with pytest.raises(ValueError):
-            to_mono(w, "center")
-
-    def test_channel_out_of_range(self):
-        w = Waveform(np.zeros((10, 2)), 22050)
-        with pytest.raises(IndexError):
-            to_mono(w, "channel", channel=5)
-
-    def test_channel_select(self):
-        w = Waveform(np.array([[0.1, 0.9], [0.2, 0.8]]), 22050)
-        out = to_mono(w, "channel", channel=1)
-        assert out.samples.tolist() == [pytest.approx(0.9), pytest.approx(0.8)]
 
     @given(st.integers(-4, 4))
     def test_average_commutes_with_power_of_two_gain(self, exponent):
         scale = 2.0**exponent
         rng = np.random.default_rng(7)
         samples = rng.uniform(-0.4, 0.4, size=(50, 3))
-        direct = to_mono(Waveform(samples * scale, 22050), "average").samples
-        after = to_mono(Waveform(samples, 22050), "average").samples * scale
+        direct = to_mono(Waveform(samples * scale, 22050)).samples
+        after = to_mono(Waveform(samples, 22050)).samples * scale
         assert np.array_equal(direct, after)
 
     def test_average_commutes_with_general_gain(self, rng):
         samples = rng.uniform(-0.2, 0.2, size=(80, 4))
-        direct = to_mono(Waveform(samples * 0.3, 22050), "average").samples
-        after = to_mono(Waveform(samples, 22050), "average").samples * 0.3
+        direct = to_mono(Waveform(samples * 0.3, 22050)).samples
+        after = to_mono(Waveform(samples, 22050)).samples * 0.3
         assert np.allclose(direct, after, rtol=1e-12, atol=0)
 
 
@@ -291,6 +261,11 @@ class TestPadToLength:
         w = Waveform(np.zeros(10), 22050)
         with pytest.raises(ValueError):
             pad_to_length(w, 5)
+
+    def test_stereo_rejected(self):
+        w = Waveform(np.zeros((10, 2)), 22050)
+        with pytest.raises(ValueError, match="not mono"):
+            pad_to_length(w, 20)
 
     def test_padded_region_is_feature_silence(self):
         # frames fully inside the appended zeros must equal silence frames

@@ -43,7 +43,7 @@ def manifest_rows(n, **fields):
             for i in range(1, n + 1)]
 
 
-PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 81", "--n-mels 0", "--rate 0",
+PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 80", "--k 81", "--n-mels 0", "--rate 0",
                   "--fmax 20000", "--fmin -5"]
 BAD_FLAG_CASES = ([(command, flag) for command in ("features", "mcd", "batch")
                    for flag in PIPELINE_FLAGS]
@@ -382,6 +382,14 @@ class TestStatsCommand:
         assert payload["avg_duration_s"] == 3.0
         assert payload["word_counts"][0] == ["go", 3]
         assert payload["emotion_counts"]["happy"] == 1
+        # stats reads no audio: the pitch keys are always null, and last
+        assert list(payload) == ["config", "n_movies", "n_clips", "n_speakers",
+                                 "avg_subtitle_words", "avg_duration_s",
+                                 "emotion_counts", "word_counts",
+                                 "utterance_length_histogram", "pitch_mean_hz",
+                                 "pitch_variance"]
+        assert payload["pitch_mean_hz"] is None
+        assert payload["pitch_variance"] is None
 
     def test_negative_top_words_exit_two(self, tmp_path, capsys):
         path = jsonl(tmp_path / "m.jsonl",
@@ -454,6 +462,19 @@ class TestCliShell:
         parser = build_parser()
         for command in commands:
             parser.parse_args(shlex.split(command)[1:])
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    write_tone(tmp_path / "generated.wav", freq=440.0, duration=0.3)
+    write_tone(tmp_path / "reference.wav", freq=330.0, duration=0.4)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    row = namespace["row"]
+    assert row.mcd_dtw_sl > 0.0
+    assert (namespace["score"], namespace["eta"]) == pytest.approx((row.mcd_dtw_sl, row.eta))
 
 
 def test_same_rate_scoring_never_imports_scipy_signal():

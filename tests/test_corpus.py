@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +5,6 @@ from hypothesis import strategies as st
 from dubkit.corpus import (EMOTIONS, ClipRecord, ManifestError, build_clip_plan,
                            corpus_stats, load_manifest, split_dataset,
                            tokenize_for_counts)
-from dubkit.dsp import PitchTrack
 from dubkit.srt import SrtEntry
 
 from helpers import at, jsonl
@@ -281,17 +279,10 @@ class TestCorpusStats:
             ["dont", "stop", "believing"]
         assert tokenize_for_counts("--- ...") == []
 
-    def test_pitch_stats_attached_when_tracks_given(self):
-        records = [record(i=1)]
-        tracks = [PitchTrack(np.array([100.0, 200.0, 0.0]), 86.0)]
-        stats = corpus_stats(records, pitch_tracks=tracks)
-        assert stats.pitch_mean_hz == pytest.approx(150.0)
-        assert stats.pitch_variance == pytest.approx(2500.0)
-
     def test_no_tracks_leaves_pitch_unset(self):
-        stats = corpus_stats([record(i=1)])
-        assert stats.pitch_mean_hz is None
-        assert stats.pitch_variance is None
+        # stats reads no audio; the pitch keys stay, null and last
+        doc = corpus_stats([record(i=1)]).to_dict()
+        assert list(doc.items())[-2:] == [("pitch_mean_hz", None), ("pitch_variance", None)]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):

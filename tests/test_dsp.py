@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy.fft import idct
 
 from dubkit import dsp
 from dubkit.audio import Waveform
-from dubkit.dsp import (EnergyTrack, FrameParams, MelSpectrogram, PitchTrack,
-                        Spectrogram, energy_track, hz_to_mel, mel_filterbank,
-                        mel_spectrogram, mel_to_hz, mfcc, pitch_stats,
-                        pitch_track, stft_magnitude)
+from dubkit.dsp import (EnergyTrack, FrameParams, MelSpectrogram, Spectrogram,
+                        energy_track, hz_to_mel, mel_filterbank, mel_spectrogram,
+                        mel_to_hz, mfcc, pitch_track, stft_magnitude)
 
 from helpers import make_sawtooth, make_tone, textbook_mfcc
 
@@ -127,28 +125,19 @@ class TestMfcc:
         with pytest.raises(ValueError):
             mfcc(mel, 81)
 
+    def test_k_must_leave_out_the_zeroth(self):
+        # c0 is always dropped, so 20 bands give at most 19 coefficients
+        mel = MelSpectrogram(np.full((3, 20), 2.0), 20, 0.0, 8000.0, 1e-10, SR / 256)
+        assert mfcc(mel, 19).frames.shape == (3, 19)
+        with pytest.raises(ValueError, match=r"\[1, 19\]"):
+            mfcc(mel, 20)
+
     def test_matches_textbook_oracle(self):
         spec = stft_magnitude(tone_wave(440, duration=0.2))
         mel = mel_spectrogram(spec, 40, 0.0, 8000.0)
         ours = mfcc(mel, 13).frames
         oracle = textbook_mfcc(spec.frames**2, SR, 1024, 40, 0.0, 8000.0, 13)
         assert np.linalg.norm(ours - oracle) / np.linalg.norm(oracle) < 1e-6
-
-    def test_include_zeroth_keeps_dc(self):
-        frames = np.full((3, 20), 2.0)
-        mel = MelSpectrogram(frames, 20, 0.0, 8000.0, 1e-10, SR / 256)
-        out = mfcc(mel, 4, include_zeroth=True)
-        assert np.all(np.abs(out.frames[:, 0] - 2.0 * np.sqrt(20)) < 1e-12)
-        assert np.all(np.abs(out.frames[:, 1:]) < 1e-12)
-
-    def test_full_dct_inverts_to_mel_power(self):
-        spec = stft_magnitude(tone_wave(300, duration=0.1))
-        mel = mel_spectrogram(spec, 40, 0.0, 8000.0)
-        cepstra = mfcc(mel, 40, include_zeroth=True)
-        log_back = idct(cepstra.frames, type=2, norm="ortho", axis=1)
-        power_back = np.exp(log_back)
-        mel_power = np.exp(mel.frames)
-        assert np.allclose(power_back, mel_power, rtol=1e-9, atol=1e-12)
 
 
 class TestEnergy:
@@ -213,34 +202,6 @@ class TestPitch:
         w = tone_wave(220)
         assert np.array_equal(pitch_track(w).values, pitch_track(w).values)
 
-
-class TestPitchStats:
-    def test_constant_track(self):
-        track = PitchTrack(np.full(10, 100.0), SR / 256)
-        assert pitch_stats([track]) == (100.0, 0.0)
-
-    def test_population_variance_by_hand(self):
-        track = PitchTrack(np.array([100.0, 0.0, 200.0]), SR / 256)
-        mean, var = pitch_stats([track], include_unvoiced=False)
-        assert mean == pytest.approx(150.0)
-        assert var == pytest.approx(2500.0)  # population, not sample
-
-    def test_include_unvoiced_pools_zeros(self):
-        track = PitchTrack(np.array([100.0, 0.0, 200.0]), SR / 256)
-        mean, var = pitch_stats([track], include_unvoiced=True)
-        assert mean == pytest.approx(100.0)
-        assert var == pytest.approx((100.0**2 + 0.0 + 100.0**2) / 3)
-
-    def test_pooled_across_tracks(self):
-        t1 = PitchTrack(np.array([100.0]), SR / 256)
-        t2 = PitchTrack(np.array([200.0]), SR / 256)
-        mean, var = pitch_stats([t1, t2])
-        assert (mean, var) == (150.0, 2500.0)
-
-    def test_nothing_retained_errors(self):
-        track = PitchTrack(np.zeros(5), SR / 256)
-        with pytest.raises(ValueError):
-            pitch_stats([track])
 
 def test_energy_and_pitch_tracks_share_frame_rate():
     w = tone_wave(440)

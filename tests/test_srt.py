@@ -61,6 +61,24 @@ class TestParse:
         with pytest.raises(SrtParseError, match=r"entry 1 \(line 2\): timestamp field too long"):
             parse_srt(text)
 
+    @pytest.mark.parametrize("number,timestamp,lineno", [
+        ("1_0", "00:00:03,000 --> 00:00:04,000", 5),
+        ("+5", "00:00:03,000 --> 00:00:04,000", 5),
+        ("\u0665", "00:00:03,000 --> 00:00:04,000", 5),
+        ("9" * 5000, "00:00:03,000 --> 00:00:04,000", 5),
+        ("x" * 5000, "00:00:03,000 --> 00:00:04,000", 5),
+        ("2", "\u0660\u0660:00:03,000 --> 00:00:04,000", 6),
+        ("2", "00:00:03,000 --> 00:00:0\u0664,000", 6),
+        ("2", "\u0660" * 5000 + ":00:03,000 --> 00:00:04,000", 6),
+    ], ids=["underscore", "plus-sign", "arabic-indic-cue", "5000-digit-cue",
+            "5000-char-cue", "arabic-indic-hours", "arabic-indic-seconds",
+            "5000-arabic-indic-hours"])
+    def test_numbers_take_ascii_digits_only(self, number, timestamp, lineno):
+        text = f"1\n00:00:01,000 --> 00:00:02,000\nfine\n\n{number}\n{timestamp}\nhi\n"
+        with pytest.raises(SrtParseError, match=rf"^entry 2 \(line {lineno}\): ") as excinfo:
+            parse_srt(text)
+        assert len(str(excinfo.value)) < 120  # a huge line is not echoed whole
+
     def test_empty_text_rejected(self):
         text = "1\n00:00:01,000 --> 00:00:02,000\n\n"
         with pytest.raises(SrtParseError, match="missing timestamp|empty"):
