@@ -13,12 +13,12 @@ import sys
 
 from . import __version__
 from .audio import Waveform, read_wav, resample, to_mono
-from .corpus import (build_clip_plan, check_ratios, corpus_stats, load_manifest,
-                     split_dataset)
+from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, corpus_stats,
+                     load_manifest, split_dataset)
 from .dsp import (FrameParams, energy_track, mel_spectrogram, mfcc, pitch_track,
                   stft_magnitude)
-from .metrics import (PipelineConfig, evaluate_corpus, evaluate_pair, extract_mfcc,
-                      load_pair_manifest)
+from .metrics import (PAD_MODES, SCALES, PipelineConfig, evaluate_corpus,
+                      evaluate_pair, extract_mfcc, load_pair_manifest)
 from .scoring import accuracy, build_centroids, load_embeddings, load_ratings, \
     mos_aggregate
 from .srt import parse_srt
@@ -55,9 +55,9 @@ def _add_pipeline_flags(parser):
 
 
 def _add_metric_flags(parser):
-    parser.add_argument("--scale", choices=("plain", "conventional"), default="plain",
+    parser.add_argument("--scale", choices=SCALES, default="plain",
                         help="MCD scaling (default plain: no dB constant)")
-    parser.add_argument("--pad-mode", choices=("pad", "strict"), default="pad",
+    parser.add_argument("--pad-mode", choices=PAD_MODES, default="pad",
                         help="zero-pad the shorter waveform for plain MCD, "
                              "or error on length mismatch (default pad)")
 
@@ -282,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for planned outputs (default clips)")
     q.add_argument("--movie-id", default=None,
                    help="identifier used in output names (default: movie stem)")
-    q.add_argument("--audio-mode", choices=("center-channel", "downmix"),
-                   default="center-channel",
+    q.add_argument("--audio-mode", choices=AUDIO_MODES, default="center-channel",
                    help="audio extraction mode (default center-channel)")
     q.add_argument("--emit-commands", action="store_true",
                    help="include FFmpeg-compatible argument vectors")

@@ -22,6 +22,9 @@ _REQUIRED_FIELDS = ("movie_id", "clip_index", "speaker", "emotion", "text",
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
+# each audio mode's FFmpeg arguments: the centre channel alone, or all channels averaged
+AUDIO_MODES = {"center-channel": ("-af", "pan=mono|c0=FC"), "downmix": ("-ac", "1")}
+
 
 class ManifestError(ValueError):
     """A manifest row is invalid; the message starts with ``path:lineno:``."""
@@ -115,12 +118,8 @@ def _clip_commands(job: ClipJob, movie_path: str) -> list:
     span = ["-ss", f"{job.start_s:.3f}", "-to", f"{job.end_s:.3f}"]
     video = ["ffmpeg", "-y", "-i", movie_path, *span, "-c:v", "copy", "-an",
              job.out_video]
-    if job.audio_mode == "center-channel":
-        channel_args = ["-af", "pan=mono|c0=FC"]
-    else:
-        channel_args = ["-ac", "1"]
     audio = ["ffmpeg", "-y", "-i", movie_path, *span, "-map", "0:a:0",
-             *channel_args, job.out_audio]
+             *AUDIO_MODES[job.audio_mode], job.out_audio]
     return [video, audio]
 
 
@@ -135,7 +134,7 @@ def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-chan
     entries = list(entries)
     if not entries:
         raise ValueError("cannot plan clips from an empty cue list")
-    if audio_mode not in ("center-channel", "downmix"):
+    if audio_mode not in AUDIO_MODES:
         raise ValueError(f"unknown audio_mode {audio_mode!r}")
     indices = [e.index for e in entries]
     duplicates = sorted({i for i, c in Counter(indices).items() if c > 1})

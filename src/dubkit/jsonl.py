@@ -5,7 +5,8 @@ message ``"{path}:{lineno}: {problem}"``.
 
 import json
 
-_INT64 = 2**63
+# the exclusive upper bound of a signed 64-bit integer
+INT64_END = 2**63
 
 
 def parse_object(text: str, required=()) -> dict:
@@ -60,6 +61,6 @@ def integer(row: dict, key: str) -> int:
     value = row[key]
     if type(value) is float and value.is_integer():
         value = int(value)
-    if type(value) is int and -_INT64 <= value < _INT64:
+    if type(value) is int and -INT64_END <= value < INT64_END:
         return value
     raise ValueError(f"{key} must be an integer, got {row[key]!r}")

@@ -21,6 +21,11 @@ from .dsp import FrameParams, mel_spectrogram, mfcc, stft_magnitude
 # 10 * sqrt(2) / ln(10), the dB constant used by most MCD tools
 CONVENTIONAL_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
 
+# the factor each PipelineConfig.scale applies to all three MCD values
+SCALES = {"plain": 1.0, "conventional": CONVENTIONAL_SCALE}
+# "pad" zero-pads the shorter waveform for the plain MCD; "strict" refuses a mismatch
+PAD_MODES = ("pad", "strict")
+
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
@@ -98,8 +103,14 @@ class PipelineConfig:
     fmin: float = 0.0
     fmax: float = 8000.0
     n_coeffs: int = 13
-    scale: str = "plain"  # or "conventional"
-    pad_mode: str = "pad"  # or "strict"
+    scale: str = "plain"  # a key of SCALES
+    pad_mode: str = "pad"  # one of PAD_MODES
+
+    def __post_init__(self):
+        if self.scale not in SCALES:
+            raise ValueError(f"unknown scale {self.scale!r}")
+        if self.pad_mode not in PAD_MODES:
+            raise ValueError(f"unknown pad_mode {self.pad_mode!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -132,23 +143,16 @@ def _coeff_matrix(c) -> np.ndarray:
     return np.asarray(frames, dtype=np.float64)
 
 
-def mcd(c1, c2, scale: str = "plain") -> float:
-    """Mean Euclidean frame distance between equal-length sequences.
-
-    ``scale='conventional'`` multiplies by 10*sqrt(2)/ln(10) for
-    comparability with dB-scaled MCD tools.
-    """
+def mcd(c1, c2) -> float:
+    """Mean Euclidean frame distance between equal-length sequences, unscaled."""
     a, b = _coeff_matrix(c1), _coeff_matrix(c2)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"coefficient count mismatch: {a.shape[1]} vs {b.shape[1]}")
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"frame count mismatch: {a.shape[0]} vs {b.shape[0]}; "
                          "pad upstream or use the DTW variants")
-    if scale not in ("plain", "conventional"):
-        raise ValueError(f"unknown scale {scale!r}")
     distances = np.sqrt(((a - b) ** 2).sum(axis=1))
-    value = float(distances.mean())
-    return value * CONVENTIONAL_SCALE if scale == "conventional" else value
+    return float(distances.mean())
 
 
 # A DTW backpointer per cell costs 1 B, so this caps its buffer at 2 GiB.
@@ -280,33 +284,21 @@ def evaluate_pair(gen: Waveform, ref: Waveform,
     """
     gen = resample(gen, cfg.sample_rate)
     ref = resample(ref, cfg.sample_rate)
-
-    if gen.n_frames == ref.n_frames:
-        gen_padded, ref_padded = gen, ref
-    elif cfg.pad_mode == "pad":
-        longest = max(gen.n_frames, ref.n_frames)
-        gen_padded = pad_to_length(gen, longest)
-        ref_padded = pad_to_length(ref, longest)
-    elif cfg.pad_mode == "strict":
+    if cfg.pad_mode == "strict" and gen.n_frames != ref.n_frames:
         raise ValueError(f"length mismatch ({gen.n_frames} vs {ref.n_frames} samples) "
                          "with pad_mode='strict'")
-    else:
-        raise ValueError(f"unknown pad_mode {cfg.pad_mode!r}")
 
-    # padding returns the longer waveform itself, whose MFCCs are reused
     c_gen = extract_mfcc(gen, cfg)
     c_ref = extract_mfcc(ref, cfg)
-    plain = mcd(c_gen if gen_padded is gen else extract_mfcc(gen_padded, cfg),
-                c_ref if ref_padded is ref else extract_mfcc(ref_padded, cfg),
-                cfg.scale)
+    # only the shorter waveform is padded and extracted again
+    n = max(gen.n_frames, ref.n_frames)
+    plain = mcd(c_gen if gen.n_frames == n else extract_mfcc(pad_to_length(gen, n), cfg),
+                c_ref if ref.n_frames == n else extract_mfcc(pad_to_length(ref, n), cfg))
 
     alignment = dtw_align(c_gen, c_ref)
-    dtw_value = mcd_dtw(alignment)
     sl_value, eta = mcd_dtw_sl(alignment)
-    if cfg.scale == "conventional":
-        dtw_value *= CONVENTIONAL_SCALE
-        sl_value *= CONVENTIONAL_SCALE
-    return PairMetrics(plain, dtw_value, sl_value, eta,
+    scale = SCALES[cfg.scale]
+    return PairMetrics(plain * scale, mcd_dtw(alignment) * scale, sl_value * scale, eta,
                        alignment.m, alignment.n)
 
 

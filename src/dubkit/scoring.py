@@ -10,7 +10,7 @@ are summarized as mean ± a 95% normal-approximation half-width.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,16 +97,15 @@ def load_embeddings(path) -> EmbeddingSet:
 
 @dataclass(frozen=True, eq=False)
 class CentroidModel:
-    """Per-label mean of normalized member embeddings.
-
-    Centroids are stored unnormalized; cosine comparison renormalizes at
-    query time. Labels whose members cancel to a (near-)zero centroid are
-    kept but flagged degenerate and never win a classification.
+    """Per-label mean of normalized member embeddings (``centroids``), and
+    the sorted ``labels`` whose centroid is not (near-)zero with those
+    centroids at unit length (``units``, one row per label). A degenerate
+    label, whose members cancel, is left out of ``labels`` and never wins.
     """
 
     centroids: dict
-    counts: dict
-    degenerate: frozenset = field(default_factory=frozenset)
+    labels: tuple
+    units: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -117,19 +116,35 @@ def build_centroids(embeddings: EmbeddingSet) -> CentroidModel:
     """Average each label's normalized members into its centroid."""
     if not embeddings.records:
         raise ValueError("cannot build centroids from an empty embedding set")
-    sums: dict = {}
-    counts: dict = {}
+    members: dict = {}
     for record in embeddings.records:
-        if record.label in sums:
-            sums[record.label] = sums[record.label] + record.vector
-            counts[record.label] += 1
-        else:
-            sums[record.label] = record.vector.copy()
-            counts[record.label] = 1
-    centroids = {label: total / counts[label] for label, total in sums.items()}
-    degenerate = frozenset(label for label, c in centroids.items()
-                           if np.sqrt((c**2).sum()) < 1e-12)
-    return CentroidModel(centroids, counts, degenerate)
+        members.setdefault(record.label, []).append(record.vector)
+    # sum() adds the members one at a time, in file order
+    centroids = {label: sum(vs[1:], vs[0]) / len(vs) for label, vs in members.items()}
+    norms = {label: np.sqrt((c**2).sum()) for label, c in centroids.items()}
+    labels = tuple(sorted(label for label, norm in norms.items() if norm >= 1e-12))
+    units = np.array([centroids[label] / norms[label] for label in labels])
+    return CentroidModel(centroids, labels, units)
+
+
+def _nearest(queries: np.ndarray, model: CentroidModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per query row, the index in ``model.labels`` of the most cosine-similar
+    centroid and that similarity; the first maximum wins, so exact ties go to
+    the smallest label. einsum without ``optimize`` (no BLAS) sums each pair on
+    its own, so a pair's similarity does not depend on the other rows."""
+    if queries.shape[1:] != (model.dim,):
+        raise ValueError(f"query dimension {queries.shape[1:]} does not match model "
+                         f"dimension {model.dim}")
+    if not np.isfinite(queries).all():
+        raise ValueError("cannot classify a non-finite vector")
+    norms = np.sqrt((queries**2).sum(axis=1))
+    if not norms.all():
+        raise ValueError("cannot classify a zero vector")
+    if not model.labels:
+        raise ValueError("all centroids are degenerate")
+    sims = np.einsum("nd,ld->nl", queries / norms[:, None], model.units)
+    best = sims.argmax(axis=1)
+    return best, sims[np.arange(len(sims)), best]
 
 
 def classify(vector, model: CentroidModel) -> tuple[str, float]:
@@ -137,32 +152,16 @@ def classify(vector, model: CentroidModel) -> tuple[str, float]:
 
     Ties break toward the lexicographically smallest label.
     """
-    v = np.asarray(vector, dtype=np.float64)
-    if v.ndim != 1 or v.size != model.dim:
-        raise ValueError(f"query dimension {v.shape} does not match model dimension "
-                         f"{model.dim}")
-    v_norm = np.sqrt((v**2).sum())
-    if v_norm == 0.0:
-        raise ValueError("cannot classify a zero vector")
-    best_label = None
-    best_sim = -np.inf
-    for label in sorted(model.centroids):
-        if label in model.degenerate:
-            continue
-        centroid = model.centroids[label]
-        sim = float(v @ centroid / (v_norm * np.sqrt((centroid**2).sum())))
-        if sim > best_sim:
-            best_label, best_sim = label, sim
-    if best_label is None:
-        raise ValueError("all centroids are degenerate")
-    return best_label, best_sim
+    best, sims = _nearest(np.asarray(vector, dtype=np.float64)[None], model)
+    return model.labels[best[0]], float(sims[0])
 
 
 def accuracy(test: EmbeddingSet, model: CentroidModel) -> float:
     """Percentage of test records whose predicted label matches their own."""
     if not test.records:
         raise ValueError("empty test set")
-    correct = sum(1 for r in test.records if classify(r.vector, model)[0] == r.label)
+    best, _ = _nearest(np.array([r.vector for r in test.records]), model)
+    correct = sum(1 for r, i in zip(test.records, best) if model.labels[i] == r.label)
     return 100.0 * correct / len(test.records)
 
 

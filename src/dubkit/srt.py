@@ -9,6 +9,8 @@ parse(serialize(entries)) round-trips exactly.
 import re
 from dataclasses import dataclass
 
+from .jsonl import INT64_END
+
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones
 _TIMESTAMP_LINE = re.compile(
     r"^([0-9]{2,}):([0-9]{2}):([0-9]{2}),([0-9]{3})\s*-->\s*"
@@ -40,12 +42,15 @@ def _parse_timestamp(field: tuple, entry_no: int, lineno: int) -> int:
     try:
         hours, minutes, seconds, millis = (int(x) for x in field)
     except ValueError:  # more digits than int() converts
+        hours, minutes, seconds, millis = INT64_END, 0, 0, 0
+    ms = ((hours * 60 + minutes) * 60 + seconds) * 1000 + millis
+    if ms >= INT64_END:
         raise SrtParseError(f"entry {entry_no} (line {lineno}): "
-                            "timestamp field too long") from None
+                            "timestamp field too long")
     if minutes > 59 or seconds > 59:
         raise SrtParseError(f"entry {entry_no} (line {lineno}): "
                             f"minutes/seconds out of range in timestamp")
-    return ((hours * 60 + minutes) * 60 + seconds) * 1000 + millis
+    return ms
 
 
 def parse_srt(text: str) -> list[SrtEntry]:
@@ -53,7 +58,7 @@ def parse_srt(text: str) -> list[SrtEntry]:
 
     Tolerates a UTF-8 BOM and CRLF line endings. Cue numbers are taken as
     written (they need not be consecutive). Cue numbers and timestamp
-    fields take ASCII digits only.
+    fields take ASCII digits only, and must fit int64 (timestamps in ms).
     """
     lines = text.lstrip("﻿").replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
@@ -79,8 +84,10 @@ def parse_srt(text: str) -> list[SrtEntry]:
         try:
             index = int(number)
         except ValueError:  # more digits than int() converts
+            index = INT64_END
+        if index >= INT64_END:  # the int64 bound of a manifest's clip_index
             raise SrtParseError(f"entry {entry_no} (line {index_lineno}): "
-                                f"cue number too long ({len(number)} digits)") from None
+                                f"cue number too large ({len(number)} digits)")
         if index < 1:
             raise SrtParseError(f"entry {entry_no} (line {index_lineno}): "
                                 f"cue number must be >= 1, got {index}")

@@ -319,6 +319,15 @@ class TestSrtCommands:
         assert code == 1
         assert "entry 1" in json.loads(err)["error"]["message"]
 
+    def test_plan_overlong_hours_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "big.srt"
+        path.write_text("1\n" + "9" * 400 + ":00:01,000 --> " + "9" * 400 + ":00:02,000\nhi\n")
+        code, out, err = invoke(capsys, "srt", "plan", str(path), "--movie", "m.mkv")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "SrtParseError"
+        assert error["message"] == "entry 1 (line 2): timestamp field too long"
+
 
 class TestSplitCommand:
     def write_manifest(self, tmp_path, n=10):

@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dubkit import metrics
 from dubkit.audio import Waveform, pad_to_length, write_wav
-from dubkit.metrics import (CONVENTIONAL_SCALE, AlignmentResult, PairEntry,
+from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
                             PipelineConfig, dtw_align, evaluate_corpus,
                             evaluate_pair, extract_mfcc, frame_distance,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
@@ -66,12 +67,22 @@ class TestMcd:
         c1 = np.array([[0.0, 0.0], [1.0, 1.0]])
         c2 = np.array([[3.0, 4.0], [1.0, 1.0]])
         expected = 2.5 * 10.0 * math.sqrt(2.0) / math.log(10.0)
-        assert mcd(c1, c2, scale="conventional") == pytest.approx(expected, rel=1e-12)
+        assert mcd(c1, c2) * SCALES["conventional"] == pytest.approx(expected, rel=1e-12)
         assert CONVENTIONAL_SCALE == pytest.approx(6.141851, abs=1e-6)
 
     def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            mcd(np.zeros((2, 2)), np.zeros((2, 2)), scale="db")
+        with pytest.raises(ValueError, match="unknown scale 'db'"):
+            PipelineConfig(scale="db")
+
+
+class TestPipelineConfig:
+    def test_pad_mode_is_case_sensitive(self):
+        with pytest.raises(ValueError, match="unknown pad_mode 'Strict'"):
+            PipelineConfig(pad_mode="Strict")
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ValueError, match="unknown scale"):
+            replace(PipelineConfig(), scale="conventional ")
 
 
 class TestDtwAlign:
@@ -270,6 +281,14 @@ class TestEvaluatePair:
         assert conv.mcd == pytest.approx(plain.mcd * CONVENTIONAL_SCALE, rel=1e-12)
         assert conv.mcd_dtw == pytest.approx(plain.mcd_dtw * CONVENTIONAL_SCALE,
                                              rel=1e-12)
+        assert conv.mcd_dtw_sl == plain.mcd_dtw_sl * CONVENTIONAL_SCALE
+        assert conv.eta == plain.eta
+
+    def test_strict_mode_equal_lengths_match_pad_mode(self):
+        gen = Waveform(make_tone(300, 0.3, SR), SR)
+        ref = Waveform(make_tone(330, 0.3, SR), SR)
+        assert (evaluate_pair(gen, ref, PipelineConfig(pad_mode="strict"))
+                == evaluate_pair(gen, ref, PipelineConfig(pad_mode="pad")))
 
     @pytest.mark.parametrize("gen_s, ref_s, expected", [
         (0.3, 0.42, 3), (0.42, 0.3, 3), (0.3, 0.3, 2)])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dubkit.scoring import (EmbeddingFormatError, EmbeddingSet, RatingError,
-                            accuracy, build_centroids, classify,
+                            _nearest, accuracy, build_centroids, classify,
                             load_embeddings, load_ratings, mos_aggregate)
 
 from helpers import at, brute_force_accuracy, jsonl
@@ -73,13 +73,12 @@ class TestBuildCentroids:
         es = EmbeddingSet.from_rows([("a", "1", [3.0, 4.0])])
         model = build_centroids(es)
         assert np.allclose(model.centroids["a"], [0.6, 0.8], atol=1e-12)
-        assert model.counts["a"] == 1
 
     def test_opposite_vectors_flagged_degenerate(self):
         es = EmbeddingSet.from_rows([("a", "1", [1.0, 0.0]),
                                      ("a", "2", [-1.0, 0.0])])
         model = build_centroids(es)
-        assert "a" in model.degenerate
+        assert "a" not in model.labels
         assert np.allclose(model.centroids["a"], [0.0, 0.0], atol=1e-12)
 
     def test_mean_of_two_axes(self):
@@ -91,6 +90,16 @@ class TestBuildCentroids:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             build_centroids(EmbeddingSet([], None))
+
+    def test_units_are_the_sorted_labels_at_unit_length(self):
+        es = EmbeddingSet.from_rows([("b", "1", [3.0, 4.0]), ("a", "1", [1.0, 0.0]),
+                                     ("a", "2", [0.0, 1.0]), ("z", "1", [0.0, 2.0]),
+                                     ("z", "2", [0.0, -2.0])])
+        model = build_centroids(es)
+        assert model.labels == ("a", "b")
+        assert sorted(model.centroids) == ["a", "b", "z"]
+        assert np.allclose(model.units, [[0.5**0.5, 0.5**0.5], [0.6, 0.8]], atol=1e-12)
+        assert model.dim == 2
 
 
 class TestClassify:
@@ -143,8 +152,92 @@ class TestClassify:
         model = build_centroids(EmbeddingSet.from_rows([
             ("a", "1", [1.0, 0.0]), ("a", "2", [-1.0, 0.0]),
         ]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degenerate"):
             classify([1.0, 0.0], model)
+        with pytest.raises(ValueError, match="degenerate"):
+            accuracy(EmbeddingSet.from_rows([("a", "1", [1.0, 0.0])]), model)
+
+    def test_degenerate_label_never_predicted(self):
+        # "a" nearly cancels to (0, 1e-13): scaled to unit length it would win along +y
+        model = build_centroids(EmbeddingSet.from_rows([
+            ("a", "1", [1.0, 1e-13]), ("a", "2", [-1.0, 1e-13]), ("b", "1", [1.0, 0.0]),
+        ]))
+        assert model.labels == ("b",)
+        for query in ([0.0, 1.0], [-1.0, 0.0], [0.3, 0.7]):
+            assert classify(query, model)[0] == "b"
+        test = EmbeddingSet.from_rows([("a", str(i), v) for i, v in
+                                       enumerate(([0.0, 1.0], [-1.0, 0.0], [0.3, 0.7]))])
+        assert accuracy(test, model) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            classify([bad, 0.0], self.model())
+
+    @pytest.mark.parametrize("query", [[[1.0, 0.0]], 1.0])
+    def test_query_must_be_one_vector(self, query):
+        with pytest.raises(ValueError, match="query dimension"):
+            classify(query, self.model())
+
+
+def tied_model(rng, n_labels, dim, first, second, n_queries):
+    """Labels L00..; ``second`` has exactly the same member, so the same
+    centroid, as ``first``. The other centroids point away from +x, where
+    the tied pair points."""
+    shared = np.zeros(dim)
+    shared[0] = 1.0
+    shared[1:] = 0.1 * rng.normal(size=dim - 1)
+    rows = []
+    for i in range(n_labels):
+        if i in (first, second):
+            vector = shared
+        else:
+            vector = rng.normal(size=dim)
+            vector[0] = -abs(vector[0]) - 0.5
+        rows.append((f"L{i:02d}", "1", vector.tolist()))
+    queries = shared + 0.05 * rng.normal(size=(n_queries, dim))
+    return build_centroids(EmbeddingSet.from_rows(rows)), queries
+
+
+class TestExactTies:
+    def check(self, rng, n_labels, dim, first, second, n_queries):
+        model, queries = tied_model(rng, n_labels, dim, first, second, n_queries)
+        assert np.array_equal(model.units[first], model.units[second])
+        winner = f"L{first:02d}"
+        for q in queries:
+            assert classify(q, model)[0] == winner
+        test = EmbeddingSet.from_rows([(winner, str(k), q.tolist())
+                                       for k, q in enumerate(queries)])
+        assert accuracy(test, model) == 100.0
+
+    def test_three_labels_dim_sixteen_one_query(self, rng):
+        for _ in range(20):
+            for first, second in ((0, 1), (0, 2), (1, 2)):
+                self.check(rng, 3, 16, first, second, 1)
+
+    @given(st.integers(2, 70), st.integers(3, 256), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_smaller_label_wins_at_any_position(self, n_labels, dim, data):
+        first = data.draw(st.integers(0, n_labels - 2))
+        second = data.draw(st.integers(first + 1, n_labels - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        self.check(rng, n_labels, dim, first, second, data.draw(st.integers(1, 40)))
+
+
+class TestRowAgainstBatch:
+    @given(st.integers(1, 70), st.integers(1, 256), st.integers(1, 60),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_classify_is_the_batch_row(self, n_labels, dim, n_queries, seed):
+        rng = np.random.default_rng(seed)
+        model = build_centroids(EmbeddingSet.from_rows(
+            [(f"L{i:02d}", "1", rng.normal(size=dim).tolist()) for i in range(n_labels)]))
+        queries = rng.normal(size=(n_queries, dim))
+        best, sims = _nearest(queries, model)
+        for q, i, sim in zip(queries, best, sims):
+            label, single = classify(q, model)
+            assert label == model.labels[i]
+            assert single == sim  # bit-equal, not approximately equal
 
 
 def random_cluster_sets(rng, n_labels, n_train, n_test, dim=6, spread=0.3):

@@ -61,6 +61,26 @@ class TestParse:
         with pytest.raises(SrtParseError, match=r"entry 1 \(line 2\): timestamp field too long"):
             parse_srt(text)
 
+    def test_largest_int64_cue_number_parses(self):
+        text = "9223372036854775807\n00:00:01,000 --> 00:00:02,000\nhi\n"
+        assert parse_srt(text)[0].index == 2**63 - 1
+
+    @pytest.mark.parametrize("number", ["9223372036854775808", "9" * 20, "9" * 5000],
+                             ids=["2**63", "20-nines", "5000-nines"])
+    def test_cue_number_must_fit_int64(self, number):
+        text = ("1\n00:00:01,000 --> 00:00:02,000\nfine\n\n"
+                f"{number}\n00:00:03,000 --> 00:00:04,000\nhi\n")
+        message = rf"^entry 2 \(line 5\): cue number too large \({len(number)} digits\)$"
+        with pytest.raises(SrtParseError, match=message):
+            parse_srt(text)
+
+    def test_timestamps_must_fit_int64_milliseconds(self):
+        largest = format_timestamp(2**63 - 1)
+        assert parse_srt(f"1\n00:00:01,000 --> {largest}\nhi\n")[0].end_ms == 2**63 - 1
+        text = f"1\n00:00:01,000 --> {format_timestamp(2**63)}\nhi\n"
+        with pytest.raises(SrtParseError, match=r"entry 1 \(line 2\): timestamp field too long"):
+            parse_srt(text)
+
     @pytest.mark.parametrize("number,timestamp,lineno", [
         ("1_0", "00:00:03,000 --> 00:00:04,000", 5),
         ("+5", "00:00:03,000 --> 00:00:04,000", 5),
@@ -70,9 +90,10 @@ class TestParse:
         ("2", "\u0660\u0660:00:03,000 --> 00:00:04,000", 6),
         ("2", "00:00:03,000 --> 00:00:0\u0664,000", 6),
         ("2", "\u0660" * 5000 + ":00:03,000 --> 00:00:04,000", 6),
+        ("2", "9" * 400 + ":00:03,000 --> 00:00:04,000", 6),
     ], ids=["underscore", "plus-sign", "arabic-indic-cue", "5000-digit-cue",
             "5000-char-cue", "arabic-indic-hours", "arabic-indic-seconds",
-            "5000-arabic-indic-hours"])
+            "5000-arabic-indic-hours", "400-digit-hours"])
     def test_numbers_take_ascii_digits_only(self, number, timestamp, lineno):
         text = f"1\n00:00:01,000 --> 00:00:02,000\nfine\n\n{number}\n{timestamp}\nhi\n"
         with pytest.raises(SrtParseError, match=rf"^entry 2 \(line {lineno}\): ") as excinfo:
