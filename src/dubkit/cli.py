@@ -12,16 +12,14 @@ import json
 import sys
 
 from . import __version__
-from .audio import Waveform, read_wav, resample, to_mono
 from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, corpus_stats,
                      load_manifest, split_dataset)
-from .dsp import (FrameParams, energy_track, mel_spectrogram, mfcc, pitch_track,
-                  stft_magnitude)
-from .metrics import (PAD_MODES, SCALES, PipelineConfig, evaluate_corpus,
-                      evaluate_pair, extract_mfcc, load_pair_manifest)
-from .scoring import accuracy, build_centroids, load_embeddings, load_ratings, \
-    mos_aggregate
+from .modes import PAD_MODES, SCALES
 from .srt import parse_srt
+
+# The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft
+# when it runs), so each command imports them itself: --version, srt, split
+# and stats start without the numeric stack.
 
 
 class UsageError(ValueError):
@@ -62,9 +60,13 @@ def _add_metric_flags(parser):
                              "or error on length mismatch (default pad)")
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    """The pipeline flags as a config, checked before any file is read by
-    running the library's own extractors on one sample of silence."""
+def _pipeline_config(args):
+    """The pipeline flags as a ``PipelineConfig``, checked before any file is
+    read by running the library's own extractors on one sample of silence."""
+    from .audio import Waveform
+    from .dsp import FrameParams
+    from .metrics import PipelineConfig, extract_mfcc
+
     try:
         frame = FrameParams(fft_size=args.fft, hop=args.hop, win_length=args.win)
         cfg = PipelineConfig(sample_rate=args.rate, frame=frame,
@@ -82,11 +84,16 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _pitch(w, args, cfg):
+    from .dsp import pitch_track
+
     return pitch_track(w, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
                        hop=cfg.frame.hop)
 
 
 def cmd_features(args) -> dict:
+    from .audio import read_wav, resample, to_mono
+    from .dsp import energy_track, mel_spectrogram, mfcc, stft_magnitude
+
     cfg = _pipeline_config(args)
     w = resample(to_mono(read_wav(args.audio)), cfg.sample_rate)
     spec = stft_magnitude(w, cfg.frame)
@@ -109,6 +116,9 @@ def cmd_features(args) -> dict:
 
 
 def cmd_mcd(args) -> dict:
+    from .audio import read_wav, to_mono
+    from .metrics import evaluate_pair
+
     cfg = _pipeline_config(args)
     gen = to_mono(read_wav(args.generated))
     ref = to_mono(read_wav(args.reference))
@@ -120,6 +130,8 @@ def cmd_mcd(args) -> dict:
 
 
 def cmd_batch(args) -> dict:
+    from .metrics import evaluate_corpus, load_pair_manifest
+
     cfg = _pipeline_config(args)
     entries = load_pair_manifest(args.manifest)
     report = evaluate_corpus(entries, cfg)
@@ -129,6 +141,8 @@ def cmd_batch(args) -> dict:
 
 
 def cmd_accuracy(args) -> dict:
+    from .scoring import accuracy, build_centroids, load_embeddings
+
     train = load_embeddings(args.train)
     test = load_embeddings(args.test)
     model = build_centroids(train)
@@ -145,6 +159,8 @@ def cmd_accuracy(args) -> dict:
 
 
 def cmd_mos(args) -> dict:
+    from .scoring import load_ratings, mos_aggregate
+
     summary = mos_aggregate(load_ratings(args.ratings))
     return {"config": {"ratings": args.ratings}, **summary.to_dict()}
 
@@ -367,14 +383,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args)
     except UsageError as exc:
         _error("usage", str(exc))
         return 2
-    except Exception as exc:  # data/runtime failure: structured stderr, exit 1
+    except Exception as exc:  # data/runtime failure (an unwritable --out too): exit 1
         _error(type(exc).__name__, str(exc))
         return 1
-    _emit(payload, args)
     return 0
 
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, irfft, rfft
 
 PITCH_FRAME_LENGTH = 2048
 PITCH_BLOCK = 128  # frames per pitch_track block; larger blocks measured slower
@@ -129,6 +128,10 @@ def _hann(length: int) -> np.ndarray:
 
 def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     """Magnitude spectrogram of a mono waveform."""
+    # scipy.fft is imported where it is called because it is slow to import
+    # and commands that run no FFT never need it
+    from scipy.fft import rfft
+
     x = w.mono_samples()
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
@@ -184,6 +187,8 @@ def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
     """
     if not 1 <= n_coeffs < m.n_mels:
         raise ValueError(f"n_coeffs must be in [1, {m.n_mels - 1}], got {n_coeffs}")
+    from scipy.fft import dct
+
     cepstra = dct(m.frames, type=2, norm="ortho", axis=1)
     return MfccSequence(cepstra[:, 1 : n_coeffs + 1], m.frame_rate)
 
@@ -237,6 +242,8 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
 def _pitch_block(frames: np.ndarray, sr: int, f_min: float, f_max: float,
                  voicing_threshold: float, tau_min: int, tau_max: int) -> np.ndarray:
     """Pitch in Hz (0 when unvoiced) of each row of ``frames``."""
+    from scipy.fft import irfft, rfft
+
     n_frames = len(frames)
     win = PITCH_FRAME_LENGTH // 2
 

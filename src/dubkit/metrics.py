@@ -9,7 +9,6 @@ alignment path length R. The length-weighted score additionally multiplies
 by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,14 +16,7 @@ import numpy as np
 from . import jsonl
 from .audio import Waveform, read_wav, resample, to_mono, pad_to_length
 from .dsp import FrameParams, mel_spectrogram, mfcc, stft_magnitude
-
-# 10 * sqrt(2) / ln(10), the dB constant used by most MCD tools
-CONVENTIONAL_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
-
-# the factor each PipelineConfig.scale applies to all three MCD values
-SCALES = {"plain": 1.0, "conventional": CONVENTIONAL_SCALE}
-# "pad" zero-pads the shorter waveform for the plain MCD; "strict" refuses a mismatch
-PAD_MODES = ("pad", "strict")
+from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,6 +54,34 @@ class EmbeddingSet:
         return len(self.records)
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+
+def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` scaled to unit L2 length along its last axis, and that length.
+
+    The length is ``np.sqrt((v**2).sum())`` and the unit vector ``v`` divided
+    by it wherever the sum of squares is a finite, normal float, so ordinary
+    vectors keep their bits. Where it overflows, or falls below the normal
+    range and loses precision or reaches 0, both are computed from ``v``
+    divided by its largest magnitude. A zero vector has length 0 and a NaN
+    unit vector.
+    """
+    with np.errstate(over="ignore"):
+        squares = (v**2).sum(axis=-1, keepdims=True)
+    norm = np.sqrt(squares)
+    if _TINY <= squares.min() and squares.max() < np.inf:
+        return v / norm, norm[..., 0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        redo = ~((squares >= _TINY) & (squares < np.inf))
+        peak = np.abs(v).max(axis=-1, keepdims=True)
+        scaled = v / np.where(peak == 0.0, 1.0, peak)
+        scaled_norm = np.sqrt((scaled**2).sum(axis=-1, keepdims=True))
+        unit = np.where(redo, scaled / scaled_norm, v / norm)
+        norm = np.where(redo, scaled_norm * peak, norm)
+    return unit, norm[..., 0]
+
+
 class _RecordChecker:
     """Validates and normalizes (label, id, vector) rows one at a time,
     against the rows checked before; ``dim`` is the established size."""
@@ -76,14 +104,14 @@ class _RecordChecker:
         elif v.size != self.dim:
             raise EmbeddingFormatError(f"dimension {v.size} does not match "
                                        f"established dimension {self.dim}")
-        norm = np.sqrt((v**2).sum())
+        unit, norm = _normalize(v)
         if norm == 0.0:
             raise EmbeddingFormatError("zero vector")
         key = (str(label), str(record_id))
         if key in self._seen:
             raise EmbeddingFormatError(f"duplicate (label, id) {key}")
         self._seen.add(key)
-        return EmbeddingRecord(str(label), v / norm)
+        return EmbeddingRecord(str(label), unit)
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -121,9 +149,10 @@ def build_centroids(embeddings: EmbeddingSet) -> CentroidModel:
         members.setdefault(record.label, []).append(record.vector)
     # sum() adds the members one at a time, in file order
     centroids = {label: sum(vs[1:], vs[0]) / len(vs) for label, vs in members.items()}
-    norms = {label: np.sqrt((c**2).sum()) for label, c in centroids.items()}
-    labels = tuple(sorted(label for label, norm in norms.items() if norm >= 1e-12))
-    units = np.array([centroids[label] / norms[label] for label in labels])
+    normalized = {label: _normalize(c) for label, c in centroids.items()}
+    labels = tuple(sorted(label for label, (_, norm) in normalized.items()
+                          if norm >= 1e-12))
+    units = np.array([normalized[label][0] for label in labels])
     return CentroidModel(centroids, labels, units)
 
 
@@ -137,12 +166,12 @@ def _nearest(queries: np.ndarray, model: CentroidModel) -> tuple[np.ndarray, np.
                          f"dimension {model.dim}")
     if not np.isfinite(queries).all():
         raise ValueError("cannot classify a non-finite vector")
-    norms = np.sqrt((queries**2).sum(axis=1))
+    unit, norms = _normalize(queries)
     if not norms.all():
         raise ValueError("cannot classify a zero vector")
     if not model.labels:
         raise ValueError("all centroids are degenerate")
-    sims = np.einsum("nd,ld->nl", queries / norms[:, None], model.units)
+    sims = np.einsum("nd,ld->nl", unit, model.units)
     best = sims.argmax(axis=1)
     return best, sims[np.arange(len(sims)), best]
 

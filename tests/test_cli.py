@@ -312,6 +312,15 @@ class TestSrtCommands:
         assert list(without) == plan_keys
         assert without["jobs"] == payload["jobs"]
 
+    def test_unwritable_out_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "s.srt"
+        path.write_text(SRT_TEXT)
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = invoke(capsys, "srt", "parse", str(path), "--out", str(target))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+        assert not target.exists()
+
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.srt"
         path.write_text("1\n00:00:02,000 --> 00:00:01,000\nbackwards\n")
@@ -486,13 +495,53 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert (namespace["score"], namespace["eta"]) == pytest.approx((row.mcd_dtw_sl, row.eta))
 
 
-def test_same_rate_scoring_never_imports_scipy_signal():
-    # scipy.signal is slow to import and only resampling needs it
-    code = ("import sys, numpy as np, dubkit.cli, dubkit as dk; "
-            "w = dk.Waveform(np.sin(np.arange(8000) / 5.0), 22050); "
-            "dk.evaluate_pair(w, w); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+RUN_CLI = """
+from dubkit.cli import run
+try:
+    status = run({argv!r})
+except SystemExit as exc:  # --version
+    status = exc.code
+assert status == 0, status
+"""
+SAME_RATE_PAIR = """
+import numpy as np, dubkit.cli, dubkit as dk
+w = dk.Waveform(np.sin(np.arange(8000) / 5.0), 22050)
+dk.evaluate_pair(w, w)
+"""
+
+
+# numpy and scipy.fft dominate a command's start-up when loaded; scipy.signal is
+# slower still and only resampling needs it
+@pytest.mark.parametrize("argv,absent", [
+    (None, ("numpy", "scipy")),
+    (["--version"], ("numpy",)),
+    (["srt", "parse", "{srt}"], ("numpy",)),
+    (["srt", "plan", "{srt}", "--movie", "m.mkv", "--emit-commands"], ("numpy",)),
+    (["split", "{manifest}", "--seed", "1"], ("numpy",)),
+    (["stats", "{manifest}"], ("numpy",)),
+    (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"], ("scipy",)),
+    (["mos", "{ratings}"], ("scipy",)),
+    ("same-rate-pair", ("scipy.signal",)),
+], ids=["import", "version", "srt-parse", "srt-plan", "split", "stats", "accuracy",
+        "mos", "same-rate-pair"])
+def test_command_imports_only_its_layers(tmp_path, argv, absent):
+    (tmp_path / "s.srt").write_text(SRT_TEXT)
+    (tmp_path / "r.csv").write_text("4\n3.5\n")
+    files = {"srt": str(tmp_path / "s.srt"), "ratings": str(tmp_path / "r.csv"),
+             "manifest": jsonl(tmp_path / "m.jsonl", manifest_rows(10)),
+             "embeddings": jsonl(tmp_path / "e.jsonl", [
+                 {"label": "a", "id": "1", "vector": [1.0, 0.0]},
+                 {"label": "b", "id": "1", "vector": [0.0, 1.0]}])}
+    if argv is None:
+        code = "import dubkit.cli"
+    elif argv == "same-rate-pair":
+        code = SAME_RATE_PAIR
+    else:
+        code = RUN_CLI.format(argv=[arg.format(**files) for arg in argv])
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(Path(dubkit.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.startswith(absent)] == []

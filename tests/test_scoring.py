@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ class TestLoadEmbeddings:
                      [{"label": "a", "id": "1", "vector": [0.0, 0.0]}])
         with pytest.raises(EmbeddingFormatError, match="zero vector"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("vector,unit", [
+        ([1e200, 0.0], [1.0, 0.0]),  # the sum of squares overflows
+        ([1e-200, 0.0], [1.0, 0.0]),  # it underflows to zero
+        ([5e-324, 5e-324], [0.5**0.5] * 2),  # the norm is subnormal
+        ([1.7e308, 1.7e308], [0.5**0.5] * 2),  # the norm is beyond the float range
+    ])
+    def test_extreme_magnitudes_normalized(self, vector, unit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            es = EmbeddingSet.from_rows([("a", "1", vector), ("b", "1", [0.0, 1.0])])
+            model = build_centroids(es)
+        assert np.allclose(es.records[0].vector, unit, rtol=0.0, atol=1e-15)
+        assert model.labels == ("a", "b")
 
     def test_duplicate_label_id_rejected(self, tmp_path):
         path = jsonl(tmp_path / "e.jsonl", [
@@ -139,6 +154,14 @@ class TestClassify:
         ]))
         v = np.array([0.5, 0.4, -0.2])
         assert classify(v, model)[0] == classify(v * scale, model)[0]
+
+    @pytest.mark.parametrize("query,label", [
+        ([0.0, 1e200], "e2"), ([0.0, 1e-200], "e2"), ([1.7e308, 0.0], "e1"),
+    ])
+    def test_extreme_query_magnitudes(self, query, label):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify(query, self.model()) == (label, 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
