@@ -27,6 +27,13 @@ MAX_SAMPLE_RATE = 768000
 # largest up/down factor resample accepts (its filter has 20x this many
 # taps); standard rates need at most 5120 (768 kHz -> 22.05 kHz)
 MAX_RESAMPLE_FACTOR = 8192
+# scipy's kaiser_beta(80.0): the Kaiser window for an 80 dB stopband
+_KAISER_BETA = 0.1102 * (80.0 - 8.7)
+# a resample block computes at most this many outputs and reads at most
+# _RESAMPLE_SPAN inputs (plus the filter length), so working memory is
+# bounded whatever the clip length or rate ratio
+_RESAMPLE_BLOCK = 16384
+_RESAMPLE_SPAN = 1 << 20
 
 
 class UnsupportedFormatError(ValueError):
@@ -183,12 +190,90 @@ def to_mono(w: Waveform) -> Waveform:
     return Waveform(w.samples.mean(axis=1), w.sample_rate)
 
 
+def _lowpass(up: int, down: int):
+    """The anti-aliasing filter of an up/down resampler, times ``up``, and
+    its half length.
+
+    Built step by step as scipy 1.17's ``firwin`` builds it for
+    ``resample_poly(x, up, down, window=("kaiser", kaiser_beta(80.0)))``,
+    so the taps are bit-equal: a sinc of cutoff 1/max(up, down) in
+    array_api_extra's form, a Kaiser window from ``scipy.special.i0``
+    (``np.i0`` differs in the last bits), unit DC gain.
+    """
+    # imported here, like scipy.fft in dsp; scipy.fft loads scipy.special too
+    from scipy.special import i0
+
+    max_rate = max(up, down)
+    f_c = 1.0 / max_rate
+    half_len = 10 * max_rate
+    m = np.arange(2 * half_len + 1, dtype=np.float64) - half_len
+    x = f_c * m
+    y = np.pi * np.where(x != 0, x, np.finfo(np.float64).eps)
+    h = f_c * (np.sin(y) / y)
+    h *= i0(_KAISER_BETA * np.sqrt(1 - (m / half_len) ** 2.0)) / i0(_KAISER_BETA)
+    h /= np.sum(h)
+    h *= up
+    return h, half_len
+
+
+def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Polyphase FIR resampling, bit-equal to scipy 1.17's ``resample_poly``
+    with the ``_lowpass`` filter.
+
+    After resample_poly's pad-and-trim bookkeeping, output r is the sum of
+    x[q] * h[half_len + r*down - up*q] over q. upfirdn starts each output
+    from 0.0 and adds those terms one at a time in ascending q; the per-tap
+    loop below keeps that order for a whole block of outputs at once. The
+    terms upfirdn skips or pads, and those of the zero taps added here, are
+    products with a zero, which leave a sum that started at +0.0 unchanged.
+    Outputs are laid out as rows of ``up``: column c always uses the same
+    filter phase, and row i reads the inputs ``down`` samples after row i - 1.
+    """
+    h, half_len = _lowpass(up, down)
+    n_in = len(x)
+    n_out = -(-n_in * up // down)
+    n_taps = -(-len(h) // up)  # inputs per output, zero taps included
+    padded = np.zeros(n_taps * up)
+    padded[: len(h)] = h
+    # row 0 of column c reads x[first[c] - n_taps + 1 + k] (k-th input, oldest
+    # first) times taps[k, c]; chunk below is x with n_taps - 1 zeros in front
+    centre = half_len + np.arange(up) * down
+    first, phase = centre // up, centre % up
+    taps = padded.reshape(n_taps, up)[::-1][:, phase]
+
+    n_rows = -(-n_out // up)
+    rows = max(1, min(_RESAMPLE_BLOCK // up, _RESAMPLE_SPAN // down, n_rows))
+    # chunk holds the inputs a block reads, zero-padded past both ends
+    index = np.arange(rows)[:, None] * down + first
+    span = (rows - 1) * down + int(first[-1]) + n_taps
+    chunk = np.empty(span)
+    term = np.empty((rows, up))
+    out = np.empty((n_rows, up))
+    for r0 in range(0, n_rows, rows):
+        acc = out[r0 : r0 + rows]
+        n = len(acc)
+        lo = r0 * down - (n_taps - 1)
+        a, b = max(lo, 0), min(lo + span, n_in)
+        chunk.fill(0.0)
+        chunk[a - lo : b - lo] = x[a:b]
+        acc.fill(0.0)
+        idx, t = index[:n], term[:n]
+        for k in range(n_taps):
+            # every index is in range, so "clip" only skips the bounds check
+            np.take(chunk[k:], idx, out=t, mode="clip")
+            t *= taps[k]
+            acc += t
+    return out.reshape(-1)[:n_out]
+
+
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Resample mono audio with a windowed-sinc (Kaiser) polyphase filter.
 
-    The Kaiser beta is chosen for an 80 dB alias floor. Resampling to the
-    source rate is the identity. A rate ratio whose reduced up or down
-    factor exceeds MAX_RESAMPLE_FACTOR raises ValueError.
+    The Kaiser beta is chosen for an 80 dB alias floor; the result equals
+    scipy 1.17's ``resample_poly`` with that window bit for bit, clipped to
+    [-1, 1]. Resampling to the source rate is the identity. A rate ratio
+    whose reduced up or down factor exceeds MAX_RESAMPLE_FACTOR raises
+    ValueError.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -201,12 +286,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         raise ValueError(
             f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the rate "
             f"ratio {up}/{down} exceeds the factor limit {MAX_RESAMPLE_FACTOR}")
-    # imported here because scipy.signal is slow to import and only
-    # resampling needs it
-    from scipy.signal import kaiser_beta, resample_poly
-
-    y = resample_poly(x, up, down, window=("kaiser", kaiser_beta(80.0)))
-    return Waveform(np.clip(y, -1.0, 1.0), target_rate)
+    y = _resample_poly(x, up, down)
+    return Waveform(np.clip(y, -1.0, 1.0, out=y), target_rate)
 
 
 def pad_to_length(w: Waveform, target_len: int) -> Waveform:

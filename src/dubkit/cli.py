@@ -12,14 +12,14 @@ import json
 import sys
 
 from . import __version__
-from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, corpus_stats,
-                     load_manifest, split_dataset)
+from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, clip_movie_id,
+                     corpus_stats, load_manifest, split_dataset)
 from .modes import PAD_MODES, SCALES
 from .srt import parse_srt
 
-# The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft
-# when it runs), so each command imports them itself: --version, srt, split
-# and stats start without the numeric stack.
+# The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft,
+# resampling scipy.special, when they run), so each command imports them
+# itself: --version, srt, split and stats start without the numeric stack.
 
 
 class UsageError(ValueError):
@@ -99,7 +99,9 @@ def cmd_features(args) -> dict:
     spec = stft_magnitude(w, cfg.frame)
     mel = mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
     coeffs = mfcc(mel, cfg.n_coeffs)
-    pitch = _pitch(w, args, cfg)
+    # pitch frames sit at the same hop * i centres, but an odd --win gives one
+    # STFT frame fewer when the clip is a whole number of hops
+    pitch = _pitch(w, args, cfg).values[: spec.n_frames]
     energy = energy_track(spec)
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
@@ -110,7 +112,7 @@ def cmd_features(args) -> dict:
         "frame_rate": spec.frame_rate,
         "mel": mel.frames.tolist(),
         "mfcc": coeffs.frames.tolist(),
-        "pitch": pitch.values.tolist(),
+        "pitch": pitch.tolist(),
         "energy": energy.values.tolist(),
     }
 
@@ -180,6 +182,10 @@ def cmd_srt_parse(args) -> dict:
 
 
 def cmd_srt_plan(args) -> dict:
+    try:
+        clip_movie_id(args.movie, args.movie_id)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     entries = parse_srt(_read_text(args.srt))
     plan = build_clip_plan(entries, movie_path=args.movie, out_dir=args.out_dir,
                            audio_mode=args.audio_mode, movie_id=args.movie_id,

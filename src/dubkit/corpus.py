@@ -123,13 +123,29 @@ def _clip_commands(job: ClipJob, movie_path: str) -> list:
     return [video, audio]
 
 
+def clip_movie_id(movie_path, movie_id: str | None = None) -> str:
+    """The id a clip plan names its files by: ``movie_id``, else the movie's
+    file stem.
+
+    Raises ValueError for an empty id, ``.``, ``..`` or one holding a ``/``:
+    those would name clips with no movie part or outside ``out_dir``.
+    """
+    if movie_id is None:
+        movie_id = Path(movie_path).stem
+    if movie_id in ("", ".", "..") or "/" in movie_id:
+        raise ValueError(f"movie id {movie_id!r} cannot name clip files: it must be "
+                         "non-empty, not '.' or '..', and hold no '/'")
+    return movie_id
+
+
 def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-channel",
                     movie_id: str | None = None, emit_commands: bool = False) -> ClipPlan:
     """Turn subtitle cues into one cut-and-extract job per cue.
 
     Output files are named ``{movie_id}_{index:05d}.wav`` / ``.mp4`` under
-    ``out_dir``. The plan is data only; ``emit_commands`` additionally
-    includes FFmpeg-compatible argument vectors for an external runner.
+    ``out_dir``; ``clip_movie_id`` picks and checks the id. The plan is
+    data only; ``emit_commands`` additionally includes FFmpeg-compatible
+    argument vectors for an external runner.
     """
     entries = list(entries)
     if not entries:
@@ -143,8 +159,7 @@ def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-chan
 
     movie_path = str(movie_path)
     out_dir = str(out_dir)
-    if movie_id is None:
-        movie_id = Path(movie_path).stem
+    movie_id = clip_movie_id(movie_path, movie_id)
 
     jobs = []
     for entry in entries:

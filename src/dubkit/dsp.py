@@ -111,9 +111,9 @@ def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _hann(length: int) -> np.ndarray:
-    """Periodic Hann window, bit-equal to scipy.signal.get_window("hann",
-    length, fftbins=True): the symmetric window of length + 1 computed as
-    scipy.signal.windows.general_cosine does, minus its last sample."""
+    """Periodic Hann window, bit-equal to scipy's ``get_window("hann",
+    length, fftbins=True)``: the symmetric window of length + 1 computed as
+    scipy's ``windows.general_cosine`` does, minus its last sample."""
     if length <= 1:
         window = np.ones(length)
     else:

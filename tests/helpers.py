@@ -14,6 +14,11 @@ import struct
 
 import numpy as np
 
+# the rates audio arrives at, and the working rates it is resampled to
+STANDARD_SOURCE_RATES = (8000, 11025, 16000, 24000, 32000, 44100, 48000, 88200,
+                         96000, 176400, 192000, 352800, 384000, 705600, 768000)
+STANDARD_TARGET_RATES = (16000, 22050, 24000, 44100, 48000)
+
 
 def at(path, lineno):
     """Regex for the ``path:lineno: `` prefix every JSONL error starts with."""

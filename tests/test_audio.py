@@ -13,12 +13,8 @@ from dubkit.audio import (TruncatedFileError, UnsupportedFormatError, Waveform,
                           pad_to_length, read_wav, resample, to_mono, write_wav)
 from dubkit.dsp import mel_spectrogram, stft_magnitude
 
-from helpers import make_tone, write_float32_wav, write_pcm16_raw, write_pcm16_wav
-
-
-STANDARD_SOURCE_RATES = (8000, 11025, 16000, 24000, 32000, 44100, 48000, 88200,
-                         96000, 176400, 192000, 352800, 384000, 705600, 768000)
-STANDARD_TARGET_RATES = (16000, 22050, 24000, 44100, 48000)
+from helpers import (STANDARD_SOURCE_RATES, STANDARD_TARGET_RATES, make_tone,
+                     write_float32_wav, write_pcm16_raw, write_pcm16_wav)
 
 
 def riff_header(sample_rate):

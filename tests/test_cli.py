@@ -107,13 +107,20 @@ class TestFeaturesCommand:
         assert payload["config"]["fft_size"] == 1024
         assert payload["config"]["n_mels"] == 80
 
-    @pytest.mark.parametrize("hop", [128, 256, 512])
-    def test_pitch_frames_follow_hop(self, tmp_path, capsys, hop):
-        wav = write_tone(tmp_path / "a.wav")
-        code, out, _ = invoke(capsys, "features", wav, "--hop", str(hop))
+    # an odd --win frames one sample short of centring, so a clip of whole
+    # hops gets one STFT frame fewer than the pitch tracker's frames
+    @pytest.mark.parametrize("hop,win,n_samples,n_frames", [
+        (128, 1024, int(0.3 * SR), 1 + int(0.3 * SR) // 128),
+        (256, 1024, int(0.3 * SR), 1 + int(0.3 * SR) // 256),
+        (512, 1024, int(0.3 * SR), 1 + int(0.3 * SR) // 512),
+        (256, 1023, 86 * 256, 86),
+    ], ids=["128", "256", "512", "odd-win-whole-hops"])
+    def test_pitch_frames_follow_hop(self, tmp_path, capsys, hop, win, n_samples, n_frames):
+        wav = write_tone(tmp_path / "a.wav", duration=n_samples / SR)
+        code, out, _ = invoke(capsys, "features", wav, "--hop", str(hop), "--win", str(win))
         assert code == 0
         payload = json.loads(out)
-        assert payload["n_frames"] == 1 + int(0.3 * SR) // hop
+        assert payload["n_frames"] == n_frames
         for key in ("mel", "mfcc", "pitch", "energy"):
             assert len(payload[key]) == payload["n_frames"]
 
@@ -311,6 +318,27 @@ class TestSrtCommands:
         without = json.loads(out)
         assert list(without) == plan_keys
         assert without["jobs"] == payload["jobs"]
+
+    @pytest.mark.parametrize("movie_id", ["a/../b", ""])
+    def test_plan_bad_movie_id_exit_two(self, tmp_path, capsys, movie_id):
+        path = tmp_path / "s.srt"
+        path.write_text(SRT_TEXT)
+        code, out, err = invoke(capsys, "srt", "plan", str(path), "--movie", "m.mkv",
+                                "--movie-id", movie_id)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "usage"
+        assert error["message"].startswith(f"movie id {movie_id!r} cannot name clip files")
+
+    def test_plan_movie_id_names_clips(self, tmp_path, capsys):
+        path = tmp_path / "s.srt"
+        path.write_text(SRT_TEXT)
+        code, out, _ = invoke(capsys, "srt", "plan", str(path), "--movie", "m.mkv",
+                              "--movie-id", "frozen.2013", "--out-dir", "clips")
+        assert code == 0
+        jobs = json.loads(out)["jobs"]
+        assert [job["out_audio"] for job in jobs] == ["clips/frozen.2013_00001.wav",
+                                                      "clips/frozen.2013_00002.wav"]
 
     def test_unwritable_out_exit_one(self, tmp_path, capsys):
         path = tmp_path / "s.srt"
@@ -511,7 +539,8 @@ dk.evaluate_pair(w, w)
 
 
 # numpy and scipy.fft dominate a command's start-up when loaded; scipy.signal is
-# slower still and only resampling needs it
+# slower still (it pulls in scipy.stats and scipy.interpolate) and resampling
+# runs without it
 @pytest.mark.parametrize("argv,absent", [
     (None, ("numpy", "scipy")),
     (["--version"], ("numpy",)),
@@ -522,12 +551,23 @@ dk.evaluate_pair(w, w)
     (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"], ("scipy",)),
     (["mos", "{ratings}"], ("scipy",)),
     ("same-rate-pair", ("scipy.signal",)),
+    (["features", "{stereo48k}"], ("scipy.signal",)),
+    (["batch", "{pairs}"], ("scipy.signal",)),
 ], ids=["import", "version", "srt-parse", "srt-plan", "split", "stats", "accuracy",
-        "mos", "same-rate-pair"])
+        "mos", "same-rate-pair", "features-48k-stereo", "batch-24k-22k"])
 def test_command_imports_only_its_layers(tmp_path, argv, absent):
     (tmp_path / "s.srt").write_text(SRT_TEXT)
     (tmp_path / "r.csv").write_text("4\n3.5\n")
+    t = np.arange(4800) / 48000
+    write_wav(tmp_path / "st.wav", Waveform(0.5 * np.stack([np.sin(2 * np.pi * 440 * t),
+                                                            np.sin(2 * np.pi * 660 * t)], 1),
+                                            48000))
+    write_wav(tmp_path / "g.wav", Waveform(make_tone(440, 0.3, 24000), 24000))
+    write_tone(tmp_path / "r.wav", freq=330.0)
     files = {"srt": str(tmp_path / "s.srt"), "ratings": str(tmp_path / "r.csv"),
+             "stereo48k": str(tmp_path / "st.wav"),
+             "pairs": jsonl(tmp_path / "p.jsonl", [
+                 {"id": "p", "generated": "g.wav", "reference": "r.wav"}]),
              "manifest": jsonl(tmp_path / "m.jsonl", manifest_rows(10)),
              "embeddings": jsonl(tmp_path / "e.jsonl", [
                  {"label": "a", "id": "1", "vector": [1.0, 0.0]},

@@ -157,6 +157,15 @@ class TestClipPlan:
         plan = build_clip_plan(self.entries(1), "m.mkv", "out", movie_id="custom")
         assert plan.jobs[0].out_audio.endswith("custom_00001.wav")
 
+    @pytest.mark.parametrize("movie_id", ["", ".", "..", "a/../b", "../x", "/abs"])
+    def test_movie_id_that_cannot_name_a_file_rejected(self, movie_id):
+        with pytest.raises(ValueError, match="movie id"):
+            build_clip_plan(self.entries(1), "m.mkv", "out", movie_id=movie_id)
+
+    def test_movie_stem_that_cannot_name_a_file_rejected(self):
+        with pytest.raises(ValueError, match="movie id '..'"):
+            build_clip_plan(self.entries(1), "movies/..", "out")
+
     def test_bad_audio_mode(self):
         with pytest.raises(ValueError):
             build_clip_plan(self.entries(1), "m.mkv", "out", audio_mode="stereo")

@@ -5,7 +5,7 @@ beyond 1.5 GiB or a dead process.
 
 Every example runs in one long-lived child process under RLIMIT_AS, so the
 limit does not reach the test process and the child's start-up (numpy,
-scipy.signal) is paid once rather than per example.
+scipy.special) is paid once rather than per example.
 """
 
 import json
