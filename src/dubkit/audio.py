@@ -29,11 +29,13 @@ MAX_SAMPLE_RATE = 768000
 MAX_RESAMPLE_FACTOR = 8192
 # scipy's kaiser_beta(80.0): the Kaiser window for an 80 dB stopband
 _KAISER_BETA = 0.1102 * (80.0 - 8.7)
-# a resample block computes at most this many outputs and reads at most
-# _RESAMPLE_SPAN inputs (plus the filter length), so working memory is
-# bounded whatever the clip length or rate ratio
-_RESAMPLE_BLOCK = 16384
-_RESAMPLE_SPAN = 1 << 20
+# a resample block computes at most _RESAMPLE_ROWS outputs of each filter
+# phase, holds at most _RESAMPLE_SPAN inputs (plus the filter length) and
+# _RESAMPLE_PRODUCTS tap products, so working memory is bounded whatever
+# the clip length or rate ratio
+_RESAMPLE_ROWS = 2048
+_RESAMPLE_SPAN = 1 << 19
+_RESAMPLE_PRODUCTS = 1 << 17
 
 
 class UnsupportedFormatError(ValueError):
@@ -216,53 +218,103 @@ def _lowpass(up: int, down: int):
     return h, half_len
 
 
+def _fill_block(lines: np.ndarray, x: np.ndarray, start: int) -> None:
+    """Set ``lines[j, m] = x[start + j * width + m]`` for ``lines`` of shape
+    (n, width), and to 0.0 where that index falls outside x."""
+    n, width = lines.shape
+    a, b = max(-start, 0), min(len(x) - start, n * width)
+    if a > 0 or b < n * width:
+        lines.fill(0.0)
+    if b <= a:
+        return
+    xs = x[start + a : start + b]
+    j0, m0 = divmod(a, width)
+    j1, m1 = divmod(b, width)
+    if j0 == j1:
+        lines[j0, m0:m1] = xs
+        return
+    head = width - m0
+    lines[j0, m0:] = xs[:head]
+    lines[j0 + 1 : j1] = xs[head : len(xs) - m1].reshape(-1, width)
+    if m1:
+        lines[j1, :m1] = xs[len(xs) - m1 :]
+
+
 def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     """Polyphase FIR resampling, bit-equal to scipy 1.17's ``resample_poly``
     with the ``_lowpass`` filter.
 
     After resample_poly's pad-and-trim bookkeeping, output r is the sum of
     x[q] * h[half_len + r*down - up*q] over q. upfirdn starts each output
-    from 0.0 and adds those terms one at a time in ascending q; the per-tap
-    loop below keeps that order for a whole block of outputs at once. The
-    terms upfirdn skips or pads, and those of the zero taps added here, are
+    from 0.0 and adds those terms one at a time in ascending q. The terms
+    upfirdn skips or pads, and those of the zero taps added here, are
     products with a zero, which leave a sum that started at +0.0 unchanged.
+
     Outputs are laid out as rows of ``up``: column c always uses the same
-    filter phase, and row i reads the inputs ``down`` samples after row i - 1.
+    filter phase, and row i reads the inputs ``down`` samples after row
+    i - 1. For each column of a block, the products of every tap (oldest
+    input first) with every row go into the lines of ``prod``, and
+    ``np.add.reduce`` over those lines adds them one line at a time, each
+    output starting from line 0, the running sum. That keeps upfirdn's order
+    as long as a line holds two or more outputs: the reduction then runs in
+    numpy's outer loop (a single output would be summed pairwise). Taps
+    come in chunks of ``width`` lines, each chunk carrying the sum so far.
     """
     h, half_len = _lowpass(up, down)
-    n_in = len(x)
-    n_out = -(-n_in * up // down)
+    n_out = -(-len(x) * up // down)
     n_taps = -(-len(h) // up)  # inputs per output, zero taps included
     padded = np.zeros(n_taps * up)
     padded[: len(h)] = h
-    # row 0 of column c reads x[first[c] - n_taps + 1 + k] (k-th input, oldest
-    # first) times taps[k, c]; chunk below is x with n_taps - 1 zeros in front
+    # row i of column c reads the inputs first[c] + i*down + k (k = 0 is the
+    # oldest) of a block zero-padded with n_taps - 1 samples in front of x
     centre = half_len + np.arange(up) * down
     first, phase = centre // up, centre % up
     taps = padded.reshape(n_taps, up)[::-1][:, phase]
 
     n_rows = -(-n_out // up)
-    rows = max(1, min(_RESAMPLE_BLOCK // up, _RESAMPLE_SPAN // down, n_rows))
-    # chunk holds the inputs a block reads, zero-padded past both ends
-    index = np.arange(rows)[:, None] * down + first
-    span = (rows - 1) * down + int(first[-1]) + n_taps
-    chunk = np.empty(span)
-    term = np.empty((rows, up))
+    rows = max(2, min(n_rows, _RESAMPLE_ROWS, _RESAMPLE_SPAN // down))
+    width = max(1, min(n_taps, _RESAMPLE_PRODUCTS // rows))
+    # block[m, j] holds block input j*down + m, one line per input phase:
+    # tap k of column c reads line (q0 + k) % down from position
+    # (q0 + k) // down on, one row per position, so a run of taps that
+    # stays inside the lines is a plain 2-D slice. With down == 1 every tap
+    # wraps to the next position; there the taps read overlapping windows
+    # of the one line instead
+    reach = int(first[-1]) + n_taps
+    block = np.empty((down, rows + (reach - 1) // down))
+    windows = np.lib.stride_tricks.sliding_window_view(block[0], rows)
+    prod = np.empty((width + 1, rows))
+    acc = np.empty(rows)
     out = np.empty((n_rows, up))
-    for r0 in range(0, n_rows, rows):
-        acc = out[r0 : r0 + rows]
-        n = len(acc)
-        lo = r0 * down - (n_taps - 1)
-        a, b = max(lo, 0), min(lo + span, n_in)
-        chunk.fill(0.0)
-        chunk[a - lo : b - lo] = x[a:b]
-        acc.fill(0.0)
-        idx, t = index[:n], term[:n]
-        for k in range(n_taps):
-            # every index is in range, so "clip" only skips the bounds check
-            np.take(chunk[k:], idx, out=t, mode="clip")
-            t *= taps[k]
-            acc += t
+    # numpy runs a ufunc over strided lines shorter than its buffer (8192
+    # elements by default) through that buffer, which made the products
+    # about 3x slower; numpy 1.x wants a multiple of 16
+    old_bufsize = np.setbufsize(max(16, rows // 16 * 16))
+    try:
+        for r0 in range(0, n_rows, rows):
+            _fill_block(block.T, x, r0 * down - (n_taps - 1))
+            for c in range(up):
+                q0 = int(first[c])
+                for k0 in range(0, n_taps, width):
+                    k1 = min(k0 + width, n_taps)
+                    prod[0] = acc if k0 else 0.0
+                    k = k0
+                    while k < k1:
+                        if down == 1:
+                            count = k1 - k
+                            inputs = windows[q0 + k : q0 + k1]
+                        else:
+                            j, m = divmod(q0 + k, down)
+                            count = min(down - m, k1 - k)
+                            inputs = block[m : m + count, j : j + rows]
+                        np.multiply(inputs, taps[k : k + count, c, None],
+                                    out=prod[1 + k - k0 : 1 + k - k0 + count])
+                        k += count
+                    np.add.reduce(prod[: 1 + k1 - k0], axis=0, out=acc)
+                n = min(rows, n_rows - r0)
+                out[r0 : r0 + n, c] = acc[:n]
+    finally:
+        np.setbufsize(old_bufsize)
     return out.reshape(-1)[:n_out]
 
 

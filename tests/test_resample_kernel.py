@@ -1,8 +1,9 @@
 """The numpy polyphase resampler against scipy.signal.resample_poly
 (``reference_resample.py``): equal samples bit for bit, sign bits and shape
 included, over the standard rate pairs, across block boundaries and at the
-factor limit, plus its memory bound."""
+factor limit, plus its memory bound and its speed against scipy's."""
 
+import time
 import tracemalloc
 from unittest import mock
 
@@ -62,15 +63,17 @@ def test_every_standard_pair(source, target):
         assert_same_resample(Waveform(samples("noise", n, n), source), target)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(RATE_PAIRS), st.integers(1, 3000), st.integers(1, 400),
-       st.integers(1, 4000), st.integers(0, 2**32 - 1))
-def test_matches_across_block_boundaries(rates, n, block, span, seed):
-    # small blocks put many block edges, and both padded ends, inside one clip
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RATE_PAIRS), st.integers(1, 3000), st.integers(2, 300),
+       st.integers(1, 4000), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_matches_across_block_boundaries(rates, n, rows, span, products, seed):
+    # small blocks put many block edges, and both padded ends, inside one
+    # clip; a small product budget splits the taps into chunks
     source, target = rates
     w = Waveform(samples("noise", n, seed), source)
-    with mock.patch.object(audio, "_RESAMPLE_BLOCK", block), \
-            mock.patch.object(audio, "_RESAMPLE_SPAN", span):
+    with mock.patch.object(audio, "_RESAMPLE_ROWS", rows), \
+            mock.patch.object(audio, "_RESAMPLE_SPAN", span), \
+            mock.patch.object(audio, "_RESAMPLE_PRODUCTS", products):
         assert_same_resample(w, target)
 
 
@@ -97,17 +100,47 @@ def traced_peak(w, target_rate):
     return out, peak
 
 
+# the inputs and tap products one block holds, plus 1 MiB for the rest
+BLOCK_BYTES = (audio._RESAMPLE_SPAN + audio._RESAMPLE_PRODUCTS) * 8 + (1 << 20)
+
+
 def test_memory_is_the_output_plus_a_block():
     # upfirdn's full-length output and the clipped copy of it took 2x the output
     w = Waveform(samples("noise", 120 * 48000, 7), 48000)
     out, peak = traced_peak(w, 22050)
     assert out.n_frames == 120 * 22050
-    assert peak < out.samples.nbytes + (4 << 20)
+    assert peak < out.samples.nbytes + BLOCK_BYTES
 
 
-def test_memory_is_bounded_at_the_factor_limit():
-    # up = 8192: one block of all outputs would hold three output-sized arrays
-    w = Waveform(samples("noise", 400, 8), 1000)
-    out, peak = traced_peak(w, 1000 * MAX_RESAMPLE_FACTOR)
-    assert out.n_frames == 400 * MAX_RESAMPLE_FACTOR
-    assert peak < out.samples.nbytes + (8 << 20)
+@pytest.mark.parametrize("source,target,n", [(1000, 1000 * MAX_RESAMPLE_FACTOR, 400),
+                                             (MAX_RESAMPLE_FACTOR, 1, 40 * MAX_RESAMPLE_FACTOR)])
+def test_memory_is_bounded_at_the_factor_limit(source, target, n):
+    # up = 8192: one block of all outputs would hold three output-sized arrays;
+    # down = 8192: the 163841-tap filter times 40 outputs is 52 MB of products.
+    # Past a block, the filter is held three times (as designed, padded to
+    # whole phases and as the phase table) and a block reads about 1.5
+    # filter lengths of inputs past its span
+    filter_bytes = (20 * MAX_RESAMPLE_FACTOR + 1) * 8
+    w = Waveform(samples("noise", n, 8), source)
+    out, peak = traced_peak(w, target)
+    assert out.n_frames == n * target // source
+    assert peak < out.samples.nbytes + BLOCK_BYTES + 5 * filter_bytes
+
+
+def best_time(f):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+@pytest.mark.parametrize("source,target,seconds", [(48000, 22050, 120), (768000, 1000, 5)])
+def test_compute_stays_near_resample_poly(source, target, seconds):
+    # a per-tap gather over blocks of outputs took about 3x resample_poly's
+    # time for the movie-length clip and 11x for the large down factor
+    w = Waveform(samples("noise", source * seconds, 9), source)
+    ours = best_time(lambda: resample(w, target))
+    theirs = best_time(lambda: reference_resample.resample(w, target))
+    assert ours < 2.5 * theirs + 0.02
