@@ -17,6 +17,11 @@ PITCH_BLOCK = 128  # frames per pitch_track block; larger blocks measured slower
 # (see _pitch_block). If a numpy upgrade moves that threshold, pitch drifts by an
 # ulp at block edges and tests/test_pitch_kernel.py's block-boundary test fails.
 _MIN_PITCH_BLOCK = 8
+# samples of frame per stft_magnitude / energy_track block: 256 rows at fft_size
+# 1024, and a large fft_size gets fewer rows, so a block stays about 2 MiB of
+# float64 whatever the framing. rfft magnitudes and row sums of squares do not
+# depend on where the blocks are cut, so any block size gives the same bits.
+_SPECTRAL_SPAN = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -136,9 +141,18 @@ def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
     window = _hann(p.win_length)
-    frames = _frame(x, p.win_length, p.hop) * window
-    mags = np.abs(rfft(frames, n=p.fft_size, axis=1))
+    frames = _frame(x, p.win_length, p.hop)
+    mags = np.empty((len(frames), p.fft_size // 2 + 1))
+    # windowed frames and their complex spectra exist one block at a time
+    for lo, hi in _blocks(len(frames), p.fft_size):
+        np.abs(rfft(frames[lo:hi] * window, n=p.fft_size, axis=1), out=mags[lo:hi])
     return Spectrogram(mags, p, w.sample_rate)
+
+
+def _blocks(n_rows: int, row_length: int):
+    """(lo, hi) row ranges of at most _SPECTRAL_SPAN // row_length rows."""
+    rows = max(1, _SPECTRAL_SPAN // row_length)
+    return ((lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows))
 
 
 def hz_to_mel(f):
@@ -174,6 +188,11 @@ def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
     """Log mel power spectrogram: log(max(floor, filterbank @ magnitude^2))."""
     fb = mel_filterbank(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax)
     power = s.frames**2
+    # One matmul over every frame, not blocks as in stft_magnitude: below a
+    # row count that depends on the shape, OpenBLAS picks another dgemm kernel
+    # and a row's result changes in the last bits. Floors measured with
+    # scipy-openblas 0.3.31 (mels x bins: rows): 80 x 513: 16, 80 x 1025: 13,
+    # 40 x 513: 31, 20 x 513: 61, 10 x 129: 121, 2 x 33: over 600.
     mel_power = power @ fb.T
     frames = np.log(np.maximum(floor, mel_power))
     return MelSpectrogram(frames, n_mels, fmin, fmax, floor, s.frame_rate)
@@ -195,7 +214,10 @@ def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
 
 def energy_track(s: Spectrogram) -> EnergyTrack:
     """L2 norm of each magnitude frame."""
-    return EnergyTrack(np.sqrt((s.frames**2).sum(axis=1)), s.frame_rate)
+    values = np.empty(s.n_frames)
+    for lo, hi in _blocks(s.n_frames, s.params.fft_size):
+        np.square(s.frames[lo:hi]).sum(axis=1, out=values[lo:hi])
+    return EnergyTrack(np.sqrt(values, out=values), s.frame_rate)
 
 
 def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,

@@ -185,7 +185,9 @@ def dtw_align(c1, c2) -> AlignmentResult:
     # cell (i, s - i) of diagonal s sits at pointers[starts[s] + i]
     pointers = np.empty(m * n, dtype=np.int8)
     starts = []
-    # b[s - i] for rising i is a forward slice of b_rev, contiguous for speed
+    # b[s - i] for rising i is a forward slice of b_rev, contiguous for speed;
+    # a too, since mfcc returns a column slice of the whole DCT matrix
+    a = np.ascontiguousarray(a)
     b_rev = np.ascontiguousarray(b[::-1])
     diff = np.empty((min(m, n), a.shape[1]))
     prev2 = prev1 = None

@@ -76,6 +76,19 @@ def test_matches_reference_on_strided_and_non_finite_input():
     assert_same_alignment(a, b)
 
 
+def test_mfcc_column_view_aligns_as_its_contiguous_copy():
+    # mfcc keeps columns 1..13 of an 80-band DCT, so its rows sit 640 B apart
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(70, 80))[:, 1:14]
+    b = rng.normal(size=(90, 80))[:, 1:14]
+    assert not a.flags.c_contiguous
+    for x, y in ((a, b), (a, np.ascontiguousarray(b)), (b, a)):
+        got, copied = dtw_align(x, y), dtw_align(np.ascontiguousarray(x), np.ascontiguousarray(y))
+        assert got.cost == copied.cost
+        assert np.array_equal(got.path, copied.path)
+        assert_same_alignment(x, y)
+
+
 def test_memory_is_one_byte_per_cell():
     # float64 cost or distance matrices would need 8 B per cell each
     rng = np.random.default_rng(10)
