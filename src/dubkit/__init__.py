@@ -27,8 +27,7 @@ _EXPORTS = {
                 "mcd_dtw_sl", "evaluate_pair", "evaluate_corpus",
                 "load_pair_manifest"),
     "scoring": ("EmbeddingSet", "CentroidModel", "MosSummary", "load_embeddings",
-                "build_centroids", "classify", "accuracy", "mos_aggregate",
-                "load_ratings"),
+                "build_centroids", "accuracy", "mos_aggregate", "load_ratings"),
     "srt": ("SrtEntry", "parse_srt", "serialize_srt"),
     "corpus": ("ClipRecord", "ClipPlan", "CorpusStats", "SplitAssignment",
                "EMOTIONS", "build_clip_plan", "corpus_stats", "load_manifest",

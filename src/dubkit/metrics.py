@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import jsonl
-from .audio import Waveform, read_wav, resample, to_mono, pad_to_length
+from .audio import (MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, pad_to_length,
+                    read_wav, resample, to_mono)
 from .dsp import FrameParams, mel_spectrogram, mfcc, stft_magnitude
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
@@ -99,6 +100,9 @@ class PipelineConfig:
     pad_mode: str = "pad"  # one of PAD_MODES
 
     def __post_init__(self):
+        if not MIN_SAMPLE_RATE <= self.sample_rate <= MAX_SAMPLE_RATE:
+            raise ValueError(f"sample_rate {self.sample_rate} Hz is outside "
+                             f"{MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
         if self.scale not in SCALES:
             raise ValueError(f"unknown scale {self.scale!r}")
         if self.pad_mode not in PAD_MODES:

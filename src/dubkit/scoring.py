@@ -26,32 +26,19 @@ class RatingError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class EmbeddingRecord:
-    label: str
-    vector: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
-    """Labeled unit vectors sharing one dimension."""
+    """Labeled unit vectors sharing one dimension: ``labels`` in file order
+    and ``vectors``, the matching n x dim rows."""
 
-    records: list
-    dim: int | None
+    labels: tuple
+    vectors: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows) -> "EmbeddingSet":
-        """Build from (label, id, vector) triples, normalizing each vector."""
-        check = _RecordChecker()
-        records = []
-        for n, (label, record_id, vector) in enumerate(rows, start=1):
-            try:
-                records.append(check(label, record_id, vector))
-            except EmbeddingFormatError as exc:
-                raise EmbeddingFormatError(f"row {n}: {exc}") from None
-        return cls(records, check.dim)
+    @property
+    def dim(self) -> int | None:
+        return self.vectors.shape[1] if len(self.labels) else None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.labels)
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
@@ -82,45 +69,48 @@ def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norm[..., 0]
 
 
-class _RecordChecker:
-    """Validates and normalizes (label, id, vector) rows one at a time,
-    against the rows checked before; ``dim`` is the established size."""
+def _key_text(row: dict, key: str) -> str:
+    value = row[key]
+    if type(value) not in (str, int, float):  # JSON null, true, arrays, objects
+        raise EmbeddingFormatError(f"{key} must be a string or a number")
+    return str(value)
 
-    def __init__(self):
-        self.dim = None
-        self._seen = set()
 
-    def __call__(self, label, record_id, vector) -> EmbeddingRecord:
+def load_embeddings(path) -> EmbeddingSet:
+    """Read a JSONL embedding file ({label, id, vector} rows).
+
+    Each row is checked as it is read, so the first bad row is the one
+    reported; the vectors are then normalized together as one matrix.
+    """
+    vectors = []
+    seen = set()
+
+    def check(row) -> str:
         try:
-            v = np.asarray(vector, dtype=np.float64)
+            v = np.asarray(row["vector"], dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             raise EmbeddingFormatError("vector is not numeric") from None
         if v.ndim != 1 or v.size == 0:
             raise EmbeddingFormatError("vector must be a flat, nonempty number list")
         if not np.all(np.isfinite(v)):
             raise EmbeddingFormatError("non-finite vector entry")
-        if self.dim is None:
-            self.dim = v.size
-        elif v.size != self.dim:
+        if vectors and v.size != vectors[0].size:
             raise EmbeddingFormatError(f"dimension {v.size} does not match "
-                                       f"established dimension {self.dim}")
-        unit, norm = _normalize(v)
-        if norm == 0.0:
+                                       f"established dimension {vectors[0].size}")
+        if not v.any():
             raise EmbeddingFormatError("zero vector")
-        key = (str(label), str(record_id))
-        if key in self._seen:
+        key = (_key_text(row, "label"), _key_text(row, "id"))
+        if key in seen:
             raise EmbeddingFormatError(f"duplicate (label, id) {key}")
-        self._seen.add(key)
-        return EmbeddingRecord(str(label), unit)
+        seen.add(key)
+        vectors.append(v)
+        return key[0]
 
-
-def load_embeddings(path) -> EmbeddingSet:
-    """Read a JSONL embedding file ({label, id, vector} rows)."""
-    check = _RecordChecker()
-    records = jsonl.load_objects(
-        path, lambda row: check(row["label"], row["id"], row["vector"]),
-        ("label", "id", "vector"), EmbeddingFormatError)
-    return EmbeddingSet(records, check.dim)
+    labels = jsonl.load_objects(path, check, ("label", "id", "vector"),
+                                EmbeddingFormatError)
+    if not vectors:
+        return EmbeddingSet((), np.empty((0, 0)))
+    return EmbeddingSet(tuple(labels), _normalize(np.array(vectors))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,11 +132,11 @@ class CentroidModel:
 
 def build_centroids(embeddings: EmbeddingSet) -> CentroidModel:
     """Average each label's normalized members into its centroid."""
-    if not embeddings.records:
+    if not len(embeddings):
         raise ValueError("cannot build centroids from an empty embedding set")
     members: dict = {}
-    for record in embeddings.records:
-        members.setdefault(record.label, []).append(record.vector)
+    for label, vector in zip(embeddings.labels, embeddings.vectors):
+        members.setdefault(label, []).append(vector)
     # sum() adds the members one at a time, in file order
     centroids = {label: sum(vs[1:], vs[0]) / len(vs) for label, vs in members.items()}
     normalized = {label: _normalize(c) for label, c in centroids.items()}
@@ -156,42 +146,29 @@ def build_centroids(embeddings: EmbeddingSet) -> CentroidModel:
     return CentroidModel(centroids, labels, units)
 
 
-def _nearest(queries: np.ndarray, model: CentroidModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per query row, the index in ``model.labels`` of the most cosine-similar
-    centroid and that similarity; the first maximum wins, so exact ties go to
-    the smallest label. einsum without ``optimize`` (no BLAS) sums each pair on
-    its own, so a pair's similarity does not depend on the other rows."""
-    if queries.shape[1:] != (model.dim,):
-        raise ValueError(f"query dimension {queries.shape[1:]} does not match model "
-                         f"dimension {model.dim}")
-    if not np.isfinite(queries).all():
+def accuracy(test: EmbeddingSet, model: CentroidModel) -> float:
+    """Percentage of test vectors whose most cosine-similar centroid carries
+    their own label.
+
+    The first maximum wins, so exact ties go to the lexicographically
+    smallest label. einsum without ``optimize`` (no BLAS) sums each pair on
+    its own, so a vector's similarities do not depend on the other rows.
+    """
+    if not len(test):
+        raise ValueError("empty test set")
+    if test.vectors.shape[1:] != (model.dim,):
+        raise ValueError(f"query dimension {test.vectors.shape[1:]} does not match "
+                         f"model dimension {model.dim}")
+    if not np.isfinite(test.vectors).all():
         raise ValueError("cannot classify a non-finite vector")
-    unit, norms = _normalize(queries)
+    unit, norms = _normalize(test.vectors)
     if not norms.all():
         raise ValueError("cannot classify a zero vector")
     if not model.labels:
         raise ValueError("all centroids are degenerate")
-    sims = np.einsum("nd,ld->nl", unit, model.units)
-    best = sims.argmax(axis=1)
-    return best, sims[np.arange(len(sims)), best]
-
-
-def classify(vector, model: CentroidModel) -> tuple[str, float]:
-    """Label of the most cosine-similar centroid, with the similarity.
-
-    Ties break toward the lexicographically smallest label.
-    """
-    best, sims = _nearest(np.asarray(vector, dtype=np.float64)[None], model)
-    return model.labels[best[0]], float(sims[0])
-
-
-def accuracy(test: EmbeddingSet, model: CentroidModel) -> float:
-    """Percentage of test records whose predicted label matches their own."""
-    if not test.records:
-        raise ValueError("empty test set")
-    best, _ = _nearest(np.array([r.vector for r in test.records]), model)
-    correct = sum(1 for r, i in zip(test.records, best) if model.labels[i] == r.label)
-    return 100.0 * correct / len(test.records)
+    best = np.einsum("nd,ld->nl", unit, model.units).argmax(axis=1)
+    correct = sum(1 for label, i in zip(test.labels, best) if model.labels[i] == label)
+    return 100.0 * correct / len(test)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,14 @@ so file-reading tests do not depend on the writer under test.
 
 import json
 import math
+import os
 import re
 import struct
+import tempfile
 
 import numpy as np
+
+from dubkit.scoring import load_embeddings
 
 # the rates audio arrives at, and the working rates it is resampled to
 STANDARD_SOURCE_RATES = (8000, 11025, 16000, 24000, 32000, 44100, 48000, 88200,
@@ -31,6 +35,17 @@ def jsonl(path, rows):
         for row in rows:
             fh.write(json.dumps(row) + "\n")
     return str(path)
+
+
+def embeddings(rows):
+    """``load_embeddings`` of (label, id, vector) rows written to a temporary
+    JSONL file; a temporary directory, not ``tmp_path``, so hypothesis tests
+    can call it once per example."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = jsonl(os.path.join(tmp, "embeddings.jsonl"),
+                     [{"label": label, "id": key, "vector": list(vector)}
+                      for label, key, vector in rows])
+        return load_embeddings(path)
 
 
 def make_tone(freq, duration_s, sample_rate, amplitude=0.8, phase=0.0):

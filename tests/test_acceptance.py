@@ -17,11 +17,11 @@ from dubkit.dsp import MelSpectrogram, mel_spectrogram, mfcc, pitch_track, \
     stft_magnitude
 from dubkit.metrics import (dtw_align, evaluate_corpus, evaluate_pair,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
-from dubkit.scoring import EmbeddingSet, accuracy, build_centroids, mos_aggregate
+from dubkit.scoring import accuracy, build_centroids, mos_aggregate
 from dubkit.srt import SrtEntry, parse_srt, serialize_srt
 
-from helpers import (brute_force_accuracy, brute_force_dtw_cost, make_tone,
-                     textbook_mfcc)
+from helpers import (brute_force_accuracy, brute_force_dtw_cost, embeddings,
+                     make_tone, textbook_mfcc)
 
 SR = 22050
 
@@ -125,8 +125,7 @@ def test_criterion_6_accuracy_oracle():
 
         train_rows = rows(int(rng.integers(n_labels, 51)), "tr")
         test_rows = rows(int(rng.integers(1, 51)), "te")
-        ours = accuracy(EmbeddingSet.from_rows(test_rows),
-                        build_centroids(EmbeddingSet.from_rows(train_rows)))
+        ours = accuracy(embeddings(test_rows), build_centroids(embeddings(train_rows)))
         expected = brute_force_accuracy(
             [(label, vec) for label, _, vec in train_rows],
             [(label, vec) for label, _, vec in test_rows])
@@ -141,7 +140,7 @@ def test_criterion_6_accuracy_oracle():
             vec[axis] = 1.0
             vec += 0.02 * rng.normal(size=10)
             rows.append((f"c{axis}", f"{axis}-{i}", vec.tolist()))
-    cluster_set = EmbeddingSet.from_rows(rows)
+    cluster_set = embeddings(rows)
     model = build_centroids(cluster_set)
 
     def cosine(u, v):
@@ -150,8 +149,8 @@ def test_criterion_6_accuracy_oracle():
     labels = sorted(model.centroids)
     inter = max(cosine(model.centroids[a], model.centroids[b])
                 for i, a in enumerate(labels) for b in labels[i + 1:])
-    intra = min(cosine(r.vector, model.centroids[r.label])
-                for r in cluster_set.records)
+    intra = min(cosine(vector, model.centroids[label])
+                for label, vector in zip(cluster_set.labels, cluster_set.vectors))
     assert inter < 0.2, f"clusters not separated enough: inter {inter:.3f}"
     assert intra > 0.95, f"clusters too loose: intra {intra:.3f}"
     assert accuracy(cluster_set, model) == 100.0

@@ -43,7 +43,10 @@ def manifest_rows(n, **fields):
             for i in range(1, n + 1)]
 
 
+# a --rate outside read_wav's 1000..768000 Hz is a flag error, not a
+# per-pair failure or a resample to a rate no WAV can have
 PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 80", "--k 81", "--n-mels 0", "--rate 0",
+                  "--rate 999 --fmax 400", "--rate 768001", "--rate 1000000000",
                   "--fmax 20000", "--fmin -5"]
 BAD_FLAG_CASES = ([(command, flag) for command in ("features", "mcd", "batch")
                    for flag in PIPELINE_FLAGS]
@@ -515,12 +518,18 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     write_tone(tmp_path / "generated.wav", freq=440.0, duration=0.3)
     write_tone(tmp_path / "reference.wav", freq=330.0, duration=0.4)
+    jsonl(tmp_path / "train.jsonl", [{"label": "a", "id": "1", "vector": [1.0, 0.0]},
+                                     {"label": "b", "id": "1", "vector": [0.0, 1.0]}])
+    jsonl(tmp_path / "test.jsonl", [{"label": "a", "id": "2", "vector": [0.9, 0.1]},
+                                    {"label": "a", "id": "3", "vector": [0.1, 0.9]}])
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     row = namespace["row"]
     assert row.mcd_dtw_sl > 0.0
     assert (namespace["score"], namespace["eta"]) == pytest.approx((row.mcd_dtw_sl, row.eta))
+    assert namespace["train"].labels == ("a", "b")
+    assert namespace["percent"] == 50.0
 
 
 RUN_CLI = """

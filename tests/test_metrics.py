@@ -84,6 +84,15 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="unknown scale"):
             replace(PipelineConfig(), scale="conventional ")
 
+    @pytest.mark.parametrize("rate", [999, 768001, 10**9])
+    def test_sample_rate_outside_read_wav_range_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"sample_rate {rate} Hz is outside"):
+            PipelineConfig(sample_rate=rate)
+
+    @pytest.mark.parametrize("rate", [1000, 768000])
+    def test_sample_rate_range_is_inclusive(self, rate):
+        assert PipelineConfig(sample_rate=rate).sample_rate == rate
+
 
 class TestDtwAlign:
     def test_identity_is_diagonal(self, rng):

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -7,10 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dubkit.scoring import (EmbeddingFormatError, EmbeddingSet, RatingError,
-                            _nearest, accuracy, build_centroids, classify,
-                            load_embeddings, load_ratings, mos_aggregate)
+                            accuracy, build_centroids, load_embeddings, load_ratings,
+                            mos_aggregate)
 
-from helpers import at, brute_force_accuracy, jsonl
+import reference_scoring as reference
+from helpers import at, brute_force_accuracy, embeddings, jsonl
+
+
+def queries(labels, vectors):
+    """A test set built directly, so its vectors skip the loader's checks and
+    normalization and reach ``accuracy`` as they are."""
+    return EmbeddingSet(tuple(labels), np.array(vectors, dtype=np.float64))
 
 
 class TestLoadEmbeddings:
@@ -19,7 +29,8 @@ class TestLoadEmbeddings:
                      [{"label": "a", "id": "1", "vector": [3.0, 4.0]}])
         es = load_embeddings(path)
         assert es.dim == 2
-        assert np.allclose(es.records[0].vector, [0.6, 0.8], atol=1e-12)
+        assert es.labels == ("a",)
+        assert np.allclose(es.vectors[0], [0.6, 0.8], atol=1e-12)
 
     def test_ragged_dimensions_name_line(self, tmp_path):
         path = jsonl(tmp_path / "e.jsonl", [
@@ -51,9 +62,9 @@ class TestLoadEmbeddings:
     def test_extreme_magnitudes_normalized(self, vector, unit):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            es = EmbeddingSet.from_rows([("a", "1", vector), ("b", "1", [0.0, 1.0])])
+            es = embeddings([("a", "1", vector), ("b", "1", [0.0, 1.0])])
             model = build_centroids(es)
-        assert np.allclose(es.records[0].vector, unit, rtol=0.0, atol=1e-15)
+        assert np.allclose(es.vectors[0], unit, rtol=0.0, atol=1e-15)
         assert model.labels == ("a", "b")
 
     def test_duplicate_label_id_rejected(self, tmp_path):
@@ -63,6 +74,24 @@ class TestLoadEmbeddings:
         ])
         with pytest.raises(EmbeddingFormatError, match="duplicate"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("field", ["label", "id"])
+    @pytest.mark.parametrize("value", ["null", "true", "[1]", '{"a": 1}'])
+    def test_non_scalar_label_or_id_names_line(self, tmp_path, field, value):
+        # a null read through str() would be "None", the first row's real label
+        row = {"label": '"None"', "id": '"2"'}
+        row[field] = value
+        path = tmp_path / "e.jsonl"
+        path.write_text('{"label": "None", "id": "1", "vector": [1.0, 0.0]}\n'
+                        '{"label": %(label)s, "id": %(id)s, "vector": [0.0, 1.0]}\n' % row)
+        with pytest.raises(EmbeddingFormatError,
+                           match=at(path, 2) + f"{field} must be a string or a number$"):
+            load_embeddings(path)
+
+    def test_number_label_and_id_are_text(self, tmp_path):
+        path = jsonl(tmp_path / "e.jsonl", [{"label": 7, "id": 1.5, "vector": [1.0]},
+                                            {"label": "7", "id": "2", "vector": [1.0]}])
+        assert load_embeddings(path).labels == ("7", "7")
 
     def test_missing_field_names_line(self, tmp_path):
         path = jsonl(tmp_path / "e.jsonl", [{"label": "a", "vector": [1.0]}])
@@ -85,31 +114,29 @@ class TestLoadEmbeddings:
 
 class TestBuildCentroids:
     def test_single_member_centroid_is_the_unit_vector(self):
-        es = EmbeddingSet.from_rows([("a", "1", [3.0, 4.0])])
+        es = embeddings([("a", "1", [3.0, 4.0])])
         model = build_centroids(es)
         assert np.allclose(model.centroids["a"], [0.6, 0.8], atol=1e-12)
 
     def test_opposite_vectors_flagged_degenerate(self):
-        es = EmbeddingSet.from_rows([("a", "1", [1.0, 0.0]),
-                                     ("a", "2", [-1.0, 0.0])])
+        es = embeddings([("a", "1", [1.0, 0.0]), ("a", "2", [-1.0, 0.0])])
         model = build_centroids(es)
         assert "a" not in model.labels
         assert np.allclose(model.centroids["a"], [0.0, 0.0], atol=1e-12)
 
     def test_mean_of_two_axes(self):
-        es = EmbeddingSet.from_rows([("a", "1", [1.0, 0.0]),
-                                     ("a", "2", [0.0, 1.0])])
+        es = embeddings([("a", "1", [1.0, 0.0]), ("a", "2", [0.0, 1.0])])
         model = build_centroids(es)
         assert np.allclose(model.centroids["a"], [0.5, 0.5], atol=1e-12)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            build_centroids(EmbeddingSet([], None))
+            build_centroids(EmbeddingSet((), np.empty((0, 0))))
 
     def test_units_are_the_sorted_labels_at_unit_length(self):
-        es = EmbeddingSet.from_rows([("b", "1", [3.0, 4.0]), ("a", "1", [1.0, 0.0]),
-                                     ("a", "2", [0.0, 1.0]), ("z", "1", [0.0, 2.0]),
-                                     ("z", "2", [0.0, -2.0])])
+        es = embeddings([("b", "1", [3.0, 4.0]), ("a", "1", [1.0, 0.0]),
+                         ("a", "2", [0.0, 1.0]), ("z", "1", [0.0, 2.0]),
+                         ("z", "2", [0.0, -2.0])])
         model = build_centroids(es)
         assert model.labels == ("a", "b")
         assert sorted(model.centroids) == ["a", "b", "z"]
@@ -118,42 +145,41 @@ class TestBuildCentroids:
 
 
 class TestClassify:
+    """Nearest-centroid classification of single queries, seen through
+    ``accuracy``: 100 when the query's own label wins, else 0."""
+
     def model(self):
-        return build_centroids(EmbeddingSet.from_rows([
+        return build_centroids(embeddings([
             ("e1", "1", [1.0, 0.0]),
             ("e2", "1", [0.0, 1.0]),
         ]))
 
     def test_query_equal_to_centroid(self):
-        label, sim = classify([1.0, 0.0], self.model())
-        assert label == "e1"
-        assert sim == pytest.approx(1.0, abs=1e-12)
+        assert accuracy(queries(["e1"], [[1.0, 0.0]]), self.model()) == 100.0
 
     def test_hand_case(self):
         # cosine(v, e1) = 0.9939, cosine(v, e2) = 0.1104
         v = np.array([0.9, 0.1]) / np.hypot(0.9, 0.1)
-        label, sim = classify(v, self.model())
-        assert label == "e1"
-        assert sim == pytest.approx(0.9 / math.hypot(0.9, 0.1), abs=1e-9)
+        model = self.model()
+        assert accuracy(queries(["e1"], [v]), model) == 100.0
+        assert accuracy(queries(["e2"], [v]), model) == 0.0
 
     def test_orthogonal_query_breaks_tie_lexicographically(self):
-        model = build_centroids(EmbeddingSet.from_rows([
+        model = build_centroids(embeddings([
             ("b", "1", [1.0, 0.0, 0.0]),
             ("a", "1", [0.0, 1.0, 0.0]),
         ]))
-        label, sim = classify([0.0, 0.0, 1.0], model)
-        assert label == "a"
-        assert sim == pytest.approx(0.0, abs=1e-12)
+        assert accuracy(queries(["a"], [[0.0, 0.0, 1.0]]), model) == 100.0
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=40)
     def test_invariant_to_positive_scaling(self, scale):
-        model = build_centroids(EmbeddingSet.from_rows([
+        model = build_centroids(embeddings([
             ("x", "1", [0.8, 0.2, 0.1]),
             ("y", "1", [-0.3, 0.9, 0.2]),
         ]))
         v = np.array([0.5, 0.4, -0.2])
-        assert classify(v, model)[0] == classify(v * scale, model)[0]
+        assert accuracy(queries(["x"], [v * scale]), model) == 100.0
 
     @pytest.mark.parametrize("query,label", [
         ([0.0, 1e200], "e2"), ([0.0, 1e-200], "e2"), ([1.7e308, 0.0], "e1"),
@@ -161,46 +187,42 @@ class TestClassify:
     def test_extreme_query_magnitudes(self, query, label):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert classify(query, self.model()) == (label, 1.0)
+            assert accuracy(queries([label], [query]), self.model()) == 100.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            classify([1.0, 0.0, 0.0], self.model())
+        with pytest.raises(ValueError, match="query dimension"):
+            accuracy(embeddings([("e1", "1", [1.0, 0.0, 0.0])]), self.model())
 
     def test_zero_query_rejected(self):
-        with pytest.raises(ValueError):
-            classify([0.0, 0.0], self.model())
+        with pytest.raises(ValueError, match="zero vector"):
+            accuracy(queries(["e1", "e2"], [[1.0, 0.0], [0.0, 0.0]]), self.model())
 
     def test_all_degenerate_rejected(self):
-        model = build_centroids(EmbeddingSet.from_rows([
+        model = build_centroids(embeddings([
             ("a", "1", [1.0, 0.0]), ("a", "2", [-1.0, 0.0]),
         ]))
         with pytest.raises(ValueError, match="degenerate"):
-            classify([1.0, 0.0], model)
-        with pytest.raises(ValueError, match="degenerate"):
-            accuracy(EmbeddingSet.from_rows([("a", "1", [1.0, 0.0])]), model)
+            accuracy(embeddings([("a", "1", [1.0, 0.0])]), model)
 
     def test_degenerate_label_never_predicted(self):
         # "a" nearly cancels to (0, 1e-13): scaled to unit length it would win along +y
-        model = build_centroids(EmbeddingSet.from_rows([
+        model = build_centroids(embeddings([
             ("a", "1", [1.0, 1e-13]), ("a", "2", [-1.0, 1e-13]), ("b", "1", [1.0, 0.0]),
         ]))
         assert model.labels == ("b",)
-        for query in ([0.0, 1.0], [-1.0, 0.0], [0.3, 0.7]):
-            assert classify(query, model)[0] == "b"
-        test = EmbeddingSet.from_rows([("a", str(i), v) for i, v in
-                                       enumerate(([0.0, 1.0], [-1.0, 0.0], [0.3, 0.7]))])
-        assert accuracy(test, model) == 0.0
+        vectors = ([0.0, 1.0], [-1.0, 0.0], [0.3, 0.7])
+        assert accuracy(queries(["b"] * 3, vectors), model) == 100.0
+        assert accuracy(queries(["a"] * 3, vectors), model) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            classify([bad, 0.0], self.model())
+            accuracy(queries(["e1", "e2"], [[1.0, 0.0], [bad, 0.0]]), self.model())
 
     @pytest.mark.parametrize("query", [[[1.0, 0.0]], 1.0])
     def test_query_must_be_one_vector(self, query):
         with pytest.raises(ValueError, match="query dimension"):
-            classify(query, self.model())
+            accuracy(queries(["e1"], [query]), self.model())
 
 
 def tied_model(rng, n_labels, dim, first, second, n_queries):
@@ -218,20 +240,16 @@ def tied_model(rng, n_labels, dim, first, second, n_queries):
             vector = rng.normal(size=dim)
             vector[0] = -abs(vector[0]) - 0.5
         rows.append((f"L{i:02d}", "1", vector.tolist()))
-    queries = shared + 0.05 * rng.normal(size=(n_queries, dim))
-    return build_centroids(EmbeddingSet.from_rows(rows)), queries
+    vectors = shared + 0.05 * rng.normal(size=(n_queries, dim))
+    return build_centroids(embeddings(rows)), vectors
 
 
 class TestExactTies:
     def check(self, rng, n_labels, dim, first, second, n_queries):
-        model, queries = tied_model(rng, n_labels, dim, first, second, n_queries)
+        model, vectors = tied_model(rng, n_labels, dim, first, second, n_queries)
         assert np.array_equal(model.units[first], model.units[second])
-        winner = f"L{first:02d}"
-        for q in queries:
-            assert classify(q, model)[0] == winner
-        test = EmbeddingSet.from_rows([(winner, str(k), q.tolist())
-                                       for k, q in enumerate(queries)])
-        assert accuracy(test, model) == 100.0
+        # 100 only if every query goes to the smaller of the two tied labels
+        assert accuracy(queries([f"L{first:02d}"] * n_queries, vectors), model) == 100.0
 
     def test_three_labels_dim_sixteen_one_query(self, rng):
         for _ in range(20):
@@ -247,20 +265,105 @@ class TestExactTies:
         self.check(rng, n_labels, dim, first, second, data.draw(st.integers(1, 40)))
 
 
-class TestRowAgainstBatch:
-    @given(st.integers(1, 70), st.integers(1, 256), st.integers(1, 60),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_classify_is_the_batch_row(self, n_labels, dim, n_queries, seed):
-        rng = np.random.default_rng(seed)
-        model = build_centroids(EmbeddingSet.from_rows(
-            [(f"L{i:02d}", "1", rng.normal(size=dim).tolist()) for i in range(n_labels)]))
-        queries = rng.normal(size=(n_queries, dim))
-        best, sims = _nearest(queries, model)
-        for q, i, sim in zip(queries, best, sims):
-            label, single = classify(q, model)
-            assert label == model.labels[i]
-            assert single == sim  # bit-equal, not approximately equal
+# entries whose sum of squares overflows, underflows or is subnormal
+EXTREMES = (1e200, -1e200, 1e-200, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.0)
+
+
+def _bad_line(kind, dim, earlier):
+    """One line that fails the loader as ``kind`` does; a duplicate repeats
+    the first line, so it needs one before it."""
+    if kind == "duplicate" and earlier:
+        return earlier[0]
+    row = {"label": "bad", "id": "x", "vector": [1.0] * dim}
+    if kind == "not numeric":
+        row["vector"] = ["x"] * dim
+    elif kind == "nested":
+        row["vector"] = [[1.0]] * dim
+    elif kind == "empty":
+        row["vector"] = []
+    elif kind == "dimension":
+        row["vector"] = [1.0] * (dim + 1)
+    elif kind == "zero":
+        row["vector"] = [0.0] * dim
+    elif kind == "missing field":
+        del row["id"]
+    text = json.dumps(row)
+    if kind == "non-finite":
+        text = text.replace("1.0", "NaN" if dim % 2 else "1e999", 1)
+    return {"invalid JSON": text[:-3], "not an object": "[1, 2]"}.get(kind, text)
+
+
+@st.composite
+def embedding_files(draw, dim):
+    """The bytes of an embedding file: valid rows with extreme magnitudes
+    mixed in, 0-2 bad rows at random lines, blank lines, LF and CRLF."""
+    entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(EXTREMES))
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        vector = draw(st.lists(entry, min_size=dim, max_size=dim))
+        if not any(vector):
+            vector[0] = 1.0
+        label = draw(st.sampled_from(["a", "b", "c", 7, 2.5]))
+        lines.append(json.dumps({"label": label, "id": str(i), "vector": vector}))
+    kinds = ["not numeric", "nested", "empty", "non-finite", "dimension", "zero",
+             "duplicate", "missing field", "invalid JSON", "not an object"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), _bad_line(kind, dim, lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "  ", "\t"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestAgainstReference:
+    """The one-matrix loader against the record-per-row path it replaced."""
+
+    @given(st.integers(1, 6).flatmap(lambda dim: st.tuples(embedding_files(dim),
+                                                            embedding_files(dim))))
+    @settings(max_examples=200, deadline=None)
+    def test_same_sets_centroids_accuracy_and_first_error(self, files):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = []
+            for name, data in zip(("train", "test"), files):
+                path = os.path.join(tmp, f"{name}.jsonl")
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                ours, error = _outcome(load_embeddings, path)
+                theirs, expected = _outcome(reference.load_embeddings, path)
+                assert error == expected
+                if ours is not None:
+                    assert ours.labels == tuple(r.label for r in theirs.records)
+                    assert ours.dim == theirs.dim
+                    if len(ours):
+                        assert np.array_equal(
+                            _bits(ours.vectors), _bits([r.vector for r in theirs.records]))
+                loaded.append((ours, theirs))
+        (train, ref_train), (test, ref_test) = loaded
+        if train is None or not len(train):
+            return
+        model, ref_model = build_centroids(train), reference.build_centroids(ref_train)
+        assert model.labels == ref_model.labels
+        assert np.array_equal(_bits(model.units), _bits(ref_model.units))
+        assert list(model.centroids) == list(ref_model.centroids)
+        for label, centroid in model.centroids.items():
+            assert np.array_equal(_bits(centroid), _bits(ref_model.centroids[label]))
+        if test is not None:
+            assert (_outcome(accuracy, test, model)
+                    == _outcome(reference.accuracy, ref_test, ref_model))
 
 
 def random_cluster_sets(rng, n_labels, n_train, n_test, dim=6, spread=0.3):
@@ -287,14 +390,13 @@ class TestAccuracy:
                 vec[axis] = 1.0
                 vec[(axis + 1) % 3] = 0.05 * (i - 1.5)
                 rows.append((f"c{axis}", f"{axis}-{i}", vec))
-        es = EmbeddingSet.from_rows(rows)
+        es = embeddings(rows)
         model = build_centroids(es)
         assert accuracy(es, model) == 100.0
 
     def test_absent_labels_score_zero(self):
-        train = EmbeddingSet.from_rows([("a", "1", [1.0, 0.0])])
-        test = EmbeddingSet.from_rows([("z", "1", [1.0, 0.0]),
-                                       ("q", "2", [0.0, 1.0])])
+        train = embeddings([("a", "1", [1.0, 0.0])])
+        test = embeddings([("z", "1", [1.0, 0.0]), ("q", "2", [0.0, 1.0])])
         assert accuracy(test, build_centroids(train)) == 0.0
 
     def test_matches_brute_force_oracle(self, rng):
@@ -307,14 +409,13 @@ class TestAccuracy:
             expected = brute_force_accuracy(
                 [(label, vec) for label, _, vec in train_rows],
                 [(label, vec) for label, _, vec in test_rows])
-            ours = accuracy(EmbeddingSet.from_rows(test_rows),
-                            build_centroids(EmbeddingSet.from_rows(train_rows)))
+            ours = accuracy(embeddings(test_rows), build_centroids(embeddings(train_rows)))
             assert ours == expected
 
     def test_empty_test_set_rejected(self):
-        model = build_centroids(EmbeddingSet.from_rows([("a", "1", [1.0])]))
+        model = build_centroids(embeddings([("a", "1", [1.0])]))
         with pytest.raises(ValueError):
-            accuracy(EmbeddingSet([], None), model)
+            accuracy(EmbeddingSet((), np.empty((0, 0))), model)
 
 
 class TestMosAggregate:
