@@ -15,7 +15,7 @@ from . import __version__
 from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, clip_movie_id,
                      corpus_stats, load_manifest, split_dataset)
 from .modes import PAD_MODES, SCALES
-from .srt import parse_srt
+from .srt import load_srt
 
 # The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft,
 # resampling scipy.special, when they run), so each command imports them
@@ -167,13 +167,8 @@ def cmd_mos(args) -> dict:
     return {"config": {"ratings": args.ratings}, **summary.to_dict()}
 
 
-def _read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def cmd_srt_parse(args) -> dict:
-    entries = parse_srt(_read_text(args.srt))
+    entries = load_srt(args.srt)
     return {
         "config": {"srt": args.srt},
         "n_entries": len(entries),
@@ -186,7 +181,7 @@ def cmd_srt_plan(args) -> dict:
         clip_movie_id(args.movie, args.movie_id)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    entries = parse_srt(_read_text(args.srt))
+    entries = load_srt(args.srt)
     plan = build_clip_plan(entries, movie_path=args.movie, out_dir=args.out_dir,
                            audio_mode=args.audio_mode, movie_id=args.movie_id,
                            emit_commands=args.emit_commands)

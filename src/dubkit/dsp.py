@@ -11,17 +11,17 @@ from functools import lru_cache
 import numpy as np
 
 PITCH_FRAME_LENGTH = 2048
-PITCH_BLOCK = 128  # frames per pitch_track block; larger blocks measured slower
+# samples of frame per block of a framed kernel (see _blocks): 256 rows at
+# fft_size 1024, 128 pitch frames, so a block stays about 2 MiB of float64
+# whatever the framing. rfft magnitudes and row sums of squares do not depend
+# on where the blocks are cut; pitch does below _MIN_BLOCK rows.
+_SPECTRAL_SPAN = 1 << 18
 # 8 frames x 2049 bins x 16 B = 256 KiB of rfft output, numpy's NPY_MIN_ELIDE_BYTES:
 # from there on numpy elides the conj temporary in pitch_track's spectrum product
 # (see _pitch_block). If a numpy upgrade moves that threshold, pitch drifts by an
 # ulp at block edges and tests/test_pitch_kernel.py's block-boundary test fails.
-_MIN_PITCH_BLOCK = 8
-# samples of frame per stft_magnitude / energy_track block: 256 rows at fft_size
-# 1024, and a large fft_size gets fewer rows, so a block stays about 2 MiB of
-# float64 whatever the framing. rfft magnitudes and row sums of squares do not
-# depend on where the blocks are cut, so any block size gives the same bits.
-_SPECTRAL_SPAN = 1 << 18
+_MIN_BLOCK = 8
+_MEL_FLOOR = 1e-10  # mel power below this is logged as log(_MEL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,10 @@ class Spectrogram:
 
 @dataclass(frozen=True, eq=False)
 class MelSpectrogram:
-    """T x n_mels log filterbank energies, floored at log(floor)."""
+    """T x n_mels log filterbank energies."""
 
     frames: np.ndarray
-    n_mels: int
-    fmin: float
-    fmax: float
-    floor: float
     frame_rate: float
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +71,6 @@ class MfccSequence:
 
     frames: np.ndarray
     frame_rate: float
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.frames.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +93,7 @@ def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
     """Centered framing: reflect-pad length//2 on both ends."""
     pad = length // 2
     padded = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + (len(padded) - length) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(padded, length)[::hop]
-    return frames[:n_frames]
+    return np.lib.stride_tricks.sliding_window_view(padded, length)[::hop]
 
 
 @lru_cache(maxsize=16)
@@ -150,9 +132,14 @@ def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
 
 
 def _blocks(n_rows: int, row_length: int):
-    """(lo, hi) row ranges of at most _SPECTRAL_SPAN // row_length rows."""
-    rows = max(1, _SPECTRAL_SPAN // row_length)
-    return ((lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows))
+    """(lo, hi) ranges covering rows 0..n_rows in order, _SPECTRAL_SPAN //
+    row_length rows each but never fewer than _MIN_BLOCK; a tail shorter
+    than _MIN_BLOCK joins the block before it."""
+    rows = max(_MIN_BLOCK, _SPECTRAL_SPAN // row_length)
+    starts = list(range(0, n_rows, rows))
+    if len(starts) > 1 and n_rows - starts[-1] < _MIN_BLOCK:
+        starts.pop()
+    return zip(starts, starts[1:] + [n_rows])
 
 
 def hz_to_mel(f):
@@ -184,8 +171,8 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
 
 
 def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
-                    fmax: float = 8000.0, floor: float = 1e-10) -> MelSpectrogram:
-    """Log mel power spectrogram: log(max(floor, filterbank @ magnitude^2))."""
+                    fmax: float = 8000.0) -> MelSpectrogram:
+    """Log mel power spectrogram: log(max(_MEL_FLOOR, filterbank @ magnitude^2))."""
     fb = mel_filterbank(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax)
     power = s.frames**2
     # One matmul over every frame, not blocks as in stft_magnitude: below a
@@ -194,8 +181,7 @@ def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
     # scipy-openblas 0.3.31 (mels x bins: rows): 80 x 513: 16, 80 x 1025: 13,
     # 40 x 513: 31, 20 x 513: 61, 10 x 129: 121, 2 x 33: over 600.
     mel_power = power @ fb.T
-    frames = np.log(np.maximum(floor, mel_power))
-    return MelSpectrogram(frames, n_mels, fmin, fmax, floor, s.frame_rate)
+    return MelSpectrogram(np.log(np.maximum(_MEL_FLOOR, mel_power)), s.frame_rate)
 
 
 def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
@@ -204,8 +190,9 @@ def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
     Keeps coefficients 1..n_coeffs; the 0th (frame log energy) is dropped,
     so n_coeffs must be below the band count.
     """
-    if not 1 <= n_coeffs < m.n_mels:
-        raise ValueError(f"n_coeffs must be in [1, {m.n_mels - 1}], got {n_coeffs}")
+    n_mels = m.frames.shape[1]
+    if not 1 <= n_coeffs < n_mels:
+        raise ValueError(f"n_coeffs must be in [1, {n_mels - 1}], got {n_coeffs}")
     from scipy.fft import dct
 
     cepstra = dct(m.frames, type=2, norm="ortho", axis=1)
@@ -230,8 +217,8 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     with no dip below the threshold are unvoiced and report 0. The longest
     measurable period is PITCH_FRAME_LENGTH/2 samples, which caps how low
     f_min can effectively reach. ``voicing_threshold`` must be finite and
-    positive. Frames are analysed PITCH_BLOCK at a time, so the working
-    memory does not grow with the clip.
+    positive. Frames are analysed a block at a time (see _blocks), so the
+    working memory does not grow with the clip.
     """
     x = w.mono_samples()
     sr = w.sample_rate
@@ -249,13 +236,8 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
         raise ValueError(f"band [{f_min}, {f_max}] Hz is degenerate at rate {sr}")
 
     frames = _frame(x, PITCH_FRAME_LENGTH, hop)
-    n_frames = len(frames)
-    # a tail shorter than _MIN_PITCH_BLOCK joins the block before it (see _pitch_block)
-    starts = list(range(0, n_frames, PITCH_BLOCK))
-    if len(starts) > 1 and n_frames - starts[-1] < _MIN_PITCH_BLOCK:
-        starts.pop()
-    values = np.zeros(n_frames)
-    for lo, hi in zip(starts, starts[1:] + [n_frames]):
+    values = np.zeros(len(frames))
+    for lo, hi in _blocks(len(frames), PITCH_FRAME_LENGTH):
         values[lo:hi] = _pitch_block(frames[lo:hi], sr, f_min, f_max,
                                      voicing_threshold, tau_min, tau_max)
     return PitchTrack(values, sr / hop)
@@ -273,7 +255,7 @@ def _pitch_block(frames: np.ndarray, sr: int, f_min: float, f_max: float,
     n_fft = 2 * PITCH_FRAME_LENGTH
     spec_full = rfft(frames, n=n_fft, axis=1)
     spec_head = rfft(frames[:, :win], n=n_fft, axis=1)
-    # Keep this product as written. From 256 KiB (_MIN_PITCH_BLOCK frames) on,
+    # Keep this product as written. From 256 KiB (_MIN_BLOCK frames) on,
     # numpy reuses the conj temporary and computes conj * full in place, and
     # the swapped operands round differently in the FMA loop. So that a
     # frame's pitch does not depend on where the blocks are cut, no block is

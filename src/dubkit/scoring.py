@@ -110,7 +110,9 @@ def load_embeddings(path) -> EmbeddingSet:
                                 EmbeddingFormatError)
     if not vectors:
         return EmbeddingSet((), np.empty((0, 0)))
-    return EmbeddingSet(tuple(labels), _normalize(np.array(vectors))[0])
+    stacked = np.array(vectors)
+    vectors.clear()  # the rows live on in ``stacked`` alone
+    return EmbeddingSet(tuple(labels), _normalize(stacked)[0])
 
 
 @dataclass(frozen=True, eq=False)

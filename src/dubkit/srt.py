@@ -111,6 +111,22 @@ def parse_srt(text: str) -> list[SrtEntry]:
     return entries
 
 
+def load_srt(path) -> list[SrtEntry]:
+    """Parse the SRT file at ``path`` (see parse_srt). A byte sequence that
+    is not valid UTF-8 raises SrtParseError naming its 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        # lines end as parse_srt splits them: at \n, \r\n and a lone \r
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise SrtParseError(f"{path}:{lineno}: invalid UTF-8 byte "
+                            f"0x{data[exc.start]:02x} ({exc.reason})") from None
+    return parse_srt(text)
+
+
 def format_timestamp(ms: int) -> str:
     hours, rem = divmod(ms, 3_600_000)
     minutes, rem = divmod(rem, 60_000)

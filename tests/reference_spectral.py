@@ -7,7 +7,18 @@ imported by dubkit.
 import numpy as np
 from scipy.fft import rfft
 
-from dubkit.dsp import EnergyTrack, FrameParams, Spectrogram, _frame, _hann
+from dubkit.dsp import EnergyTrack, FrameParams, Spectrogram, _hann
+
+
+def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """Centered framing: reflect-pad length//2 on both ends. A copy of
+    ``dubkit.dsp._frame`` as it stood, so that a change to the framing there
+    is not followed by the oracle."""
+    pad = length // 2
+    padded = np.pad(x, pad, mode="reflect")
+    n_frames = 1 + (len(padded) - length) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(padded, length)[::hop]
+    return frames[:n_frames]
 
 
 def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:

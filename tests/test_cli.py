@@ -359,6 +359,16 @@ class TestSrtCommands:
         assert code == 1
         assert "entry 1" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("command", [["parse"], ["plan", "--movie", "m.mkv"]])
+    def test_invalid_utf8_exit_one(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.srt"
+        path.write_bytes(b"1\r\n00:00:01,000 --> 00:00:02,500\r\nHello \xff there\r\n")
+        code, out, err = invoke(capsys, "srt", command[0], str(path), *command[1:])
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "SrtParseError"
+        assert error["message"] == f"{path}:3: invalid UTF-8 byte 0xff (invalid start byte)"
+
     def test_plan_overlong_hours_exit_one(self, tmp_path, capsys):
         path = tmp_path / "big.srt"
         path.write_text("1\n" + "9" * 400 + ":00:01,000 --> " + "9" * 400 + ":00:02,000\nhi\n")

@@ -63,7 +63,7 @@ class TestStft:
 class TestMel:
     def test_silence_hits_log_floor(self):
         spec = stft_magnitude(Waveform(np.zeros(3000), SR))
-        mel = mel_spectrogram(spec, floor=1e-10)
+        mel = mel_spectrogram(spec)
         assert np.all(mel.frames == np.log(1e-10))
 
     def test_filterbank_rows_triangular(self):
@@ -102,21 +102,20 @@ class TestMel:
 
     def test_frame_count_preserved(self):
         spec = stft_magnitude(tone_wave(440))
-        assert mel_spectrogram(spec).n_frames == spec.n_frames
+        assert mel_spectrogram(spec).frames.shape[0] == spec.n_frames
 
 
 class TestMfcc:
     def test_constant_logmel_has_no_ac_coefficients(self):
         frames = np.full((5, 80), 3.7)
-        mel = MelSpectrogram(frames, 80, 0.0, 8000.0, 1e-10, SR / 256)
+        mel = MelSpectrogram(frames, SR / 256)
         out = mfcc(mel, 13)
         assert np.all(np.abs(out.frames) < 1e-9)
 
     def test_output_shape(self):
         mel = mel_spectrogram(stft_magnitude(tone_wave(440)))
         out = mfcc(mel, 13)
-        assert out.frames.shape == (mel.n_frames, 13)
-        assert out.n_coeffs == 13
+        assert out.frames.shape == (mel.frames.shape[0], 13)
 
     def test_k_out_of_range(self):
         mel = mel_spectrogram(stft_magnitude(tone_wave(440)))
@@ -127,7 +126,7 @@ class TestMfcc:
 
     def test_k_must_leave_out_the_zeroth(self):
         # c0 is always dropped, so 20 bands give at most 19 coefficients
-        mel = MelSpectrogram(np.full((3, 20), 2.0), 20, 0.0, 8000.0, 1e-10, SR / 256)
+        mel = MelSpectrogram(np.full((3, 20), 2.0), SR / 256)
         assert mfcc(mel, 19).frames.shape == (3, 19)
         with pytest.raises(ValueError, match=r"\[1, 19\]"):
             mfcc(mel, 20)
@@ -220,3 +219,29 @@ def test_hann_window_is_scipys():
         window = dsp._hann(length)
         assert np.array_equal(window, get_window("hann", length, fftbins=True)), length
         assert not window.flags.writeable
+
+
+class TestBlocks:
+    """dsp._blocks, the block rule of stft_magnitude, energy_track and pitch_track."""
+
+    @pytest.mark.parametrize("row_length", [1024, 2048, 4096, 2**18, 2**19])
+    def test_ranges_cover_the_rows_within_bounds(self, row_length):
+        rows = max(dsp._MIN_BLOCK, dsp._SPECTRAL_SPAN // row_length)
+        for n_rows in range(3 * rows + 9):
+            blocks = list(dsp._blocks(n_rows, row_length))
+            assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n_rows))
+            sizes = [hi - lo for lo, hi in blocks]
+            assert all(0 < size <= rows + dsp._MIN_BLOCK - 1 for size in sizes), sizes
+            if len(blocks) > 1:
+                assert min(sizes) >= dsp._MIN_BLOCK, sizes
+
+    def test_pitch_cuts_are_128_frames_with_short_tails_merged(self):
+        # the rule pitch_track applied before it shared _blocks
+        def cuts(n_frames):
+            starts = list(range(0, n_frames, 128))
+            if len(starts) > 1 and n_frames - starts[-1] < 8:
+                starts.pop()
+            return list(zip(starts, starts[1:] + [n_frames]))
+
+        for n_frames in range(3 * 128 + 9):
+            assert list(dsp._blocks(n_frames, dsp.PITCH_FRAME_LENGTH)) == cuts(n_frames)

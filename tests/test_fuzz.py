@@ -26,15 +26,14 @@ WORKER = """\
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 from dubkit.audio import read_wav, resample, to_mono
-from dubkit.srt import parse_srt
+from dubkit.srt import load_srt
 for line in sys.stdin:
     kind, path = json.loads(line)
     try:
         if kind == "wav":
             resample(to_mono(read_wav(path)), 22050)
         else:
-            with open(path, encoding="utf-8") as fh:
-                parse_srt(fh.read())
+            load_srt(path)
         outcome = "ok"
     except Exception as exc:
         outcome = f"{type(exc).__name__}: {exc}"
@@ -129,14 +128,29 @@ SRT_TOKENS = st.sampled_from(["-->", ":", ",", " ", "\n", "\n\n", "\r\n", "\r", 
                               "9" * 5000]) | st.text(max_size=4)
 
 
+# bytes that break UTF-8: a byte that never starts a character, a lone lead
+# byte of a 2-byte sequence, and a 3-byte sequence ("€") cut after 2 bytes
+BAD_UTF8 = st.sampled_from([b"\xff", b"\xc3", "€".encode()[:2]])
+
+
 @settings(max_examples=250, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, len(SRT)), st.integers(0, 3), SRT_TOKENS),
-                min_size=1, max_size=4))
-def test_srt_edits_raise_typed_errors(worker, case_dir, edits):
+                min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 2**16), BAD_UTF8), max_size=2))
+def test_srt_edits_raise_typed_errors(worker, case_dir, edits, byte_edits):
     text = SRT
     for position, deleted, inserted in edits:
         text = text[:position] + inserted + text[position + deleted:]
+    data = text.encode("utf-8")
+    for position, inserted in byte_edits:
+        position %= len(data) + 1
+        data = data[:position] + inserted + data[position:]
     path = case_dir / "case.srt"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_bytes(data)
     outcome = worker.run("srt", path)
     assert outcome.startswith(ALLOWED), outcome
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert outcome.startswith(f"SrtParseError: {path}:"), outcome
+        assert "invalid UTF-8 byte" in outcome, outcome

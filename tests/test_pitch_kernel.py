@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dubkit.audio import Waveform
-from dubkit.dsp import PITCH_BLOCK, PITCH_FRAME_LENGTH, pitch_track
+from dubkit.dsp import _SPECTRAL_SPAN, PITCH_FRAME_LENGTH, pitch_track
 
 import reference_pitch
 
@@ -68,7 +68,8 @@ def test_matches_reference_tracker(case):
 # numpy evaluates the spectrum product in another operand order below 8
 # frames than at 8 or more; a tail block of 1-7 frames not merged into the
 # block before it gives some frames a pitch 1 ulp off the reference.
-BOUNDARY_FRAMES = [*range(1, 8), *(PITCH_BLOCK * k + r for k in (1, 2) for r in range(1, 8))]
+BLOCK = _SPECTRAL_SPAN // PITCH_FRAME_LENGTH  # frames per pitch block: 128
+BOUNDARY_FRAMES = [*range(1, 8), *(BLOCK * k + r for k in (1, 2) for r in range(1, 8))]
 
 
 @pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,23 @@ class TestLoadEmbeddings:
                      [{"label": "a", "id": "1", "vector": ["x", "y"]}])
         with pytest.raises(EmbeddingFormatError, match=at(path, 1) + ".*not numeric"):
             load_embeddings(path)
+
+    def test_peak_memory_is_about_twice_the_matrix(self, tmp_path, rng):
+        # the stacked rows and the normalized result; holding the per-row
+        # arrays as well would make it about 3.2x
+        path = tmp_path / "e.jsonl"
+        with open(path, "w") as fh:
+            for k, vector in enumerate(rng.standard_normal((2000, 192)).tolist()):
+                fh.write(json.dumps({"label": f"spk{k % 50}", "id": str(k),
+                                     "vector": vector}) + "\n")
+        tracemalloc.start()
+        try:
+            es = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert es.vectors.shape == (2000, 192)
+        assert peak < 2.7 * es.vectors.nbytes
 
 
 class TestBuildCentroids:

@@ -70,8 +70,11 @@ def spectral_cases(draw):
 
 
 def assert_same_features(w, p, rows):
+    # blocks of exactly ``rows`` rows: the span gives that many per block, and
+    # a _MIN_BLOCK of 1 leaves blocks below 8 rows and short tails as they are
     span = rows * p.fft_size if rows else dsp._SPECTRAL_SPAN
-    with mock.patch.object(dsp, "_SPECTRAL_SPAN", span):
+    min_block = 1 if rows else dsp._MIN_BLOCK
+    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span, _MIN_BLOCK=min_block):
         got = stft_magnitude(w, p)
         got_energy = energy_track(got)
     expected = reference_spectral.stft_magnitude(w, p)

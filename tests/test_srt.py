@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dubkit.srt import SrtEntry, SrtParseError, format_timestamp, parse_srt, \
+from dubkit.srt import SrtEntry, SrtParseError, format_timestamp, load_srt, parse_srt, \
     serialize_srt
 
 SIMPLE = """1
@@ -108,6 +108,37 @@ class TestParse:
     def test_empty_input_gives_no_entries(self):
         assert parse_srt("") == []
         assert parse_srt("\n\n\n") == []
+
+
+class TestLoad:
+    def test_reads_what_parse_srt_parses(self, tmp_path):
+        data = "\ufeff1\r\n00:00:01,000 --> 00:00:02,500\r\nCafé\r\n\r\n2\r00:00:03,000 --> 00:00:04,000\rb\r"
+        path = tmp_path / "s.srt"
+        path.write_bytes(data.encode("utf-8"))
+        assert load_srt(path) == parse_srt(data) == [SrtEntry(1, 1000, 2500, "Café"),
+                                                     SrtEntry(2, 3000, 4000, "b")]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\r\r\n"])
+    @pytest.mark.parametrize("bad,reason", [(b"\xff", "0xff (invalid start byte)"),
+                                            (b"\xc3", "0xc3 (invalid continuation byte)"),
+                                            (b"\xe2\x82", "0xe2 (invalid continuation byte)")])
+    def test_invalid_utf8_names_its_line(self, tmp_path, newline, bad, reason):
+        # the bad bytes sit on the line parse_srt would report as line 3
+        lines = ["1", "00:00:01,000 --> 00:00:02,500", "Hello", "", "2"]
+        head = newline.join(lines[:2]).encode() + newline.encode()
+        path = tmp_path / "bad.srt"
+        path.write_bytes(head + b"Hel" + bad + b"lo" + newline.join([""] + lines[3:]).encode())
+        lineno = 3 if newline != "\r\r\n" else 5  # \r\r\n is a lone \r, then \r\n
+        with pytest.raises(SrtParseError) as excinfo:
+            load_srt(path)
+        assert str(excinfo.value) == f"{path}:{lineno}: invalid UTF-8 byte {reason}"
+
+    def test_sequence_cut_at_the_end_of_the_file(self, tmp_path):
+        path = tmp_path / "cut.srt"
+        path.write_bytes(SIMPLE.encode() + b"\xe2\x82")
+        with pytest.raises(SrtParseError, match=r":4: invalid UTF-8 byte 0xe2 "
+                                                r"\(unexpected end of data\)"):
+            load_srt(path)
 
 
 class TestSerialize:
