@@ -36,6 +36,8 @@ _KAISER_BETA = 0.1102 * (80.0 - 8.7)
 _RESAMPLE_ROWS = 2048
 _RESAMPLE_SPAN = 1 << 19
 _RESAMPLE_PRODUCTS = 1 << 17
+# frames the WAV readers decode per block: 1 MiB of float64 for stereo
+_DECODE_FRAMES = 1 << 16
 
 
 class UnsupportedFormatError(ValueError):
@@ -82,44 +84,46 @@ class Waveform:
         return self.samples if self.samples.ndim == 1 else self.samples[:, 0]
 
 
-def _read_exact(fh, n, what):
+def _check_size(fh, n, path, what):
     # checked before reading, so a corrupt size cannot size the read buffer
     left = max(0, os.fstat(fh.fileno()).st_size - fh.tell())
     if n > left:
-        raise TruncatedFileError(f"file ends inside {what} ({left} of {n} bytes)")
-    return fh.read(n)
+        raise TruncatedFileError(f"{path}: file ends inside {what} ({left} of {n} bytes)")
 
 
-def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file into a Waveform.
+def _open_data(fh, path):
+    """Parse and check the header of the RIFF/WAVE file open as ``fh``.
 
-    Supports 16-bit PCM and 32-bit IEEE float payloads (including the
-    WAVE_FORMAT_EXTENSIBLE wrappers around them), any channel count and
-    rates from MIN_SAMPLE_RATE to MAX_SAMPLE_RATE. PCM samples are
-    normalized by 1/32768.
+    Returns the rate, the channel count, the sample count and the data
+    chunk's float64 blocks (see _decode). Errors come in one fixed order:
+    container, chunk sizes, codec, mid-sample, non-finite float sample,
+    channel count, rate, whole frames. So when a check after the
+    non-finite one fails, a float payload is scanned first.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
-            raise UnsupportedFormatError(f"{path}: not a RIFF/WAVE file")
+    header = fh.read(12)
+    if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+        raise UnsupportedFormatError(f"{path}: not a RIFF/WAVE file")
 
-        fmt = None
-        data = None
-        while True:
-            chunk_header = fh.read(8)
-            if not chunk_header:
-                break
-            if len(chunk_header) < 8:
-                raise TruncatedFileError(f"{path}: file ends inside a chunk header")
-            chunk_id, chunk_size = struct.unpack("<4sI", chunk_header)
-            if chunk_id == b"fmt ":
-                fmt = _read_exact(fh, chunk_size, "fmt chunk")
-            elif chunk_id == b"data":
-                data = _read_exact(fh, chunk_size, "data chunk")
-            else:
-                fh.seek(chunk_size, 1)
-            if chunk_size % 2:  # chunks are word-aligned
-                fh.seek(1, 1)
+    fmt = None
+    data = None
+    while True:
+        chunk_header = fh.read(8)
+        if not chunk_header:
+            break
+        if len(chunk_header) < 8:
+            raise TruncatedFileError(f"{path}: file ends inside a chunk header")
+        chunk_id, chunk_size = struct.unpack("<4sI", chunk_header)
+        if chunk_id == b"fmt ":
+            _check_size(fh, chunk_size, path, "fmt chunk")
+            fmt = fh.read(chunk_size)
+        elif chunk_id == b"data":
+            _check_size(fh, chunk_size, path, "data chunk")
+            data = (fh.tell(), chunk_size)
+            fh.seek(chunk_size, 1)
+        else:
+            fh.seek(chunk_size, 1)
+        if chunk_size % 2:  # chunks are word-aligned
+            fh.seek(1, 1)
 
     if fmt is None or len(fmt) < 16:
         raise UnsupportedFormatError(f"{path}: missing or short fmt chunk")
@@ -133,32 +137,85 @@ def read_wav(path) -> Waveform:
         format_tag = struct.unpack_from("<H", fmt, 24)[0]
 
     if format_tag == _FMT_PCM and bits == 16:
-        if len(data) % 2:
-            raise TruncatedFileError(f"{path}: data chunk ends mid-sample")
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / _PCM_SCALE
+        dtype = "<i2"
     elif format_tag == _FMT_IEEE_FLOAT and bits == 32:
-        if len(data) % 4:
-            raise TruncatedFileError(f"{path}: data chunk ends mid-sample")
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(samples)):
-            raise UnsupportedFormatError(f"{path}: float samples must be finite")
+        dtype = "<f4"
     else:
         raise UnsupportedFormatError(
             f"{path}: unsupported codec (format tag {format_tag}, {bits}-bit); "
             "only 16-bit PCM and 32-bit float are readable"
         )
+    offset, size = data
+    n_samples, rest = divmod(size, np.dtype(dtype).itemsize)
+    if rest:
+        raise TruncatedFileError(f"{path}: data chunk ends mid-sample")
 
     if n_channels < 1:
-        raise UnsupportedFormatError(f"{path}: invalid channel count {n_channels}")
-    if not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
-        raise UnsupportedFormatError(
+        late = UnsupportedFormatError(f"{path}: invalid channel count {n_channels}")
+    elif not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
+        late = UnsupportedFormatError(
             f"{path}: sample rate {sample_rate} Hz is outside "
             f"{MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
-    if samples.size % n_channels:
-        raise TruncatedFileError(f"{path}: data chunk is not a whole number of frames")
+    elif n_samples % n_channels:
+        late = TruncatedFileError(f"{path}: data chunk is not a whole number of frames")
+    else:
+        return (sample_rate, n_channels, n_samples,
+                _decode(fh, path, dtype, n_channels, offset, n_samples))
+    if dtype == "<f4":
+        for _ in _decode(fh, path, dtype, 1, offset, n_samples):
+            pass  # raises at the first non-finite sample
+    raise late
+
+
+def _decode(fh, path, dtype, n_channels, offset, n_samples):
+    """Yield (start, samples): the data chunk as float64 blocks of
+    _DECODE_FRAMES frames, in order. PCM is scaled by 1/32768; a non-finite
+    float sample raises."""
+    fh.seek(offset)
+    step = _DECODE_FRAMES * n_channels
+    itemsize = np.dtype(dtype).itemsize
+    for start in range(0, n_samples, step):
+        raw = fh.read(min(step, n_samples - start) * itemsize)
+        block = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+        if dtype == "<i2":
+            block /= _PCM_SCALE
+        elif not np.all(np.isfinite(block)):
+            raise UnsupportedFormatError(f"{path}: float samples must be finite")
+        yield start, block
+
+
+def read_wav(path) -> Waveform:
+    """Read a RIFF/WAVE file into a Waveform.
+
+    Supports 16-bit PCM and 32-bit IEEE float payloads (including the
+    WAVE_FORMAT_EXTENSIBLE wrappers around them), any channel count and
+    rates from MIN_SAMPLE_RATE to MAX_SAMPLE_RATE. PCM samples are
+    normalized by 1/32768.
+    """
+    with open(path, "rb") as fh:
+        sample_rate, n_channels, n_samples, blocks = _open_data(fh, path)
+        samples = np.empty(n_samples)
+        for start, block in blocks:
+            samples[start : start + len(block)] = block
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels)
     return Waveform(samples, sample_rate)
+
+
+def read_mono(path) -> Waveform:
+    """``to_mono(read_wav(path))``, bit for bit, without holding the
+    multichannel clip: each block of frames is averaged as it is decoded."""
+    with open(path, "rb") as fh:
+        sample_rate, n_channels, n_samples, blocks = _open_data(fh, path)
+        mono = np.empty(n_samples // n_channels)
+        for start, block in blocks:
+            lo = start // n_channels
+            out = mono[lo : lo + len(block) // n_channels]
+            if n_channels == 1:
+                out[:] = block
+            else:
+                np.mean(block.reshape(-1, n_channels), axis=1, out=out)
+    return Waveform(mono, sample_rate)
 
 
 def write_wav(path, w: Waveform) -> None:

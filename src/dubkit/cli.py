@@ -91,17 +91,16 @@ def _pitch(w, args, cfg):
 
 
 def cmd_features(args) -> dict:
-    from .audio import read_wav, resample, to_mono
+    from .audio import read_mono, resample
     from .dsp import energy_track, mel_spectrogram, mfcc, stft_magnitude
 
     cfg = _pipeline_config(args)
-    w = resample(to_mono(read_wav(args.audio)), cfg.sample_rate)
+    w = resample(read_mono(args.audio), cfg.sample_rate)
     spec = stft_magnitude(w, cfg.frame)
+    pitch = _pitch(w, args, cfg).values
+    del w  # freed before mel_spectrogram, the stage that sets the peak
     mel = mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
     coeffs = mfcc(mel, cfg.n_coeffs)
-    # pitch frames sit at the same hop * i centres, but an odd --win gives one
-    # STFT frame fewer when the clip is a whole number of hops
-    pitch = _pitch(w, args, cfg).values[: spec.n_frames]
     energy = energy_track(spec)
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
@@ -110,20 +109,22 @@ def cmd_features(args) -> dict:
         "config": config,
         "n_frames": spec.n_frames,
         "frame_rate": spec.frame_rate,
-        "mel": mel.frames.tolist(),
-        "mfcc": coeffs.frames.tolist(),
-        "pitch": pitch.tolist(),
-        "energy": energy.values.tolist(),
+        "mel": mel.frames,
+        "mfcc": coeffs.frames,
+        # pitch frames sit at the same hop * i centres, but an odd --win gives
+        # one STFT frame fewer when the clip is a whole number of hops
+        "pitch": pitch[: spec.n_frames],
+        "energy": energy.values,
     }
 
 
 def cmd_mcd(args) -> dict:
-    from .audio import read_wav, to_mono
+    from .audio import read_mono
     from .metrics import evaluate_pair
 
     cfg = _pipeline_config(args)
-    gen = to_mono(read_wav(args.generated))
-    ref = to_mono(read_wav(args.reference))
+    gen = read_mono(args.generated)
+    ref = read_mono(args.reference)
     row = evaluate_pair(gen, ref, cfg).to_dict()
     row.pop("id")
     config = cfg.to_dict()
@@ -356,23 +357,41 @@ def _render_pretty(payload, indent: int = 0) -> str:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.4f}"
-    if isinstance(value, list):
+    if isinstance(value, list) or getattr(value, "ndim", 0):  # an ndarray as its list
         if len(value) > 6:
             return f"[{len(value)} values]"
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 
 
+def _json_pieces(payload):
+    """``json.dumps(payload)`` in pieces: the top-level object key by key, and
+    an ndarray value (duck-typed, so this module needs no numpy) as the JSON
+    list of its ``tolist()``, a 2-D one row by row."""
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield f"{', ' if i else ''}{json.dumps(key)}: "
+        ndim = getattr(value, "ndim", 0)
+        if ndim == 2:
+            yield "["
+            for j, row in enumerate(value):
+                yield f"{', ' if j else ''}{json.dumps(row.tolist())}"
+            yield "]"
+        else:
+            yield json.dumps(value.tolist() if ndim else value)
+    yield "}"
+
+
 def _emit(payload, args) -> None:
-    if args.pretty:
-        text = _render_pretty(payload) + "\n"
-    else:
-        text = json.dumps(payload) + "\n"
+    """Write the document; the payload is complete before the first byte."""
+    pieces = [_render_pretty(payload)] if args.pretty else _json_pieces(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
 
 
 def _error(kind: str, message: str) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import jsonl
 from .audio import (MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, pad_to_length,
-                    read_wav, resample, to_mono)
+                    read_mono, resample)
 from .dsp import FrameParams, mel_spectrogram, mfcc, stft_magnitude
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
@@ -322,8 +322,8 @@ def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricRe
     rows, failures = [], []
     for entry in entries:
         try:
-            gen = to_mono(read_wav(entry.generated))
-            ref = to_mono(read_wav(entry.reference))
+            gen = read_mono(entry.generated)
+            ref = read_mono(entry.reference)
             rows.append(replace(evaluate_pair(gen, ref, cfg), pair_id=entry.pair_id))
         except Exception as exc:  # collected per-row, reported in the summary
             failures.append((entry.pair_id, f"{type(exc).__name__}: {exc}"))

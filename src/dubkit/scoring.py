@@ -57,15 +57,16 @@ def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         squares = (v**2).sum(axis=-1, keepdims=True)
     norm = np.sqrt(squares)
-    if _TINY <= squares.min() and squares.max() < np.inf:
-        return v / norm, norm[..., 0]
+    redo = ~((squares >= _TINY) & (squares < np.inf))[..., 0]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        redo = ~((squares >= _TINY) & (squares < np.inf))
-        peak = np.abs(v).max(axis=-1, keepdims=True)
-        scaled = v / np.where(peak == 0.0, 1.0, peak)
-        scaled_norm = np.sqrt((scaled**2).sum(axis=-1, keepdims=True))
-        unit = np.where(redo, scaled / scaled_norm, v / norm)
-        norm = np.where(redo, scaled_norm * peak, norm)
+        unit = v / norm
+        if redo.any():  # only these rows go through the rescaling temporaries
+            rows = v[redo]
+            peak = np.abs(rows).max(axis=-1, keepdims=True)
+            scaled = rows / np.where(peak == 0.0, 1.0, peak)
+            scaled_norm = np.sqrt((scaled**2).sum(axis=-1, keepdims=True))
+            unit[redo] = scaled / scaled_norm
+            norm[redo] = scaled_norm * peak
     return unit, norm[..., 0]
 
 

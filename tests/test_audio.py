@@ -1,7 +1,9 @@
+import re
 import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dubkit
+from dubkit import audio
 from dubkit.audio import (TruncatedFileError, UnsupportedFormatError, Waveform,
-                          pad_to_length, read_wav, resample, to_mono, write_wav)
+                          pad_to_length, read_mono, read_wav, resample, to_mono,
+                          write_wav)
 from dubkit.dsp import mel_spectrogram, stft_magnitude
 
 from helpers import (STANDARD_SOURCE_RATES, STANDARD_TARGET_RATES, make_tone,
@@ -99,7 +103,16 @@ class TestReadWav:
         write_pcm16_raw(path, [100] * 50, 1, 8000)
         data = path.read_bytes()
         path.write_bytes(data[:-30])
-        with pytest.raises(TruncatedFileError):
+        message = f"{path}: file ends inside data chunk (70 of 100 bytes)"
+        for read in (read_wav, read_mono):
+            with pytest.raises(TruncatedFileError, match=f"^{re.escape(message)}$"):
+                read(path)
+
+    def test_truncated_fmt_chunk_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(riff_header(8000)[:30])
+        message = f"{path}: file ends inside fmt chunk (10 of 16 bytes)"
+        with pytest.raises(TruncatedFileError, match=f"^{re.escape(message)}$"):
             read_wav(path)
 
     def test_oversized_chunk_is_refused_before_reading(self, tmp_path):
@@ -161,6 +174,79 @@ class TestReadWav:
         back = read_wav(path)
         assert back.samples.shape == w.samples.shape
         assert np.max(np.abs(back.samples - w.samples)) <= 1.0 / 32768
+
+
+def chunk(chunk_id, body):
+    """A RIFF chunk, padded to an even length."""
+    return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
+
+
+def wav_file(payload, float32, n_channels, rate, extensible, fmt_last, extra):
+    """WAV bytes: a PCM16 or float32 fmt chunk (optionally in its
+    WAVE_FORMAT_EXTENSIBLE wrapper, or after the data chunk) and ``extra``
+    unknown chunks of any size ahead of the data."""
+    tag, bits = (3, 32) if float32 else (1, 16)
+    align = n_channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, n_channels, rate,
+                      rate * align, align, bits)
+    if extensible:  # cbSize, valid bits, channel mask, then the sub-format GUID
+        fmt += struct.pack("<HHIH", 22, bits, 0, tag) + bytes(14)
+    chunks = [chunk(b"LIST", body) for body in extra] + [chunk(b"data", payload)]
+    chunks.insert(len(chunks) if fmt_last else 0, chunk(b"fmt ", fmt))
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@st.composite
+def wav_files(draw):
+    n_channels = draw(st.integers(1, 9))
+    n_frames = draw(st.integers(0, 40))
+    float32 = draw(st.booleans())
+    if float32:
+        values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        payload = struct.pack(f"<{n_frames * n_channels}f",
+                              *draw(st.lists(values, min_size=n_frames * n_channels,
+                                             max_size=n_frames * n_channels)))
+    else:
+        payload = draw(st.binary(min_size=2 * n_frames * n_channels,
+                                 max_size=2 * n_frames * n_channels))
+    return wav_file(payload, float32, n_channels,
+                    draw(st.sampled_from([8000, 22050, 44100, 48000])),
+                    draw(st.booleans()), draw(st.booleans()),
+                    draw(st.lists(st.binary(max_size=5), max_size=2)))
+
+
+class TestReadMono:
+    @settings(max_examples=200, deadline=None)
+    @given(data=wav_files(), block=st.sampled_from([1, 2, 3, 7, audio._DECODE_FRAMES]))
+    def test_equals_to_mono_of_read_wav(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("mono") / "case.wav"
+        path.write_bytes(data)
+        expected = to_mono(read_wav(path))
+        with mock.patch.object(audio, "_DECODE_FRAMES", block):
+            got = read_mono(path)
+        assert got.sample_rate == expected.sample_rate
+        assert got.samples.ndim == 1
+        assert got.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("rate", [999, 768_001])
+    def test_non_finite_float_reported_before_a_bad_rate(self, tmp_path, rate):
+        path = tmp_path / "nan.wav"
+        payload = struct.pack("<4f", 0.5, 0.25, float("nan"), 0.0)
+        path.write_bytes(wav_file(payload, True, 2, rate, False, False, []))
+        for read in (read_wav, read_mono):
+            with mock.patch.object(audio, "_DECODE_FRAMES", 1):
+                with pytest.raises(UnsupportedFormatError,
+                                   match=f"{path}: float samples must be finite"):
+                    read(path)
+
+    def test_bad_rate_reported_for_a_finite_float_file(self, tmp_path):
+        path = tmp_path / "rate.wav"
+        payload = struct.pack("<4f", 0.5, 0.25, -0.5, 0.0)
+        path.write_bytes(wav_file(payload, True, 2, 999, False, False, []))
+        for read in (read_wav, read_mono):
+            with pytest.raises(UnsupportedFormatError, match="sample rate 999 Hz"):
+                read(path)
 
 
 class TestToMono:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -11,7 +12,7 @@ import pytest
 
 import dubkit
 from dubkit.audio import Waveform, write_wav
-from dubkit.cli import build_parser, run
+from dubkit.cli import _emit, build_parser, run
 from dubkit.metrics import PipelineConfig
 
 from helpers import brute_force_accuracy, jsonl, make_tone
@@ -33,6 +34,13 @@ def write_tone(path, freq=440.0, duration=0.3):
 def write_odd_rate_wav(path):
     # 767999 Hz is in read_wav's range but shares no useful factor with 22050
     write_wav(path, Waveform(make_tone(440, 1e-4, 767999), 767999))
+    return str(path)
+
+
+def write_truncated(path):
+    """A tone whose data chunk declares 10 bytes more than the file holds."""
+    write_tone(path)
+    path.write_bytes(path.read_bytes()[:-10])
     return str(path)
 
 
@@ -87,6 +95,17 @@ class TestMcdCommand:
         assert out == ""
         assert json.loads(target.read_text())["mcd"] == 0.0
 
+    @pytest.mark.parametrize("cut", ["generated", "reference"])
+    def test_truncated_file_is_named(self, tmp_path, capsys, cut):
+        wavs = {"generated": write_tone(tmp_path / "g.wav"),
+                "reference": write_tone(tmp_path / "r.wav")}
+        wavs[cut] = write_truncated(tmp_path / "cut.wav")
+        code, out, err = invoke(capsys, "mcd", wavs["generated"], wavs["reference"])
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "TruncatedFileError"
+        assert error["message"].startswith(f"{wavs[cut]}: file ends inside data chunk")
+
     @pytest.mark.parametrize("command,flag", BAD_FLAG_CASES)
     def test_bad_frame_flags_exit_two(self, tmp_path, capsys, command, flag):
         missing = str(tmp_path / "missing")
@@ -97,6 +116,31 @@ class TestMcdCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "usage"
+
+
+PRETTY_FEATURES = """\
+config:
+  sample_rate: 22050
+  fft_size: 1024
+  hop: 256
+  win_length: 1024
+  n_mels: 80
+  fmin: 0.0000
+  fmax: 8000.0000
+  n_coeffs: 13
+  scale: plain
+  pad_mode: pad
+  pitch_fmin: 50.0000
+  pitch_fmax: 600.0000
+  pitch_threshold: 0.1500
+  input: {wav}
+n_frames: 4
+frame_rate: 86.1328
+mel: [[80 values], [80 values], [80 values], [80 values]]
+mfcc: [[13 values], [13 values], [13 values], [13 values]]
+pitch: [440.1712, 441.1786, 441.1732, 441.1737]
+energy: [250.9897, 250.8682, 250.8278, 251.5012]
+"""
 
 
 class TestFeaturesCommand:
@@ -132,6 +176,22 @@ class TestFeaturesCommand:
         _, first, _ = invoke(capsys, "features", wav)
         _, second, _ = invoke(capsys, "features", wav)
         assert first == second
+
+    def test_truncated_file_is_named(self, tmp_path, capsys):
+        wav = write_truncated(tmp_path / "cut.wav")
+        code, out, err = invoke(capsys, "features", wav)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "TruncatedFileError"
+        assert error["message"].startswith(f"{wav}: file ends inside data chunk")
+
+    def test_pretty_rendering(self, tmp_path, capsys):
+        # pinned: arrays render as the lists they are written as
+        wav = str(tmp_path / "tiny.wav")
+        write_wav(wav, Waveform(make_tone(440.0, 1000 / SR, SR), SR))
+        code, out, _ = invoke(capsys, "features", wav, "--pretty")
+        assert code == 0
+        assert out == PRETTY_FEATURES.format(wav=wav)
 
     def test_unresamplable_rate_fails_fast(self, tmp_path, capsys):
         wav = write_odd_rate_wav(tmp_path / "odd.wav")
@@ -521,6 +581,33 @@ class TestCliShell:
         parser = build_parser()
         for command in commands:
             parser.parse_args(shlex.split(command)[1:])
+
+
+def emit_payloads():
+    nested = {"config": {"path": 'a "quoted"\\path\n\tünïcødé ✓', "ratios": [0.6, 0.1],
+                         "flags": [True, False, None]},
+              "rows": [{"id": "x", "values": [1, 2.5, -0.0]}, {}], "empty": {},
+              "floats": [float("nan"), float("inf"), -float("inf"), 1e-310, 5e-324]}
+    rng = np.random.default_rng(3)
+    arrays = {"n_frames": 3, "frame_rate": 86.1328125,
+              "mel": rng.standard_normal((3, 5)),
+              "mfcc": rng.standard_normal((3, 8))[:, 1:4],  # a column slice, as mfcc returns
+              "special": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+              "none_by_k": np.empty((0, 4)), "one_by_k": rng.standard_normal((1, 4)),
+              "k_by_none": np.empty((3, 0)), "empty": np.empty(0),
+              "pitch": np.array([0.0, 440.25, 1e300]), "ints": np.arange(3)}
+    return [{}, nested, arrays, {**nested, **arrays}]
+
+
+@pytest.mark.parametrize("payload", emit_payloads(), ids=["empty", "nested", "arrays", "both"])
+def test_emit_equals_json_dumps(tmp_path, capsys, payload):
+    expected = json.dumps({key: value.tolist() if isinstance(value, np.ndarray) else value
+                           for key, value in payload.items()}) + "\n"
+    _emit(payload, argparse.Namespace(pretty=False, out=None))
+    assert capsys.readouterr().out == expected
+    target = tmp_path / "doc.json"
+    _emit(payload, argparse.Namespace(pretty=False, out=str(target)))
+    assert target.read_bytes() == expected.encode("utf-8")
 
 
 def test_readme_library_block_runs(tmp_path, monkeypatch):

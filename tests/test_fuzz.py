@@ -22,22 +22,34 @@ import dubkit
 
 from helpers import write_float32_wav, write_pcm16_raw
 
+# a WAV goes through both readers, which must agree bit for bit on the
+# samples or raise the same error; then it is resampled
 WORKER = """\
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
-from dubkit.audio import read_wav, resample, to_mono
+from dubkit.audio import read_mono, read_wav, resample, to_mono
 from dubkit.srt import load_srt
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+def check_wav(path):
+    whole, mono = outcome(lambda: to_mono(read_wav(path))), outcome(read_mono, path)
+    if isinstance(whole, str) or isinstance(mono, str):
+        return mono if mono == whole else f"readers differ: {whole!r} / {mono!r}"
+    if (whole.sample_rate, whole.samples.tobytes()) != (mono.sample_rate,
+                                                        mono.samples.tobytes()):
+        return "readers differ in samples"
+    resample(mono, 22050)
+    return "ok"
+
 for line in sys.stdin:
     kind, path = json.loads(line)
-    try:
-        if kind == "wav":
-            resample(to_mono(read_wav(path)), 22050)
-        else:
-            load_srt(path)
-        outcome = "ok"
-    except Exception as exc:
-        outcome = f"{type(exc).__name__}: {exc}"
-    print(json.dumps(outcome), flush=True)
+    result = outcome(check_wav if kind == "wav" else load_srt, path)
+    print(json.dumps(result if isinstance(result, str) else "ok"), flush=True)
 """
 
 ALLOWED = ("ok", "UnsupportedFormatError: ", "TruncatedFileError: ", "SrtParseError: ",

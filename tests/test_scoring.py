@@ -112,12 +112,10 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match=at(path, 1) + ".*not numeric"):
             load_embeddings(path)
 
-    def test_peak_memory_is_about_twice_the_matrix(self, tmp_path, rng):
-        # the stacked rows and the normalized result; holding the per-row
-        # arrays as well would make it about 3.2x
-        path = tmp_path / "e.jsonl"
+    @staticmethod
+    def peak_of_load(path, vectors):
         with open(path, "w") as fh:
-            for k, vector in enumerate(rng.standard_normal((2000, 192)).tolist()):
+            for k, vector in enumerate(vectors.tolist()):
                 fh.write(json.dumps({"label": f"spk{k % 50}", "id": str(k),
                                      "vector": vector}) + "\n")
         tracemalloc.start()
@@ -126,8 +124,20 @@ class TestLoadEmbeddings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert es.vectors.shape == (2000, 192)
-        assert peak < 2.7 * es.vectors.nbytes
+        assert es.vectors.shape == vectors.shape
+        return peak / es.vectors.nbytes
+
+    def test_peak_memory_is_about_twice_the_matrix(self, tmp_path, rng):
+        # the stacked rows and the normalized result; holding the per-row
+        # arrays as well would make it about 3.2x
+        vectors = rng.standard_normal((2000, 192))
+        assert self.peak_of_load(tmp_path / "e.jsonl", vectors) < 2.7
+
+    def test_one_overflowing_row_is_rescaled_alone(self, tmp_path, rng):
+        # sending every row through the rescaling temporaries made it about 5x
+        vectors = rng.standard_normal((2000, 192))
+        vectors[7, 3] = 1e200
+        assert self.peak_of_load(tmp_path / "e.jsonl", vectors) < 2.7
 
 
 class TestBuildCentroids:
