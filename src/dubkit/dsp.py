@@ -115,20 +115,48 @@ def _hann(length: int) -> np.ndarray:
 
 def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     """Magnitude spectrogram of a mono waveform."""
+    x = w.mono_samples()
+    if len(x) == 0:
+        raise ValueError("cannot analyze an empty waveform")
+    frames = _frame(x, p.win_length, p.hop)
+    mags = np.empty((len(frames), p.fft_size // 2 + 1))
+    _stft_rows(frames, p, mags)
+    return Spectrogram(mags, p, w.sample_rate)
+
+
+def _padded_stft(spec: Spectrogram, w, n: int) -> Spectrogram:
+    """stft_magnitude of w zero-padded to n samples, given spec, the
+    spectrogram of w itself.
+
+    Frame t reads samples t * hop - win // 2 onward, so while it ends inside
+    w and w is longer than the reflected win // 2 samples at its start, the
+    padding cannot reach it: those first rows are copied from spec, and only
+    the rest are transformed.
+    """
+    p = spec.params
+    x = w.mono_samples()
+    pad = p.win_length // 2
+    shared = 0 if len(x) <= pad else max(0, (len(x) + pad - p.win_length) // p.hop + 1)
+    padded = np.zeros(n)
+    padded[:len(x)] = x
+    frames = _frame(padded, p.win_length, p.hop)
+    mags = np.empty((len(frames), p.fft_size // 2 + 1))
+    mags[:shared] = spec.frames[:shared]
+    _stft_rows(frames[shared:], p, mags[shared:])
+    return Spectrogram(mags, p, spec.sample_rate)
+
+
+def _stft_rows(frames: np.ndarray, p: FrameParams, out: np.ndarray) -> None:
+    """out[t] = |rfft(frames[t] * window)|; windowed frames and their complex
+    spectra exist one block at a time, and a row does not depend on where the
+    blocks are cut."""
     # scipy.fft is imported where it is called because it is slow to import
     # and commands that run no FFT never need it
     from scipy.fft import rfft
 
-    x = w.mono_samples()
-    if len(x) == 0:
-        raise ValueError("cannot analyze an empty waveform")
     window = _hann(p.win_length)
-    frames = _frame(x, p.win_length, p.hop)
-    mags = np.empty((len(frames), p.fft_size // 2 + 1))
-    # windowed frames and their complex spectra exist one block at a time
     for lo, hi in _blocks(len(frames), p.fft_size):
-        np.abs(rfft(frames[lo:hi] * window, n=p.fft_size, axis=1), out=mags[lo:hi])
-    return Spectrogram(mags, p, w.sample_rate)
+        np.abs(rfft(frames[lo:hi] * window, n=p.fft_size, axis=1), out=out[lo:hi])
 
 
 def _blocks(n_rows: int, row_length: int):

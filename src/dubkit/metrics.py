@@ -10,13 +10,13 @@ by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from . import jsonl
-from .audio import (MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, pad_to_length,
-                    read_mono, resample)
-from .dsp import FrameParams, mel_spectrogram, mfcc, stft_magnitude
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
+from .dsp import FrameParams, _padded_stft, mel_spectrogram, mfcc, stft_magnitude
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
 
@@ -153,6 +153,9 @@ def mcd(c1, c2) -> float:
 
 # A DTW backpointer per cell costs 1 B, so this caps its buffer at 2 GiB.
 MAX_DTW_CELLS = 2**31
+# float64 frame differences held at once while the distances of a tile of
+# diagonals are summed (see _tile_distances)
+_TILE_BYTES = 1 << 21
 
 # backpointer codes: 0 horizontal, 1 vertical, 2 or 3 diagonal
 _HORIZ, _VERT, _DIAG = 0, 1, 2
@@ -160,6 +163,24 @@ _HORIZ, _VERT, _DIAG = 0, 1, 2
 
 class AlignmentTooLargeError(ValueError):
     """An alignment needs more than MAX_DTW_CELLS cells."""
+
+
+def _checked_pair(c1, c2) -> tuple[np.ndarray, np.ndarray]:
+    """The two sequences as C-contiguous float64 matrices, once dtw_align's
+    rules hold: the same K, no empty sequence, at most MAX_DTW_CELLS cells."""
+    a, b = _coeff_matrix(c1), _coeff_matrix(c2)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"coefficient count mismatch: {a.shape[1]} vs {b.shape[1]}")
+    m, n = len(a), len(b)
+    if m == 0 or n == 0:
+        raise ValueError("cannot align an empty sequence")
+    if m * n > MAX_DTW_CELLS:
+        raise AlignmentTooLargeError(
+            f"aligning {m} x {n} frames needs {m * n} cells, "
+            f"more than the {MAX_DTW_CELLS} cell limit")
+    # mfcc returns a column slice of the whole DCT matrix; a copy keeps only
+    # the coefficients
+    return np.ascontiguousarray(a), np.ascontiguousarray(b)
 
 
 def dtw_align(c1, c2) -> AlignmentResult:
@@ -171,84 +192,161 @@ def dtw_align(c1, c2) -> AlignmentResult:
     the shortest path among equal-cost greedy backtracks.
 
     The sweep runs over anti-diagonals i + j = s and keeps only the costs of
-    the last two, so memory is O(M + N) floats plus one int8 backpointer
-    per cell. More than MAX_DTW_CELLS cells raise AlignmentTooLargeError
+    the last two, so memory is O((M + N) K) floats, a distance tile of at
+    most _TILE_BYTES and one int8 backpointer per cell. More than MAX_DTW_CELLS cells raise AlignmentTooLargeError
     before anything is allocated.
     """
-    a, b = _coeff_matrix(c1), _coeff_matrix(c2)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"coefficient count mismatch: {a.shape[1]} vs {b.shape[1]}")
-    m, n = len(a), len(b)
-    if m == 0 or n == 0:
-        raise ValueError("cannot align an empty sequence")
-    if m * n > MAX_DTW_CELLS:
-        raise AlignmentTooLargeError(
-            f"aligning {m} x {n} frames needs {m * n} cells, "
-            f"more than the {MAX_DTW_CELLS} cell limit")
+    [result] = _align_many([_checked_pair(c1, c2)])
+    return result
 
-    # cell (i, s - i) of diagonal s sits at pointers[starts[s] + i]
-    pointers = np.empty(m * n, dtype=np.int8)
-    starts = []
-    # b[s - i] for rising i is a forward slice of b_rev, contiguous for speed;
-    # a too, since mfcc returns a column slice of the whole DCT matrix
-    a = np.ascontiguousarray(a)
-    b_rev = np.ascontiguousarray(b[::-1])
-    diff = np.empty((min(m, n), a.shape[1]))
-    prev2 = prev1 = None
-    filled = 0
-    for s in range(m + n - 1):
-        lo, hi = max(0, s - n + 1), min(m - 1, s)
-        size = hi - lo + 1
-        starts.append(filled - lo)
-        # frame distances of the diagonal, with frame_distance's arithmetic
-        d = diff[:size]
-        np.subtract(a[lo:hi + 1], b_rev[n - 1 - s + lo:n - s + hi], out=d)
-        np.multiply(d, d, out=d)
-        cur = d.sum(axis=1)
-        np.sqrt(cur, out=cur)
-        if s == 0:
-            prev1 = cur
-            filled = 1
-            continue
-        # interior cells i0..i1 take the cheapest of their three predecessors
-        i0, i1 = max(1, lo), min(hi, s - 1)
-        if i0 <= i1:
-            lo1, lo2 = max(0, s - n), max(0, s - n - 1)
-            vert = prev1[i0 - 1 - lo1:i1 - lo1]
-            horiz = prev1[i0 - lo1:i1 + 1 - lo1]
-            diag = prev2[i0 - 1 - lo2:i1 - lo2]
-            near = np.minimum(vert, horiz)
-            inner = cur[i0 - lo:i1 + 1 - lo]
-            np.add(inner, np.minimum(diag, near), out=inner)
-            # 2 * (diag <= both others) + (vert <= horiz): the backtrack tie rule
-            step = pointers[filled + i0 - lo:filled + i1 + 1 - lo]
-            np.less_equal(diag, near, out=step.view(np.bool_))
-            step += step
-            step += vert <= horiz
-        # row 0 and column 0 have one predecessor each
-        if lo == 0:
-            cur[0] += prev1[0]
-            pointers[filled] = _HORIZ
-        if hi == s:
-            cur[-1] += prev1[-1]
-            pointers[filled + size - 1] = _VERT
-        prev2, prev1 = prev1, cur
-        filled += size
+
+def _align_many(pairs) -> list[AlignmentResult]:
+    """dtw_align of each (a, b) in ``pairs``, all swept together.
+
+    ``pairs`` holds C-contiguous float64 matrices that passed _checked_pair,
+    all with the same K. With M and N the largest lengths in the group,
+    diagonal s covers rows max(0, s - N + 1)..min(M - 1, s) of every pair at
+    once, so each step below is one numpy call on a (pairs, rows) slab.
+    Costs live in three rotating (pairs, M + 1) buffers indexed by row + 1:
+    column 0 stands for row -1, and a cell with j < 0 is a row no earlier
+    diagonal reached, so both stay +inf. Cells past a pair's own M or N are
+    computed from zero padding, but no cell of its grid reads them. Each
+    pair's backpointers take one byte per padded cell.
+    """
+    count = len(pairs)
+    k = pairs[0][0].shape[1]
+    ms = [len(a) for a, _ in pairs]
+    ns = [len(b) for _, b in pairs]
+    rows_max, cols_max = max(ms), max(ns)
+    n_diag = max(ms[p] + ns[p] - 1 for p in range(count))
+    tile = min(n_diag, max(1, _TILE_BYTES // (8 * max(k, 1) * count * rows_max)))
+
+    # coefficient columns, zero beyond each pair's frames; b is reversed, its
+    # frame j at column last - j, with tile - 1 columns of margin on both
+    # sides for the j < 0 and j >= N of a tile
+    a_cols = np.zeros((k, count, rows_max))
+    b_cols = np.zeros((k, count, cols_max + 2 * (tile - 1)))
+    last = tile - 2 + cols_max
+    for p, (a, b) in enumerate(pairs):
+        a_cols[:, p, :ms[p]] = a.T
+        b_cols[:, p, last - ns[p] + 1:last + 1] = b[::-1].T
+    scratch = np.empty(k * count * tile * rows_max)
+
+    los = [max(0, s - cols_max + 1) for s in range(n_diag)]
+    his = [min(rows_max - 1, s) for s in range(n_diag)]
+    sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
+    # cell (i, s - i) of pair p sits at pointers[offsets[s] + p * sizes[s] + i - los[s]]
+    offsets = [0, *accumulate(count * size for size in sizes[:-1])]
+    pointers = np.empty(count * sum(sizes), dtype=np.int8)
+    costs = np.full((3, count, rows_max + 1), np.inf)
+    near = np.empty((count, rows_max))
+    vert_le = np.empty((count, rows_max), dtype=np.bool_)
+    ends = {}
+    for p in range(count):
+        ends.setdefault(ms[p] + ns[p] - 2, []).append(p)
+    final = [0.0] * count
+
+    for s0 in range(0, n_diag, tile):
+        s1 = min(s0 + tile, n_diag)
+        top = los[s0]
+        dist = _tile_distances(a_cols, b_cols, s0, s1, top, his[s1 - 1], last, scratch)
+        for s in range(s0, s1):
+            lo, hi, size = los[s], his[s], sizes[s]
+            d = dist[:, s - s0, lo - top:hi - top + 1]
+            cur = costs[s % 3]
+            inner = cur[:, lo + 1:hi + 2]
+            if s == 0:
+                inner[...] = d
+            else:
+                prev1, prev2 = costs[(s - 1) % 3], costs[(s - 2) % 3]
+                vert, horiz, diag = prev1[:, lo:hi + 1], prev1[:, lo + 1:hi + 2], prev2[:, lo:hi + 1]
+                nr = near[:, :size]
+                np.minimum(vert, horiz, out=nr)
+                np.minimum(diag, nr, out=inner)
+                np.add(d, inner, out=inner)
+                # 2 * (diag <= both others) + (vert <= horiz): the backtrack tie rule
+                step = pointers[offsets[s]:offsets[s] + count * size].reshape(count, size)
+                np.less_equal(diag, nr, out=step.view(np.bool_))
+                step += step
+                le = vert_le[:, :size]
+                np.less_equal(vert, horiz, out=le)
+                step += le
+                # row 0 and column 0 have one predecessor each
+                if lo == 0:
+                    step[:, 0] = _HORIZ
+                if hi == s:
+                    step[:, -1] = _VERT
+            for p in ends.get(s, ()):
+                final[p] = float(cur[p, ms[p]])
 
     steps = memoryview(pointers)
-    i, j, s = m - 1, n - 1, m + n - 2
-    path = [(i, j)]
-    while s:
-        step = steps[starts[s] + i]
-        if step >= _DIAG:
-            i, j, s = i - 1, j - 1, s - 2
-        elif step == _VERT:
-            i, s = i - 1, s - 1
-        else:
-            j, s = j - 1, s - 1
-        path.append((i, j))
-    path.reverse()
-    return AlignmentResult(float(prev1[0]), np.array(path, dtype=np.intp), m, n)
+    starts = [offset - lo for offset, lo in zip(offsets, los)]
+    results = []
+    for p in range(count):
+        m, n = ms[p], ns[p]
+        i, j, s = m - 1, n - 1, m + n - 2
+        path = [(i, j)]
+        while s:
+            step = steps[starts[s] + p * sizes[s] + i]
+            if step >= _DIAG:
+                i, j, s = i - 1, j - 1, s - 2
+            elif step == _VERT:
+                i, s = i - 1, s - 1
+            else:
+                j, s = j - 1, s - 1
+            path.append((i, j))
+        path.reverse()
+        results.append(AlignmentResult(final[p], np.array(path, dtype=np.intp), m, n))
+    return results
+
+
+def _tile_distances(a_cols, b_cols, s0, s1, top, bottom, last, scratch) -> np.ndarray:
+    """Frame distances of diagonals s0..s1-1 at rows top..bottom, as a
+    (pairs, s1 - s0, rows) array: frame_distance's arithmetic, with the sum
+    over K in the order x.sum(axis=1) adds a row (see _pairwise_sum)."""
+    k, count, _ = a_cols.shape
+    width, height = s1 - s0, bottom - top + 1
+    # b of cell (s, i) is b[s - i], column last - s + i of b_cols: one step
+    # left per diagonal, one step right per row, so a strided view, no copy
+    # (of nothing at K = 0, where any offset is out of the empty buffer)
+    b = np.ndarray((k, count, width, height), buffer=b_cols,
+                   offset=8 * (last - s0 + top) if k else 0,
+                   strides=(b_cols.strides[0], b_cols.strides[1], -8, 8))
+    diff = scratch[:k * count * width * height].reshape(k, count, width, height)
+    np.subtract(a_cols[:, :, None, top:bottom + 1], b, out=diff)
+    np.multiply(diff, diff, out=diff)
+    total = _pairwise_sum(diff, 0, k)
+    return np.sqrt(total, out=total)
+
+
+def _pairwise_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """x[lo:lo + n].sum(axis=0), added in the order of numpy's pairwise_sum
+    over a contiguous row of n terms, so it equals the rows' sum(axis=1) bit
+    for bit: in sequence below 8 terms, in eight accumulators up to 128, and
+    above that as two halves cut at a multiple of 8. numpy starts from 0.0,
+    which changes no sum of squares. Returns the sum, left in x[lo] when
+    n > 0; the other terms are overwritten."""
+    if n == 0:
+        return np.zeros(x.shape[1:])
+    if n < 8:
+        for i in range(lo + 1, lo + n):
+            x[lo] += x[i]
+        return x[lo]
+    if n <= 128:
+        acc = x[lo:lo + 8]
+        for i in range(lo + 8, lo + n - n % 8, 8):
+            acc += x[i:i + 8]
+        # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+        for i in range(lo + n - n % 8, lo + n):
+            x[lo] += x[i]
+        return x[lo]
+    half = n // 2 - n // 2 % 8
+    total = _pairwise_sum(x, lo, half)
+    total += _pairwise_sum(x, lo + half, n - half)
+    return total
 
 
 def mcd_dtw(a: AlignmentResult) -> float:
@@ -266,9 +364,11 @@ def mcd_dtw_sl(a: AlignmentResult) -> tuple[float, float]:
 
 def extract_mfcc(w: Waveform, cfg: PipelineConfig):
     """Waveform -> MFCC sequence under the pipeline settings."""
-    spec = stft_magnitude(w, cfg.frame)
-    mel = mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
-    return mfcc(mel, cfg.n_coeffs)
+    return _cepstra(stft_magnitude(w, cfg.frame), cfg)
+
+
+def _cepstra(spec, cfg: PipelineConfig):
+    return mfcc(mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax), cfg.n_coeffs)
 
 
 def evaluate_pair(gen: Waveform, ref: Waveform,
@@ -280,20 +380,34 @@ def evaluate_pair(gen: Waveform, ref: Waveform,
     time domain (pad_mode 'strict' errors on length mismatch instead); the
     DTW variants always run on the unpadded sequences.
     """
+    plain, a, b = _prepare_pair(gen, ref, cfg)
+    [alignment] = _align_many([(a, b)])
+    return _score(plain, alignment, cfg)
+
+
+def _prepare_pair(gen: Waveform, ref: Waveform, cfg: PipelineConfig):
+    """Everything evaluate_pair does before the alignment: (plain MCD, gen
+    MFCCs, ref MFCCs), the MFCCs checked as dtw_align checks them."""
     gen = resample(gen, cfg.sample_rate)
     ref = resample(ref, cfg.sample_rate)
     if cfg.pad_mode == "strict" and gen.n_frames != ref.n_frames:
         raise ValueError(f"length mismatch ({gen.n_frames} vs {ref.n_frames} samples) "
                          "with pad_mode='strict'")
 
-    c_gen = extract_mfcc(gen, cfg)
-    c_ref = extract_mfcc(ref, cfg)
-    # only the shorter waveform is padded and extracted again
     n = max(gen.n_frames, ref.n_frames)
-    plain = mcd(c_gen if gen.n_frames == n else extract_mfcc(pad_to_length(gen, n), cfg),
-                c_ref if ref.n_frames == n else extract_mfcc(pad_to_length(ref, n), cfg))
+    cepstra, padded = [], []
+    for w in (gen, ref):
+        spec = stft_magnitude(w, cfg.frame)
+        cepstra.append(_cepstra(spec, cfg))
+        # the shorter waveform is padded, and only the STFT rows the padding
+        # reaches are computed again
+        padded.append(cepstra[-1] if w.n_frames == n
+                      else _cepstra(_padded_stft(spec, w, n), cfg))
+    plain = mcd(*padded)
+    return (plain, *_checked_pair(*cepstra))
 
-    alignment = dtw_align(c_gen, c_ref)
+
+def _score(plain: float, alignment: AlignmentResult, cfg: PipelineConfig) -> PairMetrics:
     sl_value, eta = mcd_dtw_sl(alignment)
     scale = SCALES[cfg.scale]
     return PairMetrics(plain * scale, mcd_dtw(alignment) * scale, sl_value * scale, eta,
@@ -317,14 +431,91 @@ def load_pair_manifest(path) -> list[PairEntry]:
         ("id", "generated", "reference"))
 
 
+# evaluate_corpus prepares pairs in manifest order into a window of at most
+# _WINDOW_PAIRS pairs holding at most _WINDOW_BYTES of MFCCs, then aligns the
+# window a group at a time: sorted by M + N, cut into groups of at most
+# _GROUP_PAIRS pairs and _GROUP_BYTES of sweep memory (_group_bytes). A pair
+# over _GROUP_BYTES alone, such as any pair of 30 s clips, is aligned alone.
+_WINDOW_PAIRS = 64
+_WINDOW_BYTES = 1 << 22
+_GROUP_PAIRS = 32
+_GROUP_BYTES = 1 << 22
+
+
 def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricReport:
-    """Evaluate every manifest pair in order; failures are collected, not fatal."""
+    """Evaluate every manifest pair; rows and failures come in manifest order,
+    and a failing pair is recorded, not fatal."""
     rows, failures = [], []
+    window, held = [], 0
     for entry in entries:
         try:
             gen = read_mono(entry.generated)
             ref = read_mono(entry.reference)
-            rows.append(replace(evaluate_pair(gen, ref, cfg), pair_id=entry.pair_id))
+            outcome = _prepare_pair(gen, ref, cfg)
+            held += outcome[1].nbytes + outcome[2].nbytes
         except Exception as exc:  # collected per-row, reported in the summary
-            failures.append((entry.pair_id, f"{type(exc).__name__}: {exc}"))
+            outcome = _failure(exc)
+        window.append((entry.pair_id, outcome))
+        if len(window) == _WINDOW_PAIRS or held >= _WINDOW_BYTES:
+            _score_window(window, cfg, rows, failures)
+            window, held = [], 0
+    _score_window(window, cfg, rows, failures)
     return MetricReport(rows, failures)
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _score_window(window, cfg, rows, failures) -> None:
+    """Align the prepared pairs of ``window`` (pair id, prepared pair or
+    failure text) a group at a time, and append its rows and failures in
+    window order. When a group's sweep fails, its pairs are aligned one at
+    a time, so each failure is recorded for its own pair."""
+    outcomes = [outcome for _, outcome in window]
+    ready = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)]
+    ready.sort(key=lambda i: len(outcomes[i][1]) + len(outcomes[i][2]))
+    for group in _groups([outcomes[i][1:] for i in ready]):
+        indices, ready = ready[:len(group)], ready[len(group):]
+        try:
+            alignments = _align_many(group)
+        except Exception:  # retried pair by pair below
+            alignments = []
+            for pair in group:
+                try:
+                    alignments += _align_many([pair])
+                except Exception as exc:  # collected per-row
+                    alignments.append(_failure(exc))
+        for i, alignment in zip(indices, alignments):
+            outcomes[i] = (alignment if isinstance(alignment, str)
+                           else _score(outcomes[i][0], alignment, cfg))
+    for (pair_id, _), outcome in zip(window, outcomes):
+        if isinstance(outcome, str):
+            failures.append((pair_id, outcome))
+        else:
+            rows.append(replace(outcome, pair_id=pair_id))
+
+
+def _groups(pairs):
+    """Cut ``pairs`` into consecutive runs of at most _GROUP_PAIRS whose
+    _group_bytes fit _GROUP_BYTES; a pair over it alone is a group of one."""
+    group = []
+    for pair in pairs:
+        if group and (len(group) == _GROUP_PAIRS
+                      or _group_bytes(group + [pair]) > _GROUP_BYTES):
+            yield group
+            group = []
+        group.append(pair)
+    if group:
+        yield group
+
+
+def _group_bytes(pairs) -> int:
+    """Memory _align_many holds for ``pairs`` besides its _TILE_BYTES tile:
+    a backpointer byte per padded cell (pairs x M x diagonals) and the
+    padded float64 coefficient columns."""
+    rows = max(len(a) for a, _ in pairs)
+    cols = max(len(b) for _, b in pairs)
+    diagonals = max(len(a) + len(b) - 1 for a, b in pairs)
+    k = pairs[0][0].shape[1]
+    return len(pairs) * (rows * diagonals + 8 * k * (rows + cols))

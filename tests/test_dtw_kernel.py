@@ -1,6 +1,7 @@
-"""The diagonal-major DTW kernel against the row-matrix kernel it replaced
-(``reference_dtw.py``): equal cost, path and R bit for bit, including the
-tie order, plus its memory bound and cell limit."""
+"""The grouped anti-diagonal DTW kernel against the row-matrix kernel it
+replaced (``reference_dtw.py``): equal cost, path and R bit for bit,
+including the tie order, for one pair and for groups of pairs swept
+together, plus its K-sum order, memory bound and cell limit."""
 
 import json
 import tracemalloc
@@ -20,9 +21,9 @@ import reference_dtw
 from helpers import make_tone
 
 
-def assert_same_alignment(a, b):
+def assert_same_alignment(a, b, got=None):
     expected = reference_dtw.dtw_align(a, b)
-    got = dtw_align(a, b)
+    got = dtw_align(a, b) if got is None else got
     assert got.cost == expected.cost or (np.isnan(got.cost) and np.isnan(expected.cost))
     assert np.array_equal(got.path, expected.path)
     assert got.path.dtype == expected.path.dtype
@@ -87,6 +88,74 @@ def test_mfcc_column_view_aligns_as_its_contiguous_copy():
         assert got.cost == copied.cost
         assert np.array_equal(got.path, copied.path)
         assert_same_alignment(x, y)
+
+
+def squared_differences(rng, k):
+    """(a - b) ** 2 for six rows of k terms over six orders of magnitude:
+    a NaN, an inf, a -inf and inf - inf in rows 0-3, rows 4 and 5 finite."""
+    a = rng.normal(size=(6, k)) * 10.0 ** rng.integers(-3, 4, size=(6, k))
+    b = rng.normal(size=(6, k))
+    if k:
+        a[0, rng.integers(k)] = np.nan
+        a[1, rng.integers(k)] = np.inf
+        b[2, rng.integers(k)] = -np.inf
+        a[3, 0] = b[3, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        return (a - b) ** 2
+
+
+def test_k_sum_adds_in_numpys_row_sum_order():
+    # below 8 terms, 8 accumulators up to 128, halves above 128: every branch
+    rng = np.random.default_rng(12)
+    for k in range(301):
+        terms = squared_differences(rng, k)
+        got = metrics._pairwise_sum(np.ascontiguousarray(terms.T), 0, k)
+        expected = terms.sum(axis=1)
+        assert np.array_equal(got, expected, equal_nan=True), k
+
+
+@st.composite
+def pair_groups(draw):
+    """1-8 pairs of mixed shapes sharing one K, as small-integer ties or
+    floats, some with NaN or +-inf in either input, and a tile width."""
+    k = draw(st.sampled_from(list(range(17)) + [129, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["integers", "floats", "non-finite"]))
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+        if kind == "integers":
+            pair = [rng.integers(-2, 3, (t, k)).astype(float) for t in (m, n)]
+        else:
+            pair = [rng.normal(size=(t, k)) for t in (m, n)]
+        if kind == "non-finite" and k:
+            for x in pair:
+                x.flat[rng.integers(0, x.size, 2)] = rng.choice([np.nan, np.inf, -np.inf], 2)
+        pairs.append(pair)
+    return pairs, draw(st.sampled_from([1, 2, 3, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_groups())
+def test_group_sweep_matches_reference_pair_by_pair(group):
+    pairs, tile = group
+    checked = [metrics._checked_pair(a, b) for a, b in pairs]
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        if tile is not None:
+            # _align_many sweeps tile diagonals per distance tile at this budget
+            rows = max(len(a) for a, _ in pairs)
+            k = pairs[0][0].shape[1]
+            patch.setattr(metrics, "_TILE_BYTES", tile * 8 * max(k, 1) * len(pairs) * rows)
+        results = metrics._align_many(checked)
+        for (a, b), got in zip(pairs, results):
+            assert_same_alignment(a, b, got)
+
+
+def test_empty_coefficient_vectors_align_at_zero_cost():
+    for m, n in ((1, 1), (3, 5), (7, 2)):
+        got = dtw_align(np.zeros((m, 0)), np.zeros((n, 0)))
+        assert got.cost == 0.0
+        assert_same_alignment(np.zeros((m, 0)), np.zeros((n, 0)), got)
 
 
 def test_memory_is_one_byte_per_cell():

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dubkit import metrics
-from dubkit.audio import Waveform, pad_to_length, write_wav
+from dubkit.audio import Waveform, pad_to_length, read_mono, write_wav
 from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
                             PipelineConfig, dtw_align, evaluate_corpus,
                             evaluate_pair, extract_mfcc, frame_distance,
@@ -299,20 +301,33 @@ class TestEvaluatePair:
         assert (evaluate_pair(gen, ref, PipelineConfig(pad_mode="strict"))
                 == evaluate_pair(gen, ref, PipelineConfig(pad_mode="pad")))
 
-    @pytest.mark.parametrize("gen_s, ref_s, expected", [
-        (0.3, 0.42, 3), (0.42, 0.3, 3), (0.3, 0.3, 2)])
-    def test_each_waveform_extracted_once(self, monkeypatch, gen_s, ref_s, expected):
-        calls = []
+    @pytest.mark.parametrize("gen_s, ref_s", [(0.3, 0.42), (0.42, 0.3), (0.3, 0.3)])
+    def test_no_stft_row_is_transformed_twice(self, monkeypatch, gen_s, ref_s):
+        # each clip is transformed once; the zero-padded copy of the shorter
+        # one copies the rows the padding cannot reach and transforms the rest
+        import scipy.fft
 
-        def counting(w, cfg):
-            calls.append(w.n_frames)
-            return extract_mfcc(w, cfg)
+        rows = []
+        rfft = scipy.fft.rfft
 
-        monkeypatch.setattr(metrics, "extract_mfcc", counting)
+        def counting(x, *args, **kwargs):
+            rows.append(len(x))
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfft", counting)
         gen = Waveform(make_tone(300, gen_s, SR), SR)
         ref = Waveform(make_tone(320, ref_s, SR), SR)
         evaluate_pair(gen, ref)
-        assert len(calls) == expected
+        p = PipelineConfig().frame
+        short, long = sorted((gen.n_frames, ref.n_frames))
+
+        def frames(n):
+            return 1 + (n + 2 * (p.win_length // 2) - p.win_length) // p.hop
+
+        expected = frames(gen.n_frames) + frames(ref.n_frames)
+        if short != long:
+            expected += frames(long) - ((short + p.win_length // 2 - p.win_length) // p.hop + 1)
+        assert sum(rows) == expected
 
     def test_reused_mfccs_give_the_padded_mcd_exactly(self):
         gen = Waveform(make_tone(300, 0.3, SR), SR)
@@ -390,6 +405,112 @@ class TestEvaluateCorpus:
         assert [row.pair_id for row in report.rows] == ["a", "b"]
         assert [pair_id for pair_id, _ in report.failures] == ["broken_mid", "broken_end"]
         assert report.aggregate()["n_failures"] == 2
+
+
+def tone(freq, seconds, rate=SR):
+    return Waveform(make_tone(freq, seconds, rate), rate)
+
+
+def mixed_pairs():
+    """Equal-length, longer and shorter generated clips, a rate mismatch and
+    silence, at lengths that give groups of several shapes."""
+    pairs = []
+    for k, (gen_s, ref_s) in enumerate([(0.3, 0.3), (0.25, 0.4), (0.5, 0.35), (0.2, 0.2),
+                                        (0.6, 0.45), (0.33, 0.5), (0.1, 0.15), (0.4, 0.4),
+                                        (0.45, 0.3), (0.28, 0.6)]):
+        pairs.append((f"p{k}", tone(200 + 37 * k, gen_s), tone(230 + 29 * k, ref_s)))
+    pairs.append(("rates", tone(440, 0.3, 44100), tone(450, 0.35)))
+    pairs.append(("silent", Waveform(np.zeros(SR // 4), SR), tone(300, 0.3)))
+    return pairs
+
+
+def pairwise_rows(manifest, cfg=PipelineConfig()):
+    return [replace(evaluate_pair(read_mono(e.generated), read_mono(e.reference), cfg),
+                    pair_id=e.pair_id) for e in load_pair_manifest(manifest)]
+
+
+class TestCorpusGroups:
+    """evaluate_corpus aligns windows of prepared pairs a group at a time;
+    its rows and failures are those of scoring each pair on its own."""
+
+    @pytest.mark.parametrize("window, group_pairs, group_bytes", [
+        (5, 3, 40_000), (4, 8, 1 << 22), (1, 1, 0), (64, 32, 1 << 22)])
+    def test_rows_equal_pair_by_pair_rows(self, tmp_path, monkeypatch, window,
+                                          group_pairs, group_bytes):
+        manifest = write_pair_corpus(tmp_path, mixed_pairs())
+        expected = pairwise_rows(manifest)
+        monkeypatch.setattr(metrics, "_WINDOW_PAIRS", window)
+        monkeypatch.setattr(metrics, "_GROUP_PAIRS", group_pairs)
+        monkeypatch.setattr(metrics, "_GROUP_BYTES", group_bytes)
+        report = evaluate_corpus(load_pair_manifest(manifest))
+        assert report.failures == []
+        assert report.rows == expected
+
+    def test_failures_stay_per_pair_and_in_manifest_order(self, tmp_path, monkeypatch):
+        cfg = PipelineConfig(pad_mode="strict")
+        manifest = write_pair_corpus(tmp_path, [
+            ("ok1", tone(300, 0.3), tone(310, 0.3)),
+            ("strict", tone(300, 0.3), tone(310, 0.35)),
+            ("ok2", tone(200, 0.25), tone(260, 0.25)),
+            ("big", tone(300, 1.0), tone(330, 1.0)),
+            ("swept", tone(500, 0.2), tone(510, 0.2)),
+            ("ok3", tone(400, 0.3), tone(420, 0.3)),
+        ])
+        missing = json.dumps({"id": "missing", "generated": str(tmp_path / "no.wav"),
+                              "reference": str(tmp_path / "no.wav")})
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:1] + [missing] + lines[1:]) + "\n")
+        ok = [e for e in load_pair_manifest(manifest) if e.pair_id.startswith("ok")]
+        expected = [replace(evaluate_pair(read_mono(e.generated), read_mono(e.reference), cfg),
+                            pair_id=e.pair_id) for e in ok]
+
+        # 0.2 s is 18 frames, the only such pair; 1 s is 87 x 87 cells
+        align_many, sweeps = metrics._align_many, []
+
+        def failing(pairs):
+            sweeps.append(len(pairs))
+            if any(len(a) == 18 for a, _ in pairs):
+                raise RuntimeError("sweep failed")
+            return align_many(pairs)
+
+        monkeypatch.setattr(metrics, "_align_many", failing)
+        monkeypatch.setattr(metrics, "MAX_DTW_CELLS", 2000)
+        report = evaluate_corpus(load_pair_manifest(manifest), cfg)
+        assert report.rows == expected
+        assert [pair_id for pair_id, _ in report.failures] == ["missing", "strict", "big", "swept"]
+        errors = [error for _, error in report.failures]
+        assert errors[1].startswith("ValueError: length mismatch")
+        assert errors[2].startswith("AlignmentTooLargeError: aligning 87 x 87 frames")
+        assert errors[3] == "RuntimeError: sweep failed"
+        # the failing sweep held the other pairs too, which were then retried one by one
+        assert sweeps[0] == 4 and sweeps[1:] == [1, 1, 1, 1]
+
+    def test_memory_does_not_grow_with_the_manifest(self, tmp_path):
+        # prepared pairs wait in a bounded window; what grows is the rows
+        gen, ref = tmp_path / "gen.wav", tmp_path / "ref.wav"
+        write_wav(gen, tone(300, 0.5))
+        write_wav(ref, tone(320, 0.6))
+        peaks = []
+        evaluate_corpus([metrics.PairEntry("warm", str(gen), str(ref))])  # imports, caches
+        for count in (50, 400):
+            entries = [metrics.PairEntry(f"p{k}", str(gen), str(ref)) for k in range(count)]
+            tracemalloc.start()
+            try:
+                report = evaluate_corpus(entries)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(report.rows) == count
+        # a window that held all 400 prepared pairs peaked 3.8 MB higher
+        assert peaks[1] - peaks[0] < 1 << 20
+
+    def test_finite_input_warns_nothing(self, tmp_path):
+        manifest = write_pair_corpus(tmp_path, mixed_pairs())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = evaluate_corpus(load_pair_manifest(manifest))
+        assert report.failures == []
+        assert [str(w.message) for w in caught] == []
 
 
 class TestPairManifest:

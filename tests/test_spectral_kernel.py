@@ -1,7 +1,9 @@
 """The blocked STFT magnitude and frame energy against the whole-clip code
 they replaced (``reference_spectral.py``): equal spectra, energy, mel and
 MFCC bit for bit at any block size, odd and short windows, hop 1 and the
-smallest and largest FFT sizes, plus their memory bound."""
+smallest and largest FFT sizes, plus their memory bound. The spectrogram of
+a zero-padded clip built from the clip's own rows equals the padded clip's
+spectrogram."""
 
 import tracemalloc
 from unittest import mock
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dubkit import dsp
-from dubkit.audio import Waveform
+from dubkit.audio import Waveform, pad_to_length
 from dubkit.dsp import FrameParams, energy_track, mel_spectrogram, mfcc, stft_magnitude
 
 import reference_spectral
@@ -125,3 +127,41 @@ def test_memory_is_the_output_plus_a_block():
     padded_bytes = (len(w.samples) + 2 * (p.win_length // 2)) * 8
     outputs = spec.frames.nbytes + energy.values.nbytes
     assert peak < outputs + padded_bytes + 2 * block_bytes + (1 << 20)
+
+
+@st.composite
+def padded_cases(draw):
+    """Random framing (odd windows too), a clip of L samples (L <= win // 2
+    among them), a padded length n (n - L < hop among them) and a block size."""
+    fft = draw(st.sampled_from([16, 32, 64, 256]))
+    win = draw(st.integers(1, fft))
+    p = FrameParams(fft_size=fft, hop=draw(st.integers(1, win)), win_length=win)
+    length = draw(st.one_of(st.integers(1, max(1, win // 2)), st.integers(1, 8 * fft)))
+    extra = draw(st.one_of(st.integers(0, p.hop - 1), st.integers(0, 4 * fft)))
+    kind = draw(st.sampled_from(["noise", "silence", "integers"]))
+    w = Waveform(signal(kind, length, draw(st.integers(0, 2**32 - 1))), 22050)
+    return w, length + extra, p, draw(st.sampled_from(BLOCK_ROWS))
+
+
+def assert_padded_spectrogram(w, n, p, rows=None):
+    span = rows * p.fft_size if rows else dsp._SPECTRAL_SPAN
+    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span, _MIN_BLOCK=1 if rows else dsp._MIN_BLOCK):
+        got = dsp._padded_stft(stft_magnitude(w, p), w, n)
+    expected = stft_magnitude(pad_to_length(w, n), p)
+    assert np.array_equal(got.frames, expected.frames)
+    assert (got.params, got.sample_rate) == (expected.params, expected.sample_rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_cases())
+def test_padded_spectrogram_equals_the_padded_clips(case):
+    assert_padded_spectrogram(*case)
+
+
+@pytest.mark.parametrize("extra", [0, 1, 255, 256, 5000])
+def test_padded_spectrogram_past_one_block(extra):
+    # 300 frames at the default framing: the shared rows run past the first
+    # 256-row block, and the padded rows start inside the second
+    p = FrameParams()
+    w = Waveform(signal("noise", 300 * p.hop + 77, 5), 22050)
+    assert_padded_spectrogram(w, len(w.samples) + extra, p)
