@@ -214,8 +214,22 @@ def read_mono(path) -> Waveform:
             if n_channels == 1:
                 out[:] = block
             else:
-                np.mean(block.reshape(-1, n_channels), axis=1, out=out)
+                _channel_mean(block.reshape(-1, n_channels), out)
     return Waveform(mono, sample_rate)
+
+
+def _channel_mean(frames: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = frames.mean(axis=1), bit for bit. Below 8 channels numpy
+    adds a row's values in order, starting from +0.0, so the columns are
+    added that way, a whole column per call; from 8 on it sums pairwise."""
+    n_channels = frames.shape[1]
+    if n_channels >= 8:
+        np.mean(frames, axis=1, out=out)
+        return
+    np.add(frames[:, 0], 0.0, out=out)  # +0.0 + -0.0 is +0.0, as in numpy's sum
+    for k in range(1, n_channels):
+        out += frames[:, k]
+    out /= n_channels
 
 
 def write_wav(path, w: Waveform) -> None:

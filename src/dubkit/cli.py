@@ -92,16 +92,17 @@ def _pitch(w, args, cfg):
 
 def cmd_features(args) -> dict:
     from .audio import read_mono, resample
-    from .dsp import energy_track, mel_spectrogram, mfcc, stft_magnitude
+    from .dsp import _mel_spectrogram_in_place, energy_track, mfcc, stft_magnitude
 
     cfg = _pipeline_config(args)
     w = resample(read_mono(args.audio), cfg.sample_rate)
     spec = stft_magnitude(w, cfg.frame)
     pitch = _pitch(w, args, cfg).values
-    del w  # freed before mel_spectrogram, the stage that sets the peak
-    mel = mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
-    coeffs = mfcc(mel, cfg.n_coeffs)
+    del w  # freed before the mel stage
     energy = energy_track(spec)
+    # the magnitudes are squared in place: spec is spent from here on
+    mel = _mel_spectrogram_in_place(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
+    coeffs = mfcc(mel, cfg.n_coeffs)
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
                    "pitch_threshold": args.pitch_threshold, "input": args.audio})

@@ -89,13 +89,6 @@ class EnergyTrack:
     frame_rate: float
 
 
-def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
-    """Centered framing: reflect-pad length//2 on both ends."""
-    pad = length // 2
-    padded = np.pad(x, pad, mode="reflect")
-    return np.lib.stride_tricks.sliding_window_view(padded, length)[::hop]
-
-
 @lru_cache(maxsize=16)
 def _hann(length: int) -> np.ndarray:
     """Periodic Hann window, bit-equal to scipy's ``get_window("hann",
@@ -118,9 +111,8 @@ def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     x = w.mono_samples()
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
-    frames = _frame(x, p.win_length, p.hop)
-    mags = np.empty((len(frames), p.fft_size // 2 + 1))
-    _stft_rows(frames, p, mags)
+    mags = np.empty((_frame_count(len(x), p.win_length, p.hop), p.fft_size // 2 + 1))
+    _stft_rows(x, p, mags)
     return Spectrogram(mags, p, w.sample_rate)
 
 
@@ -137,26 +129,92 @@ def _padded_stft(spec: Spectrogram, w, n: int) -> Spectrogram:
     x = w.mono_samples()
     pad = p.win_length // 2
     shared = 0 if len(x) <= pad else max(0, (len(x) + pad - p.win_length) // p.hop + 1)
-    padded = np.zeros(n)
-    padded[:len(x)] = x
-    frames = _frame(padded, p.win_length, p.hop)
-    mags = np.empty((len(frames), p.fft_size // 2 + 1))
+    mags = np.empty((_frame_count(n, p.win_length, p.hop), p.fft_size // 2 + 1))
     mags[:shared] = spec.frames[:shared]
-    _stft_rows(frames[shared:], p, mags[shared:])
+    _stft_rows(x, p, mags[shared:], shared, n)
     return Spectrogram(mags, p, spec.sample_rate)
 
 
-def _stft_rows(frames: np.ndarray, p: FrameParams, out: np.ndarray) -> None:
-    """out[t] = |rfft(frames[t] * window)|; windowed frames and their complex
-    spectra exist one block at a time, and a row does not depend on where the
-    blocks are cut."""
-    # scipy.fft is imported where it is called because it is slow to import
-    # and commands that run no FFT never need it
-    from scipy.fft import rfft
-
+def _stft_rows(x: np.ndarray, p: FrameParams, out: np.ndarray, first: int = 0,
+               n: int | None = None) -> None:
+    """out[t - first] = |rfft(frame t * window)| for the frames from
+    ``first`` on of x zero-padded to n samples (see _frame_blocks). One
+    block's windowed frames and complex spectra are allocated per call and
+    refilled block by block; a row does not depend on where the blocks are
+    cut."""
     window = _hann(p.win_length)
-    for lo, hi in _blocks(len(frames), p.fft_size):
-        np.abs(rfft(frames[lo:hi] * window, n=p.fft_size, axis=1), out=out[lo:hi])
+    rows = _block_rows(len(out), p.fft_size)
+    windowed = np.empty((rows, p.win_length))
+    spectra = np.empty((rows, p.fft_size // 2 + 1), dtype=complex)
+    for lo, hi, frames in _frame_blocks(x, p.win_length, p.hop, p.fft_size, first, n):
+        m = hi - lo
+        np.multiply(frames, window, out=windowed[:m])
+        # numpy.fft.rfft gives scipy.fft.rfft's bits (tests/test_spectral_kernel.py
+        # pins that) and, unlike it, fills a given array
+        np.fft.rfft(windowed[:m], n=p.fft_size, axis=1, out=spectra[:m])
+        np.abs(spectra[:m], out=out[lo - first : hi - first])
+
+
+def _frame_count(n: int, length: int, hop: int) -> int:
+    """Frames in the centered framing of n samples (see _frame_blocks)."""
+    return 1 + (n + 2 * (length // 2) - length) // hop
+
+
+def _frame_blocks(x: np.ndarray, length: int, hop: int, row_length: int,
+                  first: int = 0, n: int | None = None):
+    """(lo, hi, frames) for each block (see _blocks) of the frames from
+    ``first`` on of the centered framing of x zero-padded to n samples
+    (len(x) by default).
+
+    Frame t reads samples t * hop - length // 2 onward, reflected about both
+    ends of the padded clip as ``np.pad(..., "reflect")`` reflects them. A
+    block inside x is a view of it; a block that reaches an end or the zeros
+    is framed from a block-sized segment with those samples filled in.
+    """
+    n = len(x) if n is None else n
+    pad = length // 2
+    whole = None
+    if n <= pad + 1:
+        # numpy reflects a clip this short more than once: pad all of it
+        whole = np.zeros(n)
+        whole[:len(x)] = x
+        whole = np.pad(whole, pad, mode="reflect")
+    for lo, hi in _blocks(_frame_count(n, length, hop) - first, row_length):
+        lo, hi = lo + first, hi + first
+        start, stop = lo * hop - pad, (hi - 1) * hop - pad + length
+        if whole is not None:
+            segment = whole[start + pad : stop + pad]
+        elif 0 <= start and stop <= len(x):
+            segment = x[start:stop]
+        else:
+            segment = _reflected_segment(x, n, start, stop)
+        yield lo, hi, np.lib.stride_tricks.sliding_window_view(segment, length)[::hop]
+
+
+def _reflected_segment(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Samples start..stop of z, x zero-padded to n > 1 samples, reflected
+    once about each end: z[-i] before 0 and z[2n - 2 - i] from n on, so
+    -n < start and stop < 2n - 1."""
+    segment = np.empty(stop - start)
+    inner = max(0, start)
+    _fill(segment[inner - start : min(stop, n) - start], x, inner)
+    if start < 0:
+        _fill(segment[:-start][::-1], x, 1)  # z[-start], ..., z[1]
+    if stop > n:
+        _fill(segment[n - start :][::-1], x, 2 * n - 1 - stop)  # z[n - 2], ..., z[2n - 1 - stop]
+    return segment
+
+
+def _fill(out: np.ndarray, x: np.ndarray, a: int) -> None:
+    """out[:] = z[a : a + len(out)], z being x followed by zeros."""
+    k = min(len(out), max(0, len(x) - a))
+    out[:k] = x[a : a + k]
+    out[k:] = 0.0
+
+
+def _block_rows(n_rows: int, row_length: int) -> int:
+    """Rows in the largest of _blocks(n_rows, row_length)."""
+    return max((hi - lo for lo, hi in _blocks(n_rows, row_length)), default=0)
 
 
 def _blocks(n_rows: int, row_length: int):
@@ -200,16 +258,29 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
 
 def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
                     fmax: float = 8000.0) -> MelSpectrogram:
-    """Log mel power spectrogram: log(max(_MEL_FLOOR, filterbank @ magnitude^2))."""
+    """Log mel power spectrogram: log(max(_MEL_FLOOR, filterbank @ magnitude^2)).
+    ``s`` is left as it is."""
+    return _log_mel(s.frames**2, s, n_mels, fmin, fmax)
+
+
+def _mel_spectrogram_in_place(s: Spectrogram, n_mels: int, fmin: float,
+                              fmax: float) -> MelSpectrogram:
+    """mel_spectrogram(s, ...) in the same bits, squaring s's magnitudes in
+    place instead of beside them: s holds the power spectrum afterwards."""
+    return _log_mel(np.square(s.frames, out=s.frames), s, n_mels, fmin, fmax)
+
+
+def _log_mel(power: np.ndarray, s: Spectrogram, n_mels: int, fmin: float,
+             fmax: float) -> MelSpectrogram:
     fb = mel_filterbank(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax)
-    power = s.frames**2
     # One matmul over every frame, not blocks as in stft_magnitude: below a
     # row count that depends on the shape, OpenBLAS picks another dgemm kernel
     # and a row's result changes in the last bits. Floors measured with
     # scipy-openblas 0.3.31 (mels x bins: rows): 80 x 513: 16, 80 x 1025: 13,
     # 40 x 513: 31, 20 x 513: 61, 10 x 129: 121, 2 x 33: over 600.
-    mel_power = power @ fb.T
-    return MelSpectrogram(np.log(np.maximum(_MEL_FLOOR, mel_power)), s.frame_rate)
+    mel = np.matmul(power, fb.T)
+    np.maximum(mel, _MEL_FLOOR, out=mel)
+    return MelSpectrogram(np.log(mel, out=mel), s.frame_rate)
 
 
 def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
@@ -263,26 +334,33 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     if tau_min >= tau_max:
         raise ValueError(f"band [{f_min}, {f_max}] Hz is degenerate at rate {sr}")
 
-    frames = _frame(x, PITCH_FRAME_LENGTH, hop)
-    values = np.zeros(len(frames))
-    for lo, hi in _blocks(len(frames), PITCH_FRAME_LENGTH):
-        values[lo:hi] = _pitch_block(frames[lo:hi], sr, f_min, f_max,
-                                     voicing_threshold, tau_min, tau_max)
+    n_frames = _frame_count(len(x), PITCH_FRAME_LENGTH, hop)
+    values = np.zeros(n_frames)
+    # one block's spectra, refilled block by block
+    rows = _block_rows(n_frames, PITCH_FRAME_LENGTH)
+    spec_full = np.empty((rows, PITCH_FRAME_LENGTH + 1), dtype=complex)
+    spec_head = np.empty_like(spec_full)
+    for lo, hi, frames in _frame_blocks(x, PITCH_FRAME_LENGTH, hop, PITCH_FRAME_LENGTH):
+        values[lo:hi] = _pitch_block(frames, spec_full[: hi - lo], spec_head[: hi - lo],
+                                     sr, f_min, f_max, voicing_threshold, tau_min, tau_max)
     return PitchTrack(values, sr / hop)
 
 
-def _pitch_block(frames: np.ndarray, sr: int, f_min: float, f_max: float,
-                 voicing_threshold: float, tau_min: int, tau_max: int) -> np.ndarray:
-    """Pitch in Hz (0 when unvoiced) of each row of ``frames``."""
-    from scipy.fft import irfft, rfft
+def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarray,
+                 sr: int, f_min: float, f_max: float, voicing_threshold: float,
+                 tau_min: int, tau_max: int) -> np.ndarray:
+    """Pitch in Hz (0 when unvoiced) of each row of ``frames``; spec_full
+    and spec_head, len(frames) x (PITCH_FRAME_LENGTH + 1) complex, are
+    overwritten."""
+    from scipy.fft import irfft
 
     n_frames = len(frames)
     win = PITCH_FRAME_LENGTH // 2
 
     # difference function d[t, tau] = e0 + e_tau - 2 * xcorr(tau), batched over frames
     n_fft = 2 * PITCH_FRAME_LENGTH
-    spec_full = rfft(frames, n=n_fft, axis=1)
-    spec_head = rfft(frames[:, :win], n=n_fft, axis=1)
+    np.fft.rfft(frames, n=n_fft, axis=1, out=spec_full)
+    np.fft.rfft(frames[:, :win], n=n_fft, axis=1, out=spec_head)
     # Keep this product as written. From 256 KiB (_MIN_BLOCK frames) on,
     # numpy reuses the conj temporary and computes conj * full in place, and
     # the swapped operands round differently in the FMA loop. So that a

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import jsonl
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
-from .dsp import FrameParams, _padded_stft, mel_spectrogram, mfcc, stft_magnitude
+from .dsp import (FrameParams, _mel_spectrogram_in_place, _padded_stft, mel_spectrogram,
+                  mfcc, stft_magnitude)
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
 
@@ -367,8 +368,8 @@ def extract_mfcc(w: Waveform, cfg: PipelineConfig):
     return _cepstra(stft_magnitude(w, cfg.frame), cfg)
 
 
-def _cepstra(spec, cfg: PipelineConfig):
-    return mfcc(mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax), cfg.n_coeffs)
+def _cepstra(spec, cfg: PipelineConfig, mel=mel_spectrogram):
+    return mfcc(mel(spec, cfg.n_mels, cfg.fmin, cfg.fmax), cfg.n_coeffs)
 
 
 def evaluate_pair(gen: Waveform, ref: Waveform,
@@ -400,9 +401,10 @@ def _prepare_pair(gen: Waveform, ref: Waveform, cfg: PipelineConfig):
         spec = stft_magnitude(w, cfg.frame)
         cepstra.append(_cepstra(spec, cfg))
         # the shorter waveform is padded, and only the STFT rows the padding
-        # reaches are computed again
+        # reaches are computed again; that spectrogram is used once, so its
+        # magnitudes are squared in place
         padded.append(cepstra[-1] if w.n_frames == n
-                      else _cepstra(_padded_stft(spec, w, n), cfg))
+                      else _cepstra(_padded_stft(spec, w, n), cfg, _mel_spectrogram_in_place))
     plain = mcd(*padded)
     return (plain, *_checked_pair(*cepstra))
 

@@ -22,7 +22,7 @@ class EmbeddingFormatError(ValueError):
 
 
 class RatingError(ValueError):
-    """A rating is outside the 1..5 half-point grid."""
+    """A rating is not a number on the 1..5 half-point grid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +205,7 @@ def mos_aggregate(ratings) -> MosSummary:
     if not values:
         raise RatingError("no ratings given")
     for r in values:
-        if not (1.0 <= r <= 5.0) or (2.0 * r) != round(2.0 * r):
-            raise RatingError(f"rating {r!r} is not on the 1..5 half-point scale")
+        _on_scale(r)
     arr = np.array(values)
     mean = float(arr.mean())
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
@@ -214,7 +213,17 @@ def mos_aggregate(ratings) -> MosSummary:
     return MosSummary(mean, half_width, len(arr), std)
 
 
+def _on_scale(r: float) -> float:
+    if not (1.0 <= r <= 5.0) or (2.0 * r) != round(2.0 * r):
+        raise RatingError(f"rating {r!r} is not on the 1..5 half-point scale")
+    return r
+
+
 def _rating(line: str) -> float:
+    return _on_scale(_number(line))
+
+
+def _number(line: str) -> float:
     text = line.strip()
     if text.startswith("{"):
         value = jsonl.parse_object(text, ("score",))["score"]
@@ -234,5 +243,7 @@ def _rating(line: str) -> float:
 
 
 def load_ratings(path) -> list[float]:
-    """Read ratings from a single-column CSV or a JSONL of {rater, item, score}."""
-    return jsonl.load_lines(path, _rating)
+    """Read ratings from a single-column CSV or a JSONL of {rater, item, score};
+    a row that is not a rating on the 1..5 half-point scale is a RatingError
+    located at ``path:line``."""
+    return jsonl.load_lines(path, _rating, RatingError)

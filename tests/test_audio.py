@@ -229,6 +229,30 @@ class TestReadMono:
         assert got.samples.ndim == 1
         assert got.samples.tobytes() == expected.samples.tobytes()
 
+    @pytest.mark.parametrize("n_channels", range(1, 10))
+    @pytest.mark.parametrize("float32", [False, True])
+    def test_channel_average_is_the_mean_for_any_channel_count(self, tmp_path, n_channels,
+                                                              float32):
+        # below 8 channels read_mono adds the columns itself; numpy's mean
+        # starts a row from +0.0, so a row of -0.0 averages to +0.0
+        rng = np.random.default_rng(n_channels)
+        if float32:
+            values = rng.standard_normal((300, n_channels)).astype("<f4")
+            values[:5] = -0.0
+            values[5:10, 0] = -0.0
+            payload = values.tobytes()
+        else:
+            payload = rng.integers(-32768, 32768, (300, n_channels)).astype("<i2").tobytes()
+        path = tmp_path / "multi.wav"
+        path.write_bytes(wav_file(payload, float32, n_channels, 22050, False, False, []))
+        samples = read_wav(path).samples
+        expected = samples if n_channels == 1 else samples.mean(axis=1)
+        for block in (7, audio._DECODE_FRAMES):
+            with mock.patch.object(audio, "_DECODE_FRAMES", block):
+                got = read_mono(path)
+            assert got.samples.tobytes() == expected.tobytes()
+            assert got.samples.tobytes() == to_mono(read_wav(path)).samples.tobytes()
+
     @pytest.mark.parametrize("rate", [999, 768_001])
     def test_non_finite_float_reported_before_a_bad_rate(self, tmp_path, rate):
         path = tmp_path / "nan.wav"

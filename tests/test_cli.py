@@ -338,6 +338,15 @@ class TestMosCommand:
         assert code == 1
         assert "3.3" in json.loads(err)["error"]["message"]
 
+    def test_rating_off_the_scale_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text("3.0\n7\n")
+        code, out, err = invoke(capsys, "mos", str(path))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error == {"type": "RatingError",
+                         "message": f"{path}:2: rating 7.0 is not on the 1..5 half-point scale"}
+
 
 SRT_TEXT = """1
 00:00:01,000 --> 00:00:02,500

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dubkit import jsonl
 from dubkit.corpus import EMOTIONS, ManifestError, load_manifest
 from dubkit.metrics import load_pair_manifest
-from dubkit.scoring import EmbeddingFormatError, load_embeddings, load_ratings
+from dubkit.scoring import EmbeddingFormatError, RatingError, load_embeddings, load_ratings
 
 from helpers import at
 
@@ -19,7 +19,7 @@ LOADERS = {
     "manifest": (load_manifest, ManifestError,
                  ("movie_id", "clip_index", "speaker", "emotion", "text",
                   "start_ms", "end_ms")),
-    "ratings": (load_ratings, ValueError, ("score",)),
+    "ratings": (load_ratings, RatingError, ("score",)),
 }
 
 

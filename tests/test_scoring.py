@@ -533,6 +533,16 @@ class TestLoadRatings:
         with pytest.raises(ValueError, match=at(path, 2)):
             load_ratings(path)
 
+    @pytest.mark.parametrize("row,shown", [("7", "7.0"), ("nan", "nan"), ("4.25", "4.25"),
+                                           ('{"score": 0.5}', "0.5"),
+                                           ('{"score": NaN}', "nan")])
+    def test_rating_off_the_scale_is_located(self, tmp_path, row, shown):
+        path = tmp_path / "r.txt"
+        path.write_text(f"4.0\n\n{row}\n")
+        with pytest.raises(RatingError) as info:
+            load_ratings(path)
+        assert str(info.value) == f"{path}:3: rating {shown} is not on the 1..5 half-point scale"
+
     def test_multi_column_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("4.0,5.0\n")

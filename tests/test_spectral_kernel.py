@@ -3,9 +3,12 @@ they replaced (``reference_spectral.py``): equal spectra, energy, mel and
 MFCC bit for bit at any block size, odd and short windows, hop 1 and the
 smallest and largest FFT sizes, plus their memory bound. The spectrogram of
 a zero-padded clip built from the clip's own rows equals the padded clip's
-spectrogram."""
+spectrogram. The block framer equals the reference framing, numpy's rfft into
+a given array equals scipy's, and the in-place mel path equals the public
+one."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from dubkit import dsp
 from dubkit.audio import Waveform, pad_to_length
-from dubkit.dsp import FrameParams, energy_track, mel_spectrogram, mfcc, stft_magnitude
+from dubkit.dsp import (FrameParams, energy_track, mel_spectrogram, mfcc, pitch_track,
+                        stft_magnitude)
 
 import reference_spectral
 
@@ -111,8 +115,8 @@ def test_every_block_size_and_framing(p, rows):
 def test_memory_is_the_output_plus_a_block():
     # the whole-clip code held the windowed frames (T x win float64), their
     # complex spectra and then the squared magnitudes at once: about 5x the
-    # output. What is left is the outputs, the reflect-padded copy of the
-    # clip that _frame makes, and a block's windowed frames and spectra
+    # output. What is left is the outputs and one block's windowed frames and
+    # spectra; frames are views of the clip, not of a reflect-padded copy
     p = FrameParams()
     w = Waveform(signal("noise", 60 * 22050, 12), 22050)
     tracemalloc.start()
@@ -124,9 +128,8 @@ def test_memory_is_the_output_plus_a_block():
         tracemalloc.stop()
     rows = dsp._SPECTRAL_SPAN // p.fft_size
     block_bytes = rows * p.win_length * 8 + rows * (p.fft_size // 2 + 1) * 16
-    padded_bytes = (len(w.samples) + 2 * (p.win_length // 2)) * 8
     outputs = spec.frames.nbytes + energy.values.nbytes
-    assert peak < outputs + padded_bytes + 2 * block_bytes + (1 << 20)
+    assert peak < outputs + 2 * block_bytes
 
 
 @st.composite
@@ -165,3 +168,112 @@ def test_padded_spectrogram_past_one_block(extra):
     p = FrameParams()
     w = Waveform(signal("noise", 300 * p.hop + 77, 5), 22050)
     assert_padded_spectrogram(w, len(w.samples) + extra, p)
+
+
+@pytest.mark.parametrize("n", [16, 256, 512, 1000, 1024, 2048, 4096])
+def test_numpy_rfft_into_a_given_array_is_scipys(n):
+    # dsp fills its work arrays with numpy.fft.rfft(..., out=); the oracles
+    # and every pinned output were computed with scipy.fft.rfft
+    from scipy.fft import rfft
+
+    rng = np.random.default_rng(n)
+    for rows in (1, 2, 7, 8, 129, 300):
+        for width in sorted({n, n // 2 + 1, max(1, n // 3)}):  # n longer than the input
+            base = rng.uniform(-1.0, 1.0, 3 * rows + width)
+            inputs = [
+                rng.uniform(-1.0, 1.0, (rows, width)),
+                # overlapping rows, as frames read the clip
+                np.lib.stride_tricks.sliding_window_view(base, width)[::3][:rows],
+                # every other sample of each row, as a column slice
+                np.lib.stride_tricks.sliding_window_view(base, width)[::3][:rows, ::2],
+            ]
+            for x in inputs:
+                out = np.empty((rows, n // 2 + 1), dtype=complex)
+                np.fft.rfft(x, n=n, axis=1, out=out)
+                assert out.tobytes() == rfft(x, n=n, axis=1).tobytes(), (rows, width, x.strides)
+
+
+def assert_framing(x, n, length, hop, rows, first):
+    """dsp._frame_blocks over x zero-padded to n, in blocks of ``rows``
+    frames from frame ``first`` on, against the reference framing of the
+    padded clip; blocks inside x must be views of it."""
+    padded = np.zeros(n)
+    padded[: len(x)] = x
+    expected = reference_spectral._frame(padded, length, hop)
+    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=rows * length, _MIN_BLOCK=1):
+        blocks = list(dsp._frame_blocks(x, length, hop, length, first, n))
+    assert [lo for lo, _, _ in blocks] == list(range(first, len(expected), rows))
+    for lo, hi, frames in blocks:
+        assert hi == min(lo + rows, len(expected))
+        assert np.array_equal(frames, expected[lo:hi]), (lo, hi)
+        inside = lo * hop >= length // 2 and (hi - 1) * hop - length // 2 + length <= len(x)
+        if inside and n > length // 2 + 1:
+            assert np.shares_memory(frames, x), (lo, hi)
+    return blocks
+
+
+@st.composite
+def framing_cases(draw):
+    """A clip of L samples (1, pad, pad + 1, pad + 2 or any), odd and even
+    frame lengths, zero padding to n samples, a block size that puts the
+    first, interior and last blocks (or one whole block) at every offset."""
+    length = draw(st.integers(1, 64))
+    pad = length // 2
+    hop = draw(st.integers(1, length))
+    size = draw(st.sampled_from([1, max(1, pad), pad + 1, pad + 2]) | st.integers(1, 30 * length))
+    n = size + draw(st.sampled_from([0, 1, hop]) | st.integers(0, 4 * length))
+    x = signal(draw(st.sampled_from(["noise", "integers"])), size, draw(st.integers(0, 2**32 - 1)))
+    n_frames = 1 + (n + 2 * pad - length) // hop
+    rows = draw(st.integers(1, n_frames + 1))
+    first = draw(st.sampled_from([0, n_frames - 1]) | st.integers(0, n_frames - 1))
+    return x, n, length, hop, rows, first
+
+
+@settings(max_examples=400, deadline=None)
+@given(framing_cases())
+def test_block_framing_equals_the_reference_framing(case):
+    assert_framing(*case)
+
+
+@pytest.mark.parametrize("length", [1, 2, 15, 16, 2048, 2047])
+def test_block_framing_at_the_reflection_limits(length):
+    pad = length // 2
+    for size in sorted({1, max(1, pad), pad + 1, pad + 2, 3 * length + 5}):
+        x = signal("noise", size, size)
+        for hop in sorted({1, max(1, length // 4), length}):
+            for n in (size, size + hop, size + 2 * length):
+                n_frames = 1 + (n + 2 * pad - length) // hop
+                for rows in sorted({1, 3, n_frames}):
+                    assert_framing(x, n, length, hop, rows, 0)
+                    assert_framing(x, n, length, hop, rows, n_frames // 2)
+
+
+@pytest.mark.parametrize("n_mels", [80, 40, 2])
+@pytest.mark.parametrize("seconds", [0.01, 0.3, 2.0])
+def test_mel_spectrogram_keeps_its_input_and_the_in_place_path_matches(n_mels, seconds):
+    n = int(seconds * 22050)
+    x = signal("noise", n, n_mels)
+    x[: n // 3] = 0.0  # frames at the floor
+    spec = stft_magnitude(Waveform(x, 22050))
+    before = spec.frames.copy()
+    mel = mel_spectrogram(spec, n_mels)
+    assert spec.frames.tobytes() == before.tobytes()
+    in_place = dsp._mel_spectrogram_in_place(spec, n_mels, 0.0, 8000.0)
+    assert in_place.frames.tobytes() == mel.frames.tobytes()
+    assert in_place.frame_rate == mel.frame_rate
+    assert spec.frames.tobytes() == (before**2).tobytes()
+
+
+def test_concurrent_calls_give_the_serial_results():
+    # every work array belongs to one call, so two threads cannot share one
+    clips = [Waveform(signal("noise", 4 * 22050 + 333 * k, k), 22050) for k in range(2)]
+
+    def features(w):
+        return stft_magnitude(w).frames, pitch_track(w).values
+
+    serial = [features(w) for w in clips]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(3):
+            for (mags, pitch), (want_mags, want_pitch) in zip(pool.map(features, clips), serial):
+                assert mags.tobytes() == want_mags.tobytes()
+                assert pitch.tobytes() == want_pitch.tobytes()
