@@ -22,6 +22,11 @@ _SPECTRAL_SPAN = 1 << 18
 # ulp at block edges and tests/test_pitch_kernel.py's block-boundary test fails.
 _MIN_BLOCK = 8
 _MEL_FLOOR = 1e-10  # mel power below this is logged as log(_MEL_FLOOR)
+# frames per block of the mel product: at fft 1024 and 80 bands a block's
+# transposed power and products take about 1 MiB, and 10336 frames took
+# 22-25 ms in blocks of 128 against 24-35 ms in blocks of 511 on a 2-vCPU VM;
+# no mel value depends on it
+_MEL_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -256,10 +261,36 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
     return fb
 
 
+@lru_cache(maxsize=16)
+def _mel_terms(sample_rate: int, fft_size: int, n_mels: int, fmin: float, fmax: float):
+    """The nonzero entries of mel_filterbank(...) in the order _mel_power adds
+    them, as (bins, weights, counts, rows).
+
+    Step j holds the j-th nonzero bin of every band that has more than j,
+    the bands widest first (ties in band order), so that step j adds into
+    the first counts[j] rows of the accumulator; its bins and weights are
+    the next counts[j] entries of ``bins`` and ``weights``. Band b is
+    accumulated in row rows[b].
+    """
+    fb = mel_filterbank(sample_rate, fft_size, n_mels, fmin, fmax)
+    supports = [np.flatnonzero(row) for row in fb]
+    bands = sorted(range(n_mels), key=lambda b: -len(supports[b]))
+    counts = tuple(sum(len(supports[b]) > j for b in bands)
+                   for j in range(max(map(len, supports))))
+    bins = np.array([supports[b][j] for j, count in enumerate(counts)
+                     for b in bands[:count]], dtype=np.intp)
+    weights = np.array([fb[b, supports[b][j]] for j, count in enumerate(counts)
+                        for b in bands[:count]]).reshape(-1, 1)
+    rows = np.argsort(bands)
+    for array in (bins, weights, rows):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return bins, weights, counts, rows
+
+
 def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
                     fmax: float = 8000.0) -> MelSpectrogram:
-    """Log mel power spectrogram: log(max(_MEL_FLOOR, filterbank @ magnitude^2)).
-    ``s`` is left as it is."""
+    """Log mel power spectrogram: log(max(_MEL_FLOOR, filterbank @ magnitude^2)),
+    the product summed in the order _mel_power gives. ``s`` is left as it is."""
     return _log_mel(s.frames**2, s, n_mels, fmin, fmax)
 
 
@@ -272,15 +303,49 @@ def _mel_spectrogram_in_place(s: Spectrogram, n_mels: int, fmin: float,
 
 def _log_mel(power: np.ndarray, s: Spectrogram, n_mels: int, fmin: float,
              fmax: float) -> MelSpectrogram:
-    fb = mel_filterbank(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax)
-    # One matmul over every frame, not blocks as in stft_magnitude: below a
-    # row count that depends on the shape, OpenBLAS picks another dgemm kernel
-    # and a row's result changes in the last bits. Floors measured with
-    # scipy-openblas 0.3.31 (mels x bins: rows): 80 x 513: 16, 80 x 1025: 13,
-    # 40 x 513: 31, 20 x 513: 61, 10 x 129: 121, 2 x 33: over 600.
-    mel = np.matmul(power, fb.T)
+    # Not np.matmul(power, fb.T): OpenBLAS picks its dgemm kernel by the row
+    # count and splits the work by its thread count, and both change the last
+    # bits of a row. _mel_power sums each band's nonzero bins in one fixed
+    # order instead, a block at a time, at about the cost of a one-thread dgemm.
+    mel = _mel_power(power, _mel_terms(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax))
     np.maximum(mel, _MEL_FLOOR, out=mel)
     return MelSpectrogram(np.log(mel, out=mel), s.frame_rate)
+
+
+def _mel_power(power: np.ndarray, terms) -> np.ndarray:
+    """power @ fb.T over the nonzero entries of fb only, given _mel_terms:
+
+        mel[t, b] = ((0.0 + power[t, k0] * fb[b, k0]) + power[t, k1] * fb[b, k1]) + ...
+
+    for band b's nonzero bins k0 < k1 < ..., added left to right; a band with
+    none is 0.0. Every value is one row's own sequence of multiplies and adds,
+    so it depends neither on the other rows, nor on where the blocks of
+    _MEL_BLOCK rows are cut, nor on any thread count. Each block of power is
+    transposed, so each step of _mel_terms is one add over whole rows of
+    bins.
+    """
+    bins, weights, counts, band_rows = terms
+    n_rows, n_mels = len(power), len(band_rows)
+    top = int(bins.max(initial=-1)) + 1  # bins past the last band are not read
+    mel = np.empty((n_rows, n_mels))
+    # one block's transposed power, products and sums, refilled block by block
+    rows = min(n_rows, _MEL_BLOCK)
+    column_buf, product_buf, sum_buf = (np.empty(size * rows) for size in (top, len(bins), n_mels))
+    for lo in range(0, n_rows, _MEL_BLOCK):
+        m = min(n_rows - lo, _MEL_BLOCK)
+        columns = column_buf[: top * m].reshape(top, m)
+        columns[...] = power[lo : lo + m, :top].T
+        products = product_buf[: len(bins) * m].reshape(len(bins), m)
+        np.take(columns, bins, axis=0, out=products, mode="clip")
+        products *= weights
+        total = sum_buf[: n_mels * m].reshape(n_mels, m)
+        total[...] = 0.0
+        start = 0
+        for count in counts:
+            total[:count] += products[start : start + count]
+            start += count
+        mel[lo : lo + m] = total[band_rows].T
+    return mel
 
 
 def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:

@@ -1,8 +1,14 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +428,13 @@ def mixed_pairs():
     return pairs
 
 
+def use_cpus(monkeypatch, n):
+    """Make evaluate_corpus see ``n`` usable CPUs: one runs every chunk in the
+    calling process, where a patch, a warning filter or tracemalloc sees it."""
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def pairwise_rows(manifest, cfg=PipelineConfig()):
     return [replace(evaluate_pair(read_mono(e.generated), read_mono(e.reference), cfg),
                     pair_id=e.pair_id) for e in load_pair_manifest(manifest)]
@@ -445,6 +458,7 @@ class TestCorpusGroups:
         assert report.rows == expected
 
     def test_failures_stay_per_pair_and_in_manifest_order(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)  # the patched _align_many counts sweeps in this process
         cfg = PipelineConfig(pad_mode="strict")
         manifest = write_pair_corpus(tmp_path, [
             ("ok1", tone(300, 0.3), tone(310, 0.3)),
@@ -483,8 +497,9 @@ class TestCorpusGroups:
         # the failing sweep held the other pairs too, which were then retried one by one
         assert sweeps[0] == 4 and sweeps[1:] == [1, 1, 1, 1]
 
-    def test_memory_does_not_grow_with_the_manifest(self, tmp_path):
+    def test_memory_does_not_grow_with_the_manifest(self, tmp_path, monkeypatch):
         # prepared pairs wait in a bounded window; what grows is the rows
+        use_cpus(monkeypatch, 1)  # tracemalloc traces this process only
         gen, ref = tmp_path / "gen.wav", tmp_path / "ref.wav"
         write_wav(gen, tone(300, 0.5))
         write_wav(ref, tone(320, 0.6))
@@ -502,13 +517,151 @@ class TestCorpusGroups:
         # a window that held all 400 prepared pairs peaked 3.8 MB higher
         assert peaks[1] - peaks[0] < 1 << 20
 
-    def test_finite_input_warns_nothing(self, tmp_path):
+    def test_finite_input_warns_nothing(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)  # warnings are caught in this process only
         manifest = write_pair_corpus(tmp_path, mixed_pairs())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = evaluate_corpus(load_pair_manifest(manifest))
         assert report.failures == []
         assert [str(w.message) for w in caught] == []
+
+
+class ChunkSpy(ProcessPoolExecutor):
+    """The pool evaluate_corpus makes, recording in the calling process the
+    worker count and the size of each chunk it is given."""
+
+    calls = []
+
+    def __init__(self, workers, **kwargs):
+        super().__init__(workers, **kwargs)
+        self.workers = workers
+
+    def map(self, fn, chunks, *rest, **kwargs):
+        chunks = list(chunks)
+        ChunkSpy.calls.append((self.workers, [len(chunk) for chunk in chunks]))
+        return super().map(fn, chunks, *rest, **kwargs)
+
+
+def spy_chunks(monkeypatch):
+    ChunkSpy.calls = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkSpy)
+    return ChunkSpy.calls
+
+
+def cycled_entries(tmp_path, count):
+    """``count`` manifest entries cycling over five pairs of different
+    lengths and a missing file, so that rows out of order would show."""
+    pairs = write_pair_corpus(tmp_path, [(f"c{k}", tone(250 + 40 * k, 0.1 + 0.03 * k),
+                                          tone(270 + 30 * k, 0.12 + 0.02 * k))
+                                         for k in range(5)])
+    base = load_pair_manifest(pairs) + [PairEntry("none", str(tmp_path / "no.wav"),
+                                                  str(tmp_path / "no.wav"))]
+    return [replace(base[k % len(base)], pair_id=f"e{k}") for k in range(count)]
+
+
+class TestCorpusPool:
+    """With more than one usable CPU, evaluate_corpus scores contiguous
+    chunks of the manifest on forked workers; the report is the one-CPU
+    report, row for row and failure for failure."""
+
+    def test_pool_equals_inline(self, tmp_path, monkeypatch):
+        cfg = PipelineConfig(pad_mode="strict")
+        pairs = [("ok1", tone(300, 0.3), tone(310, 0.3)),
+                 ("strict", tone(300, 0.3), tone(310, 0.35)),
+                 ("big", tone(300, 1.0), tone(330, 1.0))]
+        pairs += [(f"ok{k}", tone(200 + 20 * k, 0.2 + 0.01 * k), tone(210 + 20 * k, 0.2 + 0.01 * k))
+                  for k in range(2, 12)]
+        manifest = write_pair_corpus(tmp_path, pairs)
+        missing = json.dumps({"id": "missing", "generated": str(tmp_path / "no.wav"),
+                              "reference": str(tmp_path / "no.wav")})
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:5] + [missing] + lines[5:]) + "\n")
+        monkeypatch.setattr(metrics, "MAX_DTW_CELLS", 2000)  # 1 s is 87 x 87 cells
+        use_cpus(monkeypatch, 1)
+        inline = evaluate_corpus(load_pair_manifest(manifest), cfg)
+        calls = spy_chunks(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        pooled = evaluate_corpus(load_pair_manifest(manifest), cfg)
+        assert calls == [(2, [1, 2, 2, 2, 1, 2, 2, 2])]
+        assert pooled.rows == inline.rows
+        assert pooled.failures == inline.failures
+        assert [pair_id for pair_id, _ in pooled.failures] == ["strict", "big", "missing"]
+        errors = [error for _, error in pooled.failures]
+        assert errors[0].startswith("ValueError: length mismatch")
+        assert errors[1].startswith("AlignmentTooLargeError: aligning 87 x 87 frames")
+        assert errors[2].startswith("FileNotFoundError: ")
+        assert json.dumps(pooled.to_dict()) == json.dumps(inline.to_dict())
+
+    @pytest.mark.parametrize("count", [1, 2, 63, 64, 65])
+    def test_chunk_edges(self, tmp_path, monkeypatch, count):
+        entries = cycled_entries(tmp_path, count)
+        use_cpus(monkeypatch, 1)
+        inline = evaluate_corpus(entries)
+        calls = spy_chunks(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        pooled = evaluate_corpus(entries)
+        assert pooled.rows == inline.rows and pooled.failures == inline.failures
+        assert [row.pair_id for row in pooled.rows] == [e.pair_id for e in entries
+                                                        if e.generated.endswith("_gen.wav")]
+        # at least four chunks per worker, never more chunks than pairs;
+        # one pair is scored in this process
+        if count == 1:
+            assert calls == []
+        else:
+            [(workers, sizes)] = calls
+            assert workers == 2 and len(sizes) == min(count, 8)
+            assert sum(sizes) == count and max(sizes) - min(sizes) <= 1
+
+    def test_a_chunk_holds_at_most_a_window(self, tmp_path, monkeypatch):
+        entries = cycled_entries(tmp_path, 65)
+        use_cpus(monkeypatch, 1)
+        inline = evaluate_corpus(entries)
+        monkeypatch.setattr(metrics, "_WINDOW_PAIRS", 8)
+        calls = spy_chunks(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        pooled = evaluate_corpus(entries)
+        assert pooled.rows == inline.rows and pooled.failures == inline.failures
+        # 65 pairs in chunks of at most 8 take 9 chunks, one more than 4 per worker
+        assert calls == [(2, [7, 7, 7, 7, 8, 7, 7, 7, 8])]
+
+    def test_a_worker_killed_mid_chunk_fails_the_run(self, tmp_path):
+        entries = cycled_entries(tmp_path, 12)
+        manifest = tmp_path / "pairs.jsonl"
+        manifest.write_text("".join(json.dumps({"id": e.pair_id, "generated": e.generated,
+                                                "reference": e.reference}) + "\n"
+                                    for e in entries))
+        out = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(metrics.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", KILLED_WORKER, str(manifest), str(out)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
+        errors = [json.loads(line)["error"] for line in result.stderr.splitlines()]
+        assert [error["type"] for error in errors] == ["BrokenProcessPool"] * 2
+
+
+# dubkit batch on two CPUs, the second pair a worker prepares killing it;
+# once with the document on stdout and once with --out
+KILLED_WORKER = """\
+import os, signal, sys
+from dubkit import cli, metrics
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, prepare, prepared = os.getpid(), metrics._prepare_pair, []
+
+def dying(*args):
+    prepared.append(1)
+    if os.getpid() != parent and len(prepared) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return prepare(*args)
+
+metrics._prepare_pair = dying
+manifest, out = sys.argv[1:]
+status = cli.run(["batch", manifest])
+if status == cli.run(["batch", manifest, "--out", out]):
+    sys.exit(status)
+"""
 
 
 class TestPairManifest:
