@@ -9,6 +9,7 @@ failure, 1 runtime or data failure.
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -18,8 +19,9 @@ from .modes import PAD_MODES, SCALES
 from .srt import load_srt
 
 # The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft,
-# resampling scipy.special, when they run), so each command imports them
-# itself: --version, srt, split and stats start without the numeric stack.
+# resampling scipy.special, when they run), and `features` pickles its pitch
+# track across a fork, so each command imports what it runs itself:
+# --version, srt, split and stats start without the numeric stack or pickle.
 
 
 class UsageError(ValueError):
@@ -90,31 +92,115 @@ def _pitch(w, args, cfg):
                        hop=cfg.frame.hop)
 
 
+def _pitch_values(w, args, cfg, n_frames):
+    # pitch frames sit at the same hop * i centres, but an odd --win gives
+    # one STFT frame fewer when the clip is a whole number of hops
+    return _pitch(w, args, cfg).values[:n_frames]
+
+
+class _ForkedCall:
+    """fn(*args) in a forked child when this process may use more than one
+    CPU, else right here.
+
+    The child gets the arguments through the fork and sends back only its
+    pickled result. Calling the object waits for the child and returns that
+    result, or raises the child's exception (its type and message), or
+    ChildProcessError if the child died. close() kills and reaps a child
+    that has not been waited for, so no child outlives its caller.
+    """
+
+    def __init__(self, fn, *args):
+        from .metrics import _usable_cpus
+
+        self._pid = 0
+        if _usable_cpus() == 1:
+            self._result = fn(*args)
+            return
+        import pickle
+
+        read_fd, write_fd = os.pipe()
+        # the only other threads here are OpenBLAS's, which it stops at a fork
+        # (pthread_atfork) and starts again when next used
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:  # whatever happens, the child leaves here and nowhere else
+                os.close(read_fd)
+                try:
+                    result = (True, fn(*args))
+                except Exception as exc:
+                    result = (False, exc)
+                with open(write_fd, "wb") as fh:
+                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._pid, self._pipe = pid, open(read_fd, "rb")
+
+    def __call__(self):
+        if not self._pid:
+            return self._result
+        import pickle
+
+        data = self._pipe.read()  # to EOF: the child has exited or is exiting
+        code = os.waitstatus_to_exitcode(self._reap())
+        if code < 0:
+            import signal
+
+            raise ChildProcessError(f"forked child killed by {signal.Signals(-code).name}")
+        if code:
+            raise ChildProcessError(f"forked child exited with status {code}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self._pid:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = 0
+        self._pipe.close()
+        return status
+
+
 def cmd_features(args) -> dict:
     from .audio import read_mono, resample
-    from .dsp import _mel_spectrogram_in_place, energy_track, mfcc, stft_magnitude
+    from .dsp import (_frame_count, _mel_spectrogram_in_place, energy_track, mfcc,
+                      stft_magnitude)
 
     cfg = _pipeline_config(args)
-    w = resample(read_mono(args.audio), cfg.sample_rate)
-    spec = stft_magnitude(w, cfg.frame)
-    pitch = _pitch(w, args, cfg).values
-    del w  # freed before the mel stage
-    energy = energy_track(spec)
-    # the magnitudes are squared in place: spec is spent from here on
-    mel = _mel_spectrogram_in_place(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
-    coeffs = mfcc(mel, cfg.n_coeffs)
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
                    "pitch_threshold": args.pitch_threshold, "input": args.audio})
+    w = resample(read_mono(args.audio), cfg.sample_rate)
+    n_frames = _frame_count(len(w.mono_samples()), cfg.frame.win_length, cfg.frame.hop)
+    # on a second CPU the pitch track runs beside the spectral stages and the
+    # rendering of mel and mfcc, which waits for it only at "pitch"
+    pitch = _ForkedCall(_pitch_values, w, args, cfg, n_frames)
+    try:
+        spec = stft_magnitude(w, cfg.frame)
+        del w  # freed before the mel stage
+        energy = energy_track(spec)
+        # the magnitudes are squared in place: spec is spent from here on
+        mel = _mel_spectrogram_in_place(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
+        coeffs = mfcc(mel, cfg.n_coeffs)
+    except BaseException:
+        pitch.close()
+        raise
     return {
         "config": config,
         "n_frames": spec.n_frames,
         "frame_rate": spec.frame_rate,
         "mel": mel.frames,
         "mfcc": coeffs.frames,
-        # pitch frames sit at the same hop * i centres, but an odd --win gives
-        # one STFT frame fewer when the clip is a whole number of hops
-        "pitch": pitch[: spec.n_frames],
+        "pitch": pitch,  # called by _emit, which closes it whatever happens
         "energy": energy.values,
     }
 
@@ -334,6 +420,7 @@ def _render_pretty(payload, indent: int = 0) -> str:
     lines = []
     if isinstance(payload, dict):
         for key, value in payload.items():
+            value = value() if isinstance(value, _ForkedCall) else value
             if isinstance(value, dict):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_pretty(value, indent + 1))
@@ -366,12 +453,14 @@ def _fmt(value) -> str:
 
 
 def _json_pieces(payload):
-    """``json.dumps(payload)`` in pieces: the top-level object key by key, and
-    an ndarray value (duck-typed, so this module needs no numpy) as the JSON
-    list of its ``tolist()``, a 2-D one row by row."""
+    """``json.dumps(payload)`` in pieces: the top-level object key by key, an
+    ndarray value (duck-typed, so this module needs no numpy) as the JSON
+    list of its ``tolist()``, a 2-D one row by row, and a _ForkedCall value as
+    what it returns, waited for when the rendering reaches it."""
     yield "{"
     for i, (key, value) in enumerate(payload.items()):
         yield f"{', ' if i else ''}{json.dumps(key)}: "
+        value = value() if isinstance(value, _ForkedCall) else value
         ndim = getattr(value, "ndim", 0)
         if ndim == 2:
             yield "["
@@ -384,8 +473,16 @@ def _json_pieces(payload):
 
 
 def _emit(payload, args) -> None:
-    """Write the document; the payload is complete before the first byte."""
-    pieces = [_render_pretty(payload)] if args.pretty else _json_pieces(payload)
+    """Write the document. It is rendered in full, every _ForkedCall value
+    waited for, before the first byte is written or --out is opened, so a
+    failure leaves no partial document; each _ForkedCall is closed whatever
+    happens."""
+    try:
+        pieces = [_render_pretty(payload)] if args.pretty else list(_json_pieces(payload))
+    finally:
+        for value in payload.values():
+            if isinstance(value, _ForkedCall):
+                value.close()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)

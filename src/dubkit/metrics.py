@@ -459,7 +459,7 @@ def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricRe
     dies raises concurrent.futures.process.BrokenProcessPool.
     """
     entries = list(entries)
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = _usable_cpus()
     n_chunks = min(len(entries), max(_CHUNKS_PER_WORKER * workers,
                                      -(-len(entries) // _WINDOW_PAIRS)))
     if workers == 1 or n_chunks <= 1:
@@ -480,6 +480,12 @@ def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricRe
             rows += report.rows
             failures += report.failures
     return MetricReport(rows, failures)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (os.sched_getaffinity, so taskset and
+    container CPU sets count); 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _evaluate_chunk(entries, cfg: PipelineConfig) -> MetricReport:

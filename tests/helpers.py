@@ -24,6 +24,13 @@ STANDARD_SOURCE_RATES = (8000, 11025, 16000, 24000, 32000, 44100, 48000, 88200,
 STANDARD_TARGET_RATES = (16000, 22050, 24000, 44100, 48000)
 
 
+def use_cpus(monkeypatch, n):
+    """Make evaluate_corpus and `dubkit features` see ``n`` usable CPUs: with
+    one, every batch chunk and the pitch track run in the calling process,
+    where a patch, a warning filter or tracemalloc sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def at(path, lineno):
     """Regex for the ``path:lineno: `` prefix every JSONL error starts with."""
     return "^" + re.escape(f"{path}:{lineno}: ")

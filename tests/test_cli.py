@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -11,11 +12,12 @@ import numpy as np
 import pytest
 
 import dubkit
+from dubkit import dsp
 from dubkit.audio import Waveform, write_wav
 from dubkit.cli import _emit, build_parser, run
 from dubkit.metrics import PipelineConfig
 
-from helpers import brute_force_accuracy, jsonl, make_tone
+from helpers import brute_force_accuracy, jsonl, make_sawtooth, make_tone, use_cpus
 
 SR = 22050
 
@@ -203,6 +205,158 @@ class TestFeaturesCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert "767999 Hz to 22050 Hz" in error["message"]
+
+
+class TrackError(ValueError):
+    """Raised by a patched pitch tracker; defined at module level, so it
+    pickles by reference like the library's own errors."""
+
+
+def spy_forks(monkeypatch):
+    """The pids of the children os.fork starts from here on."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def reaped(pid):
+    """True once ``pid`` is no child of this process: neither running nor a
+    zombie waiting to be reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def features_document(capsys, tmp_path, argv, out):
+    """(exit code, stdout, stderr, --out bytes or None) of `dubkit features`,
+    with the document on stdout or, if ``out``, in a fresh --out file."""
+    target = tmp_path / f"doc{len(list(tmp_path.iterdir()))}.json"
+    code, stdout, stderr = invoke(capsys, "features", *argv,
+                                  *(["--out", str(target)] if out else []))
+    return code, stdout, stderr, target.read_bytes() if target.exists() else None
+
+
+class TestFeaturesOnEveryCpu:
+    """With two usable CPUs `features` tracks pitch in a forked child while
+    it runs the spectral stages and renders the document; with one it runs
+    the track itself. The document is the same bytes either way."""
+
+    @pytest.mark.parametrize("clip,flags", [
+        ("three", []),
+        ("whole-hops", ["--win", "1023"]),  # one STFT frame fewer than pitch frames
+        ("five-seconds", []),  # 431 pitch frames: blocks of 128, 128, 128 and 47
+    ])
+    @pytest.mark.parametrize("mode", ["stdout", "out", "pretty"])
+    def test_same_bytes_on_one_cpu_and_two(self, tmp_path, capsys, monkeypatch,
+                                           clip, flags, mode):
+        wav = str(tmp_path / f"{clip}.wav")
+        samples = {"three": np.array([0.25, -0.5, 0.125]),
+                   "whole-hops": make_tone(180.0, 86 * 256 / SR, SR),
+                   "five-seconds": np.concatenate([make_sawtooth(150.0, 2.0, SR), np.zeros(SR),
+                                                   make_tone(310.0, 2.0, SR)])}[clip]
+        write_wav(wav, Waveform(samples, SR))
+        argv = [wav, *flags, *(["--pretty"] if mode == "pretty" else [])]
+        documents = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            forks = spy_forks(monkeypatch)
+            code, stdout, stderr, written = features_document(capsys, tmp_path, argv,
+                                                              mode == "out")
+            assert (code, stderr) == (0, ""), stderr
+            assert len(forks) == cpus - 1 and all(map(reaped, forks))
+            documents.append((stdout, written))
+        assert documents[0] == documents[1]
+        assert (documents[0][1] is None) == (mode != "out")
+        if mode != "pretty":
+            doc = json.loads(documents[0][1] or documents[0][0])
+            assert len(doc["pitch"]) == doc["n_frames"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_an_error_in_the_track_keeps_its_type_and_message(self, tmp_path, capsys,
+                                                              monkeypatch, cpus, out):
+        wav = write_tone(tmp_path / "a.wav")
+        track = dsp.pitch_track
+
+        def failing(w, *args, **kwargs):
+            if len(w.mono_samples()) > 1:  # not the flag check on one sample
+                raise TrackError(f"no pitch in {len(w.mono_samples())} samples")
+            return track(w, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "pitch_track", failing)
+        use_cpus(monkeypatch, cpus)
+        forks = spy_forks(monkeypatch)
+        code, stdout, stderr, written = features_document(capsys, tmp_path, [wav], out)
+        assert (code, stdout, written) == (1, "", None)
+        assert json.loads(stderr)["error"] == {"type": "TrackError",
+                                               "message": f"no pitch in {int(0.3 * SR)} samples"}
+        assert len(forks) == cpus - 1 and all(map(reaped, forks))
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_a_track_killed_mid_clip_fails_the_command(self, tmp_path, capsys, monkeypatch,
+                                                       out):
+        wav = str(tmp_path / "long.wav")
+        write_wav(wav, Waveform(make_tone(220.0, 5.0, SR), SR))  # four pitch blocks
+        parent, block, blocks = os.getpid(), dsp._pitch_block, []
+
+        def dying(*args):
+            blocks.append(1)
+            if os.getpid() != parent and len(blocks) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return block(*args)
+
+        monkeypatch.setattr(dsp, "_pitch_block", dying)
+        use_cpus(monkeypatch, 2)
+        forks = spy_forks(monkeypatch)
+        code, stdout, stderr, written = features_document(capsys, tmp_path, [wav], out)
+        assert (code, stdout, written) == (1, "", None)
+        assert json.loads(stderr)["error"] == {"type": "ChildProcessError",
+                                               "message": "forked child killed by SIGKILL"}
+        assert len(forks) == 1 and reaped(forks[0])
+
+    # the spectra fail in the command, or the mfcc rows, rendered before
+    # "pitch", hold a value JSON cannot encode
+    @pytest.mark.parametrize("stage,error", [
+        ("stft_magnitude", {"type": "RuntimeError", "message": "spectra failed"}),
+        ("mfcc", {"type": "TypeError",
+                  "message": "Object of type object is not JSON serializable"}),
+    ])
+    def test_a_failure_beside_the_track_kills_and_reaps_it(self, tmp_path, capsys,
+                                                           monkeypatch, stage, error):
+        wav = write_tone(tmp_path / "a.wav")
+        parent, track = os.getpid(), dsp.pitch_track
+
+        def stalled(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return track(*args, **kwargs)
+
+        def failing_stft(w, p=None):
+            raise RuntimeError("spectra failed")
+
+        def unrenderable_mfcc(m, n_coeffs):
+            return dsp.MfccSequence(np.full((len(m.frames), 1), object()), m.frame_rate)
+
+        monkeypatch.setattr(dsp, "pitch_track", stalled)
+        monkeypatch.setattr(dsp, stage, {"stft_magnitude": failing_stft,
+                                         "mfcc": unrenderable_mfcc}[stage])
+        use_cpus(monkeypatch, 2)
+        forks = spy_forks(monkeypatch)
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "features", wav)
+        assert time.perf_counter() - start < 30  # the stalled child was not waited out
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
+        assert len(forks) == 1 and reaped(forks[0])
 
 
 class TestBatchCommand:

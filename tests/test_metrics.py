@@ -20,7 +20,7 @@ from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEnt
                             evaluate_pair, extract_mfcc, frame_distance,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
 
-from helpers import at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone
+from helpers import at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone, use_cpus
 
 SR = 22050
 
@@ -426,13 +426,6 @@ def mixed_pairs():
     pairs.append(("rates", tone(440, 0.3, 44100), tone(450, 0.35)))
     pairs.append(("silent", Waveform(np.zeros(SR // 4), SR), tone(300, 0.3)))
     return pairs
-
-
-def use_cpus(monkeypatch, n):
-    """Make evaluate_corpus see ``n`` usable CPUs: one runs every chunk in the
-    calling process, where a patch, a warning filter or tracemalloc sees it."""
-    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
 
 
 def pairwise_rows(manifest, cfg=PipelineConfig()):
