@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 # every submodule, with the public names the package re-exports from it
 _EXPORTS = {
     "audio": ("Waveform", "read_wav", "read_mono", "write_wav", "to_mono",
-              "resample", "pad_to_length"),
+              "resample"),
     "dsp": ("FrameParams", "Spectrogram", "MelSpectrogram", "MfccSequence",
             "PitchTrack", "EnergyTrack", "stft_magnitude", "mel_filterbank",
             "mel_spectrogram", "mfcc", "energy_track", "pitch_track"),
     "metrics": ("AlignmentResult", "PairMetrics", "MetricReport", "PipelineConfig",
-                "PairEntry", "frame_distance", "mcd", "dtw_align", "mcd_dtw",
-                "mcd_dtw_sl", "evaluate_pair", "evaluate_corpus",
-                "load_pair_manifest"),
+                "PairEntry", "mcd", "dtw_align", "mcd_dtw", "mcd_dtw_sl",
+                "evaluate_pair", "evaluate_corpus", "load_pair_manifest"),
     "scoring": ("EmbeddingSet", "CentroidModel", "MosSummary", "load_embeddings",
                 "build_centroids", "accuracy", "mos_aggregate", "load_ratings"),
     "srt": ("SrtEntry", "load_srt", "parse_srt", "serialize_srt"),

@@ -1,9 +1,9 @@
 """Waveform ingestion and preprocessing.
 
 Reads RIFF/WAVE files (16-bit PCM and 32-bit IEEE float), averages
-channels to mono, resamples with a band-limited polyphase filter, and
-zero-pads. Everything downstream of this module works on mono float64
-sample vectors in [-1, 1].
+channels to mono and resamples with a band-limited polyphase filter.
+Everything downstream of this module works on mono float64 sample vectors
+in [-1, 1].
 """
 
 import math
@@ -412,16 +412,3 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     y = _resample_poly(x, up, down)
     return Waveform(np.clip(y, -1.0, 1.0, out=y), target_rate)
 
-
-def pad_to_length(w: Waveform, target_len: int) -> Waveform:
-    """Append zeros so the mono waveform has ``target_len`` samples.
-
-    The original samples are untouched; shrinking is an error, and so is
-    multichannel input.
-    """
-    x = w.mono_samples()
-    if target_len < len(x):
-        raise ValueError(f"target_len {target_len} < current length {len(x)}")
-    if target_len == len(x):
-        return w
-    return Waveform(np.concatenate([x, np.zeros(target_len - len(x))]), w.sample_rate)

@@ -9,7 +9,6 @@ failure, 1 runtime or data failure.
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -19,9 +18,9 @@ from .modes import PAD_MODES, SCALES
 from .srt import load_srt
 
 # The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft,
-# resampling scipy.special, when they run), and `features` pickles its pitch
-# track across a fork, so each command imports what it runs itself:
-# --version, srt, split and stats start without the numeric stack or pickle.
+# resampling scipy.special, when they run), so each command imports what it
+# runs itself: --version, srt, split and stats start without the numeric
+# stack.
 
 
 class UsageError(ValueError):
@@ -66,8 +65,8 @@ def _pipeline_config(args):
     """The pipeline flags as a ``PipelineConfig``, checked before any file is
     read by running the library's own extractors on one sample of silence."""
     from .audio import Waveform
-    from .dsp import FrameParams
-    from .metrics import PipelineConfig, extract_mfcc
+    from .dsp import FrameParams, stft_magnitude
+    from .metrics import PipelineConfig, _cepstra
 
     try:
         frame = FrameParams(fft_size=args.fft, hop=args.hop, win_length=args.win)
@@ -77,7 +76,7 @@ def _pipeline_config(args):
                              scale=getattr(args, "scale", "plain"),
                              pad_mode=getattr(args, "pad_mode", "pad"))
         silence = Waveform([0.0], cfg.sample_rate)
-        extract_mfcc(silence, cfg)
+        _cepstra(stft_magnitude(silence, cfg.frame), cfg)
         if hasattr(args, "pitch_fmin"):
             _pitch(silence, args, cfg)
     except ValueError as exc:
@@ -98,82 +97,11 @@ def _pitch_values(w, args, cfg, n_frames):
     return _pitch(w, args, cfg).values[:n_frames]
 
 
-class _ForkedCall:
-    """fn(*args) in a forked child when this process may use more than one
-    CPU, else right here.
-
-    The child gets the arguments through the fork and sends back only its
-    pickled result. Calling the object waits for the child and returns that
-    result, or raises the child's exception (its type and message), or
-    ChildProcessError if the child died. close() kills and reaps a child
-    that has not been waited for, so no child outlives its caller.
-    """
-
-    def __init__(self, fn, *args):
-        from .metrics import _usable_cpus
-
-        self._pid = 0
-        if _usable_cpus() == 1:
-            self._result = fn(*args)
-            return
-        import pickle
-
-        read_fd, write_fd = os.pipe()
-        # the only other threads here are OpenBLAS's, which it stops at a fork
-        # (pthread_atfork) and starts again when next used
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:  # whatever happens, the child leaves here and nowhere else
-                os.close(read_fd)
-                try:
-                    result = (True, fn(*args))
-                except Exception as exc:
-                    result = (False, exc)
-                with open(write_fd, "wb") as fh:
-                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self._pid, self._pipe = pid, open(read_fd, "rb")
-
-    def __call__(self):
-        if not self._pid:
-            return self._result
-        import pickle
-
-        data = self._pipe.read()  # to EOF: the child has exited or is exiting
-        code = os.waitstatus_to_exitcode(self._reap())
-        if code < 0:
-            import signal
-
-            raise ChildProcessError(f"forked child killed by {signal.Signals(-code).name}")
-        if code:
-            raise ChildProcessError(f"forked child exited with status {code}")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        if self._pid:
-            import signal
-
-            os.kill(self._pid, signal.SIGKILL)
-            self._reap()
-
-    def _reap(self) -> int:
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = 0
-        self._pipe.close()
-        return status
-
-
 def cmd_features(args) -> dict:
     from .audio import read_mono, resample
     from .dsp import (_frame_count, _mel_spectrogram_in_place, energy_track, mfcc,
                       stft_magnitude)
+    from .metrics import _ForkedCall
 
     cfg = _pipeline_config(args)
     config = cfg.to_dict()
@@ -420,7 +348,7 @@ def _render_pretty(payload, indent: int = 0) -> str:
     lines = []
     if isinstance(payload, dict):
         for key, value in payload.items():
-            value = value() if isinstance(value, _ForkedCall) else value
+            value = value() if callable(value) else value
             if isinstance(value, dict):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_pretty(value, indent + 1))
@@ -455,12 +383,13 @@ def _fmt(value) -> str:
 def _json_pieces(payload):
     """``json.dumps(payload)`` in pieces: the top-level object key by key, an
     ndarray value (duck-typed, so this module needs no numpy) as the JSON
-    list of its ``tolist()``, a 2-D one row by row, and a _ForkedCall value as
-    what it returns, waited for when the rendering reaches it."""
+    list of its ``tolist()``, a 2-D one row by row, and a callable value (a
+    deferred one, such as a metrics._ForkedCall) as what it returns, called
+    when the rendering reaches it."""
     yield "{"
     for i, (key, value) in enumerate(payload.items()):
         yield f"{', ' if i else ''}{json.dumps(key)}: "
-        value = value() if isinstance(value, _ForkedCall) else value
+        value = value() if callable(value) else value
         ndim = getattr(value, "ndim", 0)
         if ndim == 2:
             yield "["
@@ -473,15 +402,15 @@ def _json_pieces(payload):
 
 
 def _emit(payload, args) -> None:
-    """Write the document. It is rendered in full, every _ForkedCall value
-    waited for, before the first byte is written or --out is opened, so a
-    failure leaves no partial document; each _ForkedCall is closed whatever
-    happens."""
+    """Write the document. It is rendered in full, every callable value
+    called, before the first byte is written or --out is opened, so a
+    failure leaves no partial document; each callable value is closed
+    whatever happens."""
     try:
         pieces = [_render_pretty(payload)] if args.pretty else list(_json_pieces(payload))
     finally:
         for value in payload.values():
-            if isinstance(value, _ForkedCall):
+            if callable(value):
                 value.close()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

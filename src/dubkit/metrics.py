@@ -11,14 +11,13 @@ by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 
 import os
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
 from . import jsonl
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
-from .dsp import (FrameParams, _mel_spectrogram_in_place, _padded_stft, mel_spectrogram,
-                  mfcc, stft_magnitude)
+from .dsp import FrameParams, _mel_spectrogram_in_place, _padded_stft, mfcc, stft_magnitude
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
 
@@ -123,15 +122,6 @@ class PipelineConfig:
             "scale": self.scale,
             "pad_mode": self.pad_mode,
         }
-
-
-def frame_distance(c1: np.ndarray, c2: np.ndarray) -> float:
-    """Euclidean distance between two coefficient vectors."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    if c1.shape != c2.shape:
-        raise ValueError(f"dimension mismatch: {c1.shape} vs {c2.shape}")
-    return float(np.sqrt(((c1 - c2) ** 2).sum()))
 
 
 def _coeff_matrix(c) -> np.ndarray:
@@ -305,8 +295,9 @@ def _align_many(pairs) -> list[AlignmentResult]:
 
 def _tile_distances(a_cols, b_cols, s0, s1, top, bottom, last, scratch) -> np.ndarray:
     """Frame distances of diagonals s0..s1-1 at rows top..bottom, as a
-    (pairs, s1 - s0, rows) array: frame_distance's arithmetic, with the sum
-    over K in the order x.sum(axis=1) adds a row (see _pairwise_sum)."""
+    (pairs, s1 - s0, rows) array: sqrt(((a - b) ** 2).sum()) of each two
+    frames, with the sum over K in the order x.sum(axis=1) adds a row (see
+    _pairwise_sum)."""
     k, count, _ = a_cols.shape
     width, height = s1 - s0, bottom - top + 1
     # b of cell (s, i) is b[s - i], column last - s + i of b_cols: one step
@@ -365,13 +356,11 @@ def mcd_dtw_sl(a: AlignmentResult) -> tuple[float, float]:
     return eta * (a.cost / a.path_len), eta
 
 
-def extract_mfcc(w: Waveform, cfg: PipelineConfig):
-    """Waveform -> MFCC sequence under the pipeline settings."""
-    return _cepstra(stft_magnitude(w, cfg.frame), cfg)
-
-
-def _cepstra(spec, cfg: PipelineConfig, mel=mel_spectrogram):
-    return mfcc(mel(spec, cfg.n_mels, cfg.fmin, cfg.fmax), cfg.n_coeffs)
+def _cepstra(spec, cfg: PipelineConfig):
+    """The MFCCs of ``spec``, whose magnitudes are squared in place: spec is
+    spent afterwards."""
+    return mfcc(_mel_spectrogram_in_place(spec, cfg.n_mels, cfg.fmin, cfg.fmax),
+                cfg.n_coeffs)
 
 
 def evaluate_pair(gen: Waveform, ref: Waveform,
@@ -398,17 +387,22 @@ def _prepare_pair(gen: Waveform, ref: Waveform, cfg: PipelineConfig):
                          "with pad_mode='strict'")
 
     n = max(gen.n_frames, ref.n_frames)
-    cepstra, padded = [], []
-    for w in (gen, ref):
-        spec = stft_magnitude(w, cfg.frame)
-        cepstra.append(_cepstra(spec, cfg))
-        # the shorter waveform is padded, and only the STFT rows the padding
-        # reaches are computed again; that spectrogram is used once, so its
-        # magnitudes are squared in place
-        padded.append(cepstra[-1] if w.n_frames == n
-                      else _cepstra(_padded_stft(spec, w, n), cfg, _mel_spectrogram_in_place))
-    plain = mcd(*padded)
-    return (plain, *_checked_pair(*cepstra))
+    a, a_padded = _mfccs(gen, n, cfg)
+    b, b_padded = _mfccs(ref, n, cfg)
+    return (mcd(a_padded, b_padded), *_checked_pair(a, b))
+
+
+def _mfccs(w: Waveform, n: int, cfg: PipelineConfig):
+    """(MFCCs of w, MFCCs of w zero-padded to n samples). Only the STFT rows
+    the padding reaches are computed again: _padded_stft copies the rest
+    from w's spectrogram, so it runs before _cepstra squares that, and the
+    padded spectrogram is dropped before w's own mel stage."""
+    spec = stft_magnitude(w, cfg.frame)
+    if w.n_frames == n:
+        coeffs = _cepstra(spec, cfg)
+        return coeffs, coeffs
+    padded = _cepstra(_padded_stft(spec, w, n), cfg)
+    return _cepstra(spec, cfg), padded
 
 
 def _score(plain: float, alignment: AlignmentResult, cfg: PipelineConfig) -> PairMetrics:
@@ -435,15 +429,13 @@ def load_pair_manifest(path) -> list[PairEntry]:
         ("id", "generated", "reference"))
 
 
-# evaluate_corpus cuts the manifest into contiguous chunks, at least
-# _CHUNKS_PER_WORKER per worker process and at most _WINDOW_PAIRS pairs each,
-# and scores them on one forked worker per usable CPU. A chunk prepares its
+# evaluate_corpus deals the manifest round-robin to at most one part per
+# usable CPU and scores each part in a forked child. A part prepares its
 # pairs in manifest order into a window of at most _WINDOW_PAIRS pairs holding
 # at most _WINDOW_BYTES of MFCCs, then aligns the window a group at a time:
 # sorted by M + N, cut into groups of at most _GROUP_PAIRS pairs and
 # _GROUP_BYTES of sweep memory (_group_bytes). A pair over _GROUP_BYTES alone,
 # such as any pair of 30 s clips, is aligned alone.
-_CHUNKS_PER_WORKER = 4
 _WINDOW_PAIRS = 64
 _WINDOW_BYTES = 1 << 22
 _GROUP_PAIRS = 32
@@ -454,32 +446,27 @@ def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricRe
     """Evaluate every manifest pair; rows and failures come in manifest order,
     and a failing pair is recorded, not fatal.
 
-    A pair's row does not depend on the chunk, window or group it is scored
-    in, so the report is the same bits on any number of CPUs. A worker that
-    dies raises concurrent.futures.process.BrokenProcessPool.
+    With parts = min(usable CPUs, pairs), pair k is scored in part k % parts,
+    each part in a forked child (_ForkedCall), so this process holds only
+    the rows; on one CPU the one part is scored here. A pair's row does not
+    depend on the part, window or group it is scored in, so the report is
+    the same bits on any number of CPUs. A child that dies raises
+    ChildProcessError, and the other children are killed and reaped.
     """
     entries = list(entries)
-    workers = _usable_cpus()
-    n_chunks = min(len(entries), max(_CHUNKS_PER_WORKER * workers,
-                                     -(-len(entries) // _WINDOW_PAIRS)))
-    if workers == 1 or n_chunks <= 1:
-        return _evaluate_chunk(entries, cfg)
-    chunks = [entries[k * len(entries) // n_chunks:(k + 1) * len(entries) // n_chunks]
-              for k in range(n_chunks)]
-    # imported here: 20 ms that `mcd` and a one-CPU `batch` do not need
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    rows, failures = [], []
-    # forked, not spawned: a worker starts with numpy, scipy.fft and the
-    # filterbank caches loaded instead of importing them again. In `dubkit
-    # batch` the only other threads are OpenBLAS's, which it stops at a fork
-    # (pthread_atfork) and starts again when next used.
-    with ProcessPoolExecutor(min(workers, n_chunks), mp_context=get_context("fork")) as pool:
-        for report in pool.map(_evaluate_chunk, chunks, repeat(cfg)):
-            rows += report.rows
-            failures += report.failures
-    return MetricReport(rows, failures)
+    parts = min(_usable_cpus(), len(entries))
+    outcomes = [None] * len(entries)
+    children = []
+    try:
+        for k in range(parts):
+            children.append(_ForkedCall(_evaluate_chunk, entries[k::parts], cfg))
+        for k, child in enumerate(children):
+            outcomes[k::parts] = child()
+    finally:
+        for child in children:
+            child.close()
+    return MetricReport([o for o in outcomes if isinstance(o, PairMetrics)],
+                        [o for o in outcomes if not isinstance(o, PairMetrics)])
 
 
 def _usable_cpus() -> int:
@@ -488,11 +475,103 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _evaluate_chunk(entries, cfg: PipelineConfig) -> MetricReport:
-    """evaluate_corpus of ``entries`` in this process: prepared pairs wait in
-    a window, which is aligned a group at a time (see _score_window)."""
-    rows, failures = [], []
-    window, held = [], 0
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel SIGKILL this forked child when the thread that forked
+    it ends, by a signal too; exit at once if ``parent`` ended before that."""
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL):
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:  # now a child of another process: no one waits
+        os._exit(1)
+
+
+class _ForkedCall:
+    """fn(*args) in a forked child when this process may use more than one
+    CPU, else right here.
+
+    The child gets the arguments through the fork and sends back only its
+    pickled result. Calling the object waits for the child and returns that
+    result, or raises the child's exception (its type and message), or
+    ChildProcessError if the child died. close() kills and reaps a child
+    that has not been waited for, and the kernel kills the child when the
+    thread that forked it ends, by a signal too, so no child outlives its
+    caller. Forks happen only where os.sched_getaffinity exists, which is
+    Linux, where prctl(PR_SET_PDEATHSIG) does too.
+    """
+
+    def __init__(self, fn, *args):
+        self._pid = 0
+        if _usable_cpus() == 1:
+            self._result = fn(*args)
+            return
+        import pickle
+
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        # the only other threads here are OpenBLAS's, which it stops at a fork
+        # (pthread_atfork) and starts again when next used
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:  # whatever happens, the child leaves here and nowhere else
+                os.close(read_fd)
+                try:
+                    _die_with(parent)
+                    result = (True, fn(*args))
+                except Exception as exc:
+                    result = (False, exc)
+                with open(write_fd, "wb") as fh:
+                    pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._pid, self._pipe = pid, open(read_fd, "rb")
+
+    def __call__(self):
+        if not self._pid:
+            return self._result
+        import pickle
+
+        data = self._pipe.read()  # to EOF: the child has exited or is exiting
+        code = os.waitstatus_to_exitcode(self._reap())
+        if code < 0:
+            import signal
+
+            raise ChildProcessError(f"forked child killed by {signal.Signals(-code).name}")
+        if code:
+            raise ChildProcessError(f"forked child exited with status {code}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self._pid:
+            import signal
+
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = 0
+        self._pipe.close()
+        return status
+
+
+def _evaluate_chunk(entries, cfg: PipelineConfig) -> list:
+    """evaluate_corpus of ``entries`` in this process, as one list in their
+    order of rows and (pair id, error) failures: prepared pairs wait in a
+    window, which is aligned a group at a time (see _score_window)."""
+    outcomes, window, held = [], [], 0
     for entry in entries:
         try:
             gen = read_mono(entry.generated)
@@ -503,21 +582,21 @@ def _evaluate_chunk(entries, cfg: PipelineConfig) -> MetricReport:
             outcome = _failure(exc)
         window.append((entry.pair_id, outcome))
         if len(window) == _WINDOW_PAIRS or held >= _WINDOW_BYTES:
-            _score_window(window, cfg, rows, failures)
+            outcomes += _score_window(window, cfg)
             window, held = [], 0
-    _score_window(window, cfg, rows, failures)
-    return MetricReport(rows, failures)
+    return outcomes + _score_window(window, cfg)
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _score_window(window, cfg, rows, failures) -> None:
+def _score_window(window, cfg) -> list:
     """Align the prepared pairs of ``window`` (pair id, prepared pair or
-    failure text) a group at a time, and append its rows and failures in
-    window order. When a group's sweep fails, its pairs are aligned one at
-    a time, so each failure is recorded for its own pair."""
+    failure text) a group at a time, and return its rows and (pair id,
+    error) failures in window order. When a group's sweep fails, its pairs
+    are aligned one at a time, so each failure is recorded for its own
+    pair."""
     outcomes = [outcome for _, outcome in window]
     ready = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)]
     ready.sort(key=lambda i: len(outcomes[i][1]) + len(outcomes[i][2]))
@@ -535,11 +614,9 @@ def _score_window(window, cfg, rows, failures) -> None:
         for i, alignment in zip(indices, alignments):
             outcomes[i] = (alignment if isinstance(alignment, str)
                            else _score(outcomes[i][0], alignment, cfg))
-    for (pair_id, _), outcome in zip(window, outcomes):
-        if isinstance(outcome, str):
-            failures.append((pair_id, outcome))
-        else:
-            rows.append(replace(outcome, pair_id=pair_id))
+    return [(pair_id, outcome) if isinstance(outcome, str)
+            else replace(outcome, pair_id=pair_id)
+            for (pair_id, _), outcome in zip(window, outcomes)]
 
 
 def _groups(pairs):

@@ -26,9 +26,33 @@ STANDARD_TARGET_RATES = (16000, 22050, 24000, 44100, 48000)
 
 def use_cpus(monkeypatch, n):
     """Make evaluate_corpus and `dubkit features` see ``n`` usable CPUs: with
-    one, every batch chunk and the pitch track run in the calling process,
-    where a patch, a warning filter or tracemalloc sees them."""
+    one, the batch pairs and the pitch track are scored in the calling
+    process, where a patch, a warning filter or tracemalloc sees them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def spy_forks(monkeypatch):
+    """The pids of the children os.fork starts from here on."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def reaped(pid):
+    """True once ``pid`` is no child of this process: neither running nor a
+    zombie waiting to be reaped."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def at(path, lineno):

@@ -1,11 +1,21 @@
 """The row-matrix DTW kernel as it stood before the diagonal-major rewrite,
 kept verbatim as the oracle that ``dubkit.metrics.dtw_align`` must match bit
-for bit (cost, path and path length R). Test-only; not imported by dubkit.
+for bit (cost, path and path length R), and the Euclidean frame distance its
+costs are sums of. Test-only; not imported by dubkit.
 """
 
 import numpy as np
 
 from dubkit.metrics import AlignmentResult
+
+
+def frame_distance(c1: np.ndarray, c2: np.ndarray) -> float:
+    """Euclidean distance between two coefficient vectors."""
+    c1 = np.asarray(c1, dtype=np.float64)
+    c2 = np.asarray(c2, dtype=np.float64)
+    if c1.shape != c2.shape:
+        raise ValueError(f"dimension mismatch: {c1.shape} vs {c2.shape}")
+    return float(np.sqrt(((c1 - c2) ** 2).sum()))
 
 
 def _coeff_matrix(c) -> np.ndarray:

@@ -1,13 +1,16 @@
 """The whole-clip STFT magnitude and frame energy as they stood before the
 blocked rewrite, kept verbatim as the oracle that ``dubkit.dsp.stft_magnitude``
-and ``dubkit.dsp.energy_track`` must match bit for bit. Test-only; not
-imported by dubkit.
+and ``dubkit.dsp.energy_track`` must match bit for bit, and the zero-padding
+and MFCC extraction of a whole clip that the padded spectrogram and the plain
+MCD of a pair are held to. Test-only; not imported by dubkit.
 """
 
 import numpy as np
 from scipy.fft import rfft
 
-from dubkit.dsp import EnergyTrack, FrameParams, Spectrogram, _hann
+from dubkit.audio import Waveform
+from dubkit.dsp import (EnergyTrack, FrameParams, Spectrogram, _hann, mel_spectrogram,
+                        mfcc)
 
 
 def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
@@ -35,3 +38,24 @@ def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
 def energy_track(s: Spectrogram) -> EnergyTrack:
     """L2 norm of each magnitude frame."""
     return EnergyTrack(np.sqrt((s.frames**2).sum(axis=1)), s.frame_rate)
+
+
+def pad_to_length(w: Waveform, target_len: int) -> Waveform:
+    """Append zeros so the mono waveform has ``target_len`` samples.
+
+    The original samples are untouched; shrinking is an error, and so is
+    multichannel input.
+    """
+    x = w.mono_samples()
+    if target_len < len(x):
+        raise ValueError(f"target_len {target_len} < current length {len(x)}")
+    if target_len == len(x):
+        return w
+    return Waveform(np.concatenate([x, np.zeros(target_len - len(x))]), w.sample_rate)
+
+
+def extract_mfcc(w: Waveform, cfg):
+    """Waveform -> MFCC sequence under a metrics.PipelineConfig, from the
+    whole-clip STFT and the mel stage that leaves its input as it is."""
+    spec = stft_magnitude(w, cfg.frame)
+    return mfcc(mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax), cfg.n_coeffs)

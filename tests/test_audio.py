@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 import dubkit
 from dubkit import audio
-from dubkit.audio import (TruncatedFileError, UnsupportedFormatError, Waveform,
-                          pad_to_length, read_mono, read_wav, resample, to_mono,
-                          write_wav)
+from dubkit.audio import (TruncatedFileError, UnsupportedFormatError, Waveform, read_mono,
+                          read_wav, resample, to_mono, write_wav)
 from dubkit.dsp import mel_spectrogram, stft_magnitude
 
 from helpers import (STANDARD_SOURCE_RATES, STANDARD_TARGET_RATES, make_tone,
                      write_float32_wav, write_pcm16_raw, write_pcm16_wav)
+from reference_spectral import pad_to_length
 
 
 def riff_header(sample_rate):
@@ -347,6 +347,8 @@ class TestResample:
 
 
 class TestPadToLength:
+    """The zero-padding the padded-spectrogram and plain-MCD oracles use."""
+
     def test_identity(self):
         w = Waveform(np.array([0.1, 0.2]), 22050)
         assert pad_to_length(w, 2) is w

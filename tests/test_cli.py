@@ -17,7 +17,8 @@ from dubkit.audio import Waveform, write_wav
 from dubkit.cli import _emit, build_parser, run
 from dubkit.metrics import PipelineConfig
 
-from helpers import brute_force_accuracy, jsonl, make_sawtooth, make_tone, use_cpus
+from helpers import (brute_force_accuracy, jsonl, make_sawtooth, make_tone, reaped, spy_forks,
+                     use_cpus)
 
 SR = 22050
 
@@ -212,30 +213,6 @@ class TrackError(ValueError):
     pickles by reference like the library's own errors."""
 
 
-def spy_forks(monkeypatch):
-    """The pids of the children os.fork starts from here on."""
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
-def reaped(pid):
-    """True once ``pid`` is no child of this process: neither running nor a
-    zombie waiting to be reaped."""
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def features_document(capsys, tmp_path, argv, out):
     """(exit code, stdout, stderr, --out bytes or None) of `dubkit features`,
     with the document on stdout or, if ``out``, in a fresh --out file."""
@@ -333,7 +310,7 @@ class TestFeaturesOnEveryCpu:
     def test_a_failure_beside_the_track_kills_and_reaps_it(self, tmp_path, capsys,
                                                            monkeypatch, stage, error):
         wav = write_tone(tmp_path / "a.wav")
-        parent, track = os.getpid(), dsp.pitch_track
+        parent, track, stft = os.getpid(), dsp.pitch_track, dsp.stft_magnitude
 
         def stalled(*args, **kwargs):
             if os.getpid() != parent:
@@ -341,7 +318,9 @@ class TestFeaturesOnEveryCpu:
             return track(*args, **kwargs)
 
         def failing_stft(w, p=None):
-            raise RuntimeError("spectra failed")
+            if len(w.mono_samples()) > 1:  # not the flag check on one sample
+                raise RuntimeError("spectra failed")
+            return stft(w, p)
 
         def unrenderable_mfcc(m, n_coeffs):
             return dsp.MfccSequence(np.full((len(m.frames), 1), object()), m.frame_rate)
@@ -357,6 +336,72 @@ class TestFeaturesOnEveryCpu:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == error
         assert len(forks) == 1 and reaped(forks[0])
+
+
+# a command on two CPUs whose forked children each write their pid to a file
+# and stall: the pitch track of `features`, the first pair of each `batch` part
+STALLED_CHILDREN = """\
+import os, sys, time
+from dubkit import cli, dsp, metrics
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, pids = os.getpid(), sys.argv[1]
+
+def stalled(fn):
+    def stalling(*args, **kwargs):
+        if os.getpid() != parent:
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\\n")
+            time.sleep(60)
+        return fn(*args, **kwargs)
+    return stalling
+
+dsp.pitch_track = stalled(dsp.pitch_track)
+metrics._prepare_pair = stalled(metrics._prepare_pair)
+cli.run(sys.argv[2:])
+"""
+
+
+def exited(pid):
+    """True once ``pid``, a process this one did not start, has exited: it
+    is gone, or a zombie its new parent has not reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def wait_until(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+@pytest.mark.parametrize("command,children", [("features", 1), ("batch", 2)])
+def test_a_command_killed_by_a_signal_takes_its_children_with_it(tmp_path, command, children):
+    wav = write_tone(tmp_path / "a.wav")
+    argv = {"features": [wav],
+            "batch": [jsonl(tmp_path / "pairs.jsonl", [
+                {"id": f"p{k}", "generated": wav, "reference": wav} for k in range(2)])]}
+    pid_file = tmp_path / "pids"
+    env = dict(os.environ, PYTHONPATH=str(Path(dubkit.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", STALLED_CHILDREN, str(pid_file), command,
+                             *argv[command]], env=env, stdout=subprocess.DEVNULL)
+    pids = []
+    try:
+        assert wait_until(lambda: pid_file.exists()
+                          and len(pid_file.read_text().split()) == children, 60)
+        pids = list(map(int, pid_file.read_text().split()))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        assert wait_until(lambda: all(map(exited, pids)), 5)
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in pids:
+            if not exited(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestBatchCommand:
@@ -809,7 +854,8 @@ dk.evaluate_pair(w, w)
 
 # numpy and scipy.fft dominate a command's start-up when loaded; scipy.signal is
 # slower still (it pulls in scipy.stats and scipy.interpolate) and resampling
-# runs without it
+# runs without it; a command forks its children itself, with no process pool
+# (scipy loads concurrent.futures, but not its process pool or multiprocessing)
 @pytest.mark.parametrize("argv,absent", [
     (None, ("numpy", "scipy")),
     (["--version"], ("numpy",)),
@@ -820,8 +866,9 @@ dk.evaluate_pair(w, w)
     (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"], ("scipy",)),
     (["mos", "{ratings}"], ("scipy",)),
     ("same-rate-pair", ("scipy.signal",)),
-    (["features", "{stereo48k}"], ("scipy.signal",)),
-    (["batch", "{pairs}"], ("scipy.signal",)),
+    (["features", "{stereo48k}"],
+     ("scipy.signal", "concurrent.futures.process", "multiprocessing")),
+    (["batch", "{pairs}"], ("scipy.signal", "concurrent.futures.process", "multiprocessing")),
 ], ids=["import", "version", "srt-parse", "srt-plan", "split", "stats", "accuracy",
         "mos", "same-rate-pair", "features-48k-stereo", "batch-24k-22k"])
 def test_command_imports_only_its_layers(tmp_path, argv, absent):
@@ -836,7 +883,8 @@ def test_command_imports_only_its_layers(tmp_path, argv, absent):
     files = {"srt": str(tmp_path / "s.srt"), "ratings": str(tmp_path / "r.csv"),
              "stereo48k": str(tmp_path / "st.wav"),
              "pairs": jsonl(tmp_path / "p.jsonl", [
-                 {"id": "p", "generated": "g.wav", "reference": "r.wav"}]),
+                 {"id": f"p{k}", "generated": "g.wav", "reference": "r.wav"}
+                 for k in range(2)]),
              "manifest": jsonl(tmp_path / "m.jsonl", manifest_rows(10)),
              "embeddings": jsonl(tmp_path / "e.jsonl", [
                  {"label": "a", "id": "1", "vector": [1.0, 0.0]},

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -6,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,13 +12,15 @@ import numpy as np
 import pytest
 
 from dubkit import metrics
-from dubkit.audio import Waveform, pad_to_length, read_mono, write_wav
+from dubkit.audio import Waveform, read_mono, write_wav
 from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
-                            PipelineConfig, dtw_align, evaluate_corpus,
-                            evaluate_pair, extract_mfcc, frame_distance,
+                            PipelineConfig, dtw_align, evaluate_corpus, evaluate_pair,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
 
-from helpers import at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone, use_cpus
+from helpers import (at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone, reaped,
+                     spy_forks, use_cpus)
+from reference_dtw import frame_distance
+from reference_spectral import extract_mfcc, pad_to_length
 
 SR = 22050
 
@@ -520,26 +520,28 @@ class TestCorpusGroups:
         assert [str(w.message) for w in caught] == []
 
 
-class ChunkSpy(ProcessPoolExecutor):
-    """The pool evaluate_corpus makes, recording in the calling process the
-    worker count and the size of each chunk it is given."""
+class PartSpy(metrics._ForkedCall):
+    """The _ForkedCall evaluate_corpus makes, recording in the calling
+    process the part of the manifest each is given."""
 
-    calls = []
+    parts = []
 
-    def __init__(self, workers, **kwargs):
-        super().__init__(workers, **kwargs)
-        self.workers = workers
-
-    def map(self, fn, chunks, *rest, **kwargs):
-        chunks = list(chunks)
-        ChunkSpy.calls.append((self.workers, [len(chunk) for chunk in chunks]))
-        return super().map(fn, chunks, *rest, **kwargs)
+    def __init__(self, fn, entries, cfg):
+        PartSpy.parts.append(entries)
+        super().__init__(fn, entries, cfg)
 
 
-def spy_chunks(monkeypatch):
-    ChunkSpy.calls = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ChunkSpy)
-    return ChunkSpy.calls
+def spy_parts(monkeypatch):
+    """(parts, forked pids) of the evaluate_corpus calls from here on."""
+    PartSpy.parts = []
+    monkeypatch.setattr(metrics, "_ForkedCall", PartSpy)
+    return PartSpy.parts, spy_forks(monkeypatch)
+
+
+def dealt(entries, cpus):
+    """The parts evaluate_corpus deals ``entries`` into on ``cpus`` CPUs."""
+    parts = min(cpus, len(entries))
+    return [entries[k::parts] for k in range(parts)]
 
 
 def cycled_entries(tmp_path, count):
@@ -554,9 +556,9 @@ def cycled_entries(tmp_path, count):
 
 
 class TestCorpusPool:
-    """With more than one usable CPU, evaluate_corpus scores contiguous
-    chunks of the manifest on forked workers; the report is the one-CPU
-    report, row for row and failure for failure."""
+    """With more than one usable CPU, evaluate_corpus deals the manifest
+    round-robin to one forked child per CPU, at most one per pair; the
+    report is the one-CPU report, row for row and failure for failure."""
 
     def test_pool_equals_inline(self, tmp_path, monkeypatch):
         cfg = PipelineConfig(pad_mode="strict")
@@ -571,12 +573,14 @@ class TestCorpusPool:
         lines = manifest.read_text().splitlines()
         manifest.write_text("\n".join(lines[:5] + [missing] + lines[5:]) + "\n")
         monkeypatch.setattr(metrics, "MAX_DTW_CELLS", 2000)  # 1 s is 87 x 87 cells
+        entries = load_pair_manifest(manifest)
         use_cpus(monkeypatch, 1)
-        inline = evaluate_corpus(load_pair_manifest(manifest), cfg)
-        calls = spy_chunks(monkeypatch)
+        inline = evaluate_corpus(entries, cfg)
+        parts, forks = spy_parts(monkeypatch)
         use_cpus(monkeypatch, 2)
-        pooled = evaluate_corpus(load_pair_manifest(manifest), cfg)
-        assert calls == [(2, [1, 2, 2, 2, 1, 2, 2, 2])]
+        pooled = evaluate_corpus(entries, cfg)
+        assert parts == dealt(entries, 2)
+        assert len(forks) == 2 and all(map(reaped, forks))
         assert pooled.rows == inline.rows
         assert pooled.failures == inline.failures
         assert [pair_id for pair_id, _ in pooled.failures] == ["strict", "big", "missing"]
@@ -591,32 +595,53 @@ class TestCorpusPool:
         entries = cycled_entries(tmp_path, count)
         use_cpus(monkeypatch, 1)
         inline = evaluate_corpus(entries)
-        calls = spy_chunks(monkeypatch)
+        parts, forks = spy_parts(monkeypatch)
         use_cpus(monkeypatch, 2)
         pooled = evaluate_corpus(entries)
         assert pooled.rows == inline.rows and pooled.failures == inline.failures
         assert [row.pair_id for row in pooled.rows] == [e.pair_id for e in entries
                                                         if e.generated.endswith("_gen.wav")]
-        # at least four chunks per worker, never more chunks than pairs;
-        # one pair is scored in this process
-        if count == 1:
-            assert calls == []
-        else:
-            [(workers, sizes)] = calls
-            assert workers == 2 and len(sizes) == min(count, 8)
-            assert sum(sizes) == count and max(sizes) - min(sizes) <= 1
+        # never more children than pairs: one pair is scored in one child
+        assert parts == dealt(entries, 2) and len(parts) == min(count, 2)
+        assert len(forks) == len(parts) and all(map(reaped, forks))
+
+    @pytest.mark.parametrize("count", [4, 8, 65])
+    def test_three_cpus_deal_uneven_parts(self, tmp_path, monkeypatch, count):
+        entries = cycled_entries(tmp_path, count)
+        use_cpus(monkeypatch, 1)
+        inline = evaluate_corpus(entries)
+        parts, forks = spy_parts(monkeypatch)
+        use_cpus(monkeypatch, 3)
+        pooled = evaluate_corpus(entries)
+        assert pooled.rows == inline.rows and pooled.failures == inline.failures
+        assert parts == dealt(entries, 3)
+        assert len({len(part) for part in parts}) == 2  # the first parts take one pair more
+        assert len(forks) == 3 and all(map(reaped, forks))
 
     def test_a_chunk_holds_at_most_a_window(self, tmp_path, monkeypatch):
         entries = cycled_entries(tmp_path, 65)
         use_cpus(monkeypatch, 1)
         inline = evaluate_corpus(entries)
         monkeypatch.setattr(metrics, "_WINDOW_PAIRS", 8)
-        calls = spy_chunks(monkeypatch)
+        log, score = tmp_path / "windows.log", metrics._score_window
+
+        def logged(window, cfg):
+            with open(log, "a") as fh:  # one short O_APPEND write per window
+                fh.write(f"{os.getpid()} {len(window)}\n")
+            return score(window, cfg)
+
+        monkeypatch.setattr(metrics, "_score_window", logged)
+        _, forks = spy_parts(monkeypatch)
         use_cpus(monkeypatch, 2)
         pooled = evaluate_corpus(entries)
         assert pooled.rows == inline.rows and pooled.failures == inline.failures
-        # 65 pairs in chunks of at most 8 take 9 chunks, one more than 4 per worker
-        assert calls == [(2, [7, 7, 7, 7, 8, 7, 7, 7, 8])]
+        windows = {}
+        for line in log.read_text().splitlines():
+            pid, size = map(int, line.split())
+            windows.setdefault(pid, []).append(size)
+        # parts of 33 and 32 pairs in windows of at most 8, each part ending
+        # with what is left of its last window
+        assert windows == {forks[0]: [8, 8, 8, 8, 1], forks[1]: [8, 8, 8, 8, 0]}
 
     def test_a_worker_killed_mid_chunk_fails_the_run(self, tmp_path):
         entries = cycled_entries(tmp_path, 12)
@@ -632,10 +657,11 @@ class TestCorpusPool:
         assert result.stdout == ""
         assert not out.exists()
         errors = [json.loads(line)["error"] for line in result.stderr.splitlines()]
-        assert [error["type"] for error in errors] == ["BrokenProcessPool"] * 2
+        assert errors == [{"type": "ChildProcessError",
+                           "message": "forked child killed by SIGKILL"}] * 2
 
 
-# dubkit batch on two CPUs, the second pair a worker prepares killing it;
+# dubkit batch on two CPUs, the second pair a child prepares killing it;
 # once with the document on stdout and once with --out
 KILLED_WORKER = """\
 import os, signal, sys

@@ -18,6 +18,15 @@ def test_star_import_binds_every_exported_name():
     assert namespace["evaluate_pair"] is dubkit.metrics.evaluate_pair
 
 
+def test_test_only_helpers_are_not_public():
+    # the zero-padding, frame distance and one-call MFCC helpers live in the
+    # test oracles (reference_spectral.py, reference_dtw.py) that use them
+    for module, name in [("audio", "pad_to_length"), ("metrics", "frame_distance"),
+                         ("metrics", "extract_mfcc")]:
+        assert name not in dubkit.__all__
+        assert not hasattr(getattr(dubkit, module), name)
+
+
 def test_bare_import_loads_a_submodule_on_first_use():
     code = ("import sys, dubkit\n"
             "before = [m for m in sys.modules if m.startswith('dubkit.')]\n"
