@@ -121,23 +121,20 @@ def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     return Spectrogram(mags, p, w.sample_rate)
 
 
-def _padded_stft(spec: Spectrogram, w, n: int) -> Spectrogram:
-    """stft_magnitude of w zero-padded to n samples, given spec, the
-    spectrogram of w itself.
+def _padded_tail(w, n: int, p: FrameParams) -> tuple[int, Spectrogram]:
+    """(shared, tail): stft_magnitude of w zero-padded to n samples is the
+    first ``shared`` rows of w's own spectrogram followed by ``tail``.
 
     Frame t reads samples t * hop - win // 2 onward, so while it ends inside
     w and w is longer than the reflected win // 2 samples at its start, the
-    padding cannot reach it: those first rows are copied from spec, and only
-    the rest are transformed.
+    padding cannot reach it. Only the rows from there on are transformed.
     """
-    p = spec.params
     x = w.mono_samples()
     pad = p.win_length // 2
-    shared = 0 if len(x) <= pad else max(0, (len(x) + pad - p.win_length) // p.hop + 1)
-    mags = np.empty((_frame_count(n, p.win_length, p.hop), p.fft_size // 2 + 1))
-    mags[:shared] = spec.frames[:shared]
-    _stft_rows(x, p, mags[shared:], shared, n)
-    return Spectrogram(mags, p, spec.sample_rate)
+    shared = 0 if len(x) <= pad else (len(x) + pad - p.win_length) // p.hop + 1
+    tail = np.empty((_frame_count(n, p.win_length, p.hop) - shared, p.fft_size // 2 + 1))
+    _stft_rows(x, p, tail, shared, n)
+    return shared, Spectrogram(tail, p, w.sample_rate)
 
 
 def _stft_rows(x: np.ndarray, p: FrameParams, out: np.ndarray, first: int = 0,
@@ -417,8 +414,6 @@ def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarra
     """Pitch in Hz (0 when unvoiced) of each row of ``frames``; spec_full
     and spec_head, len(frames) x (PITCH_FRAME_LENGTH + 1) complex, are
     overwritten."""
-    from scipy.fft import irfft
-
     n_frames = len(frames)
     win = PITCH_FRAME_LENGTH // 2
 
@@ -430,8 +425,9 @@ def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarra
     # numpy reuses the conj temporary and computes conj * full in place, and
     # the swapped operands round differently in the FMA loop. So that a
     # frame's pitch does not depend on where the blocks are cut, no block is
-    # below that size unless the whole clip is.
-    xcorr = irfft(spec_full * spec_head.conj(), n=n_fft, axis=1)[:, : tau_max + 1]
+    # below that size unless the whole clip is. numpy.fft.irfft gives
+    # scipy.fft.irfft's bits (tests/test_spectral_kernel.py pins that).
+    xcorr = np.fft.irfft(spec_full * spec_head.conj(), n=n_fft, axis=1)[:, : tau_max + 1]
     sq = np.cumsum(frames**2, axis=1)
     e0 = sq[:, win - 1]
     e_tau = np.empty((n_frames, tau_max + 1))

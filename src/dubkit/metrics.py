@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonl
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
-from .dsp import FrameParams, _mel_spectrogram_in_place, _padded_stft, mfcc, stft_magnitude
+from .dsp import FrameParams, _mel_spectrogram_in_place, _padded_tail, mfcc, stft_magnitude
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
 
@@ -393,16 +393,15 @@ def _prepare_pair(gen: Waveform, ref: Waveform, cfg: PipelineConfig):
 
 
 def _mfccs(w: Waveform, n: int, cfg: PipelineConfig):
-    """(MFCCs of w, MFCCs of w zero-padded to n samples). Only the STFT rows
-    the padding reaches are computed again: _padded_stft copies the rest
-    from w's spectrogram, so it runs before _cepstra squares that, and the
-    padded spectrogram is dropped before w's own mel stage."""
-    spec = stft_magnitude(w, cfg.frame)
+    """(MFCCs of w, MFCCs of w zero-padded to n samples), as T x K matrices.
+    Every stage is row by row, so the padded clip's first rows are w's own
+    (see dsp._padded_tail): only the rows the padding reaches are
+    transformed and go through mel and the DCT."""
+    coeffs = _cepstra(stft_magnitude(w, cfg.frame), cfg).frames
     if w.n_frames == n:
-        coeffs = _cepstra(spec, cfg)
         return coeffs, coeffs
-    padded = _cepstra(_padded_stft(spec, w, n), cfg)
-    return _cepstra(spec, cfg), padded
+    shared, tail = _padded_tail(w, n, cfg.frame)
+    return coeffs, np.concatenate([coeffs[:shared], _cepstra(tail, cfg).frames])
 
 
 def _score(plain: float, alignment: AlignmentResult, cfg: PipelineConfig) -> PairMetrics:

@@ -2,7 +2,7 @@
 one-frame oracle (``reference_mel.py``) and the dense matmul it replaced, and
 the determinism it buys: a mel value depends on its own frame only, so
 `features` and `batch` give the same bytes on any BLAS thread count and on
-any number of CPUs.
+any number of CPUs. The DCT after it works row by row as well.
 """
 
 import os
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import dubkit
 from dubkit import dsp
 from dubkit.audio import Waveform, write_wav
-from dubkit.dsp import FrameParams, Spectrogram, mel_filterbank, mel_spectrogram
+from dubkit.dsp import (FrameParams, MelSpectrogram, Spectrogram, mel_filterbank,
+                        mel_spectrogram, mfcc)
 
 from helpers import jsonl, make_tone
 from reference_mel import mel_power_row
@@ -82,6 +83,20 @@ def test_a_slice_of_frames_is_the_slice_of_the_whole(rows, cut):
     lo = cut.draw(st.integers(0, rows))
     hi = cut.draw(st.integers(lo, rows))
     assert mel_power(p[lo:hi], args).tobytes() == whole[lo:hi].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_mels=st.integers(2, 256), rows=st.integers(0, 600), data=st.data())
+def test_the_mfccs_of_a_slice_of_frames_are_the_slice_of_the_whole(n_mels, rows, data):
+    # the DCT works row by row too, so the padded clip reuses the clip's own
+    # MFCC rows (metrics._mfccs); rows at the log floor among them
+    k = data.draw(st.integers(1, n_mels - 1))
+    log_mel = np.log(np.maximum(power(rows, n_mels, data.draw(st.integers(0, 2**32 - 1))),
+                                dsp._MEL_FLOOR))
+    whole = mfcc(MelSpectrogram(log_mel, 86.0), k).frames
+    lo = data.draw(st.integers(0, rows))
+    hi = data.draw(st.integers(lo, rows))
+    assert mfcc(MelSpectrogram(log_mel[lo:hi], 86.0), k).frames.tobytes() == whole[lo:hi].tobytes()
 
 
 def test_empty_and_one_frame_spectrograms():

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dubkit import metrics
+from dubkit import dsp, metrics
 from dubkit.audio import Waveform, read_mono, write_wav
 from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
                             PipelineConfig, dtw_align, evaluate_corpus, evaluate_pair,
@@ -27,6 +27,22 @@ SR = 22050
 
 def col(*values):
     return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def frame_count(n, p=PipelineConfig().frame):
+    return 1 + (n + 2 * (p.win_length // 2) - p.win_length) // p.hop
+
+
+def shared_rows(n, p=PipelineConfig().frame):
+    """Leading frames of an n-sample clip that its zero padding cannot reach."""
+    return 0 if n <= p.win_length // 2 else (n + p.win_length // 2 - p.win_length) // p.hop + 1
+
+
+def rows_per_pair(gen_n, ref_n):
+    """Frames of both clips plus those of the padded tail of the shorter."""
+    short, long = sorted((gen_n, ref_n))
+    tail = frame_count(long) - shared_rows(short) if short != long else 0
+    return frame_count(gen_n) + frame_count(ref_n) + tail
 
 
 class TestFrameDistance:
@@ -310,7 +326,7 @@ class TestEvaluatePair:
     @pytest.mark.parametrize("gen_s, ref_s", [(0.3, 0.42), (0.42, 0.3), (0.3, 0.3)])
     def test_no_stft_row_is_transformed_twice(self, monkeypatch, gen_s, ref_s):
         # each clip is transformed once; the zero-padded copy of the shorter
-        # one copies the rows the padding cannot reach and transforms the rest
+        # one reuses the rows the padding cannot reach and transforms the rest
         rows = []
         rfft = np.fft.rfft
 
@@ -322,16 +338,46 @@ class TestEvaluatePair:
         gen = Waveform(make_tone(300, gen_s, SR), SR)
         ref = Waveform(make_tone(320, ref_s, SR), SR)
         evaluate_pair(gen, ref)
-        p = PipelineConfig().frame
-        short, long = sorted((gen.n_frames, ref.n_frames))
+        assert sum(rows) == rows_per_pair(gen.n_frames, ref.n_frames)
 
-        def frames(n):
-            return 1 + (n + 2 * (p.win_length // 2) - p.win_length) // p.hop
+    @pytest.mark.parametrize("gen_n, ref_n", [(6615, 9261), (9261, 6615), (6615, 6615),
+                                              (300, 9000), (9000, 512)])
+    def test_no_row_goes_through_mel_twice(self, monkeypatch, gen_n, ref_n):
+        # the padded clip's first MFCC rows are the shorter clip's own, so only
+        # its tail goes through mel and the DCT again; a clip of at most
+        # win // 2 samples shares no row
+        rows = []
+        log_mel = dsp._log_mel
 
-        expected = frames(gen.n_frames) + frames(ref.n_frames)
-        if short != long:
-            expected += frames(long) - ((short + p.win_length // 2 - p.win_length) // p.hop + 1)
-        assert sum(rows) == expected
+        def counting(power, *args):
+            rows.append(len(power))
+            return log_mel(power, *args)
+
+        monkeypatch.setattr(dsp, "_log_mel", counting)
+        gen = Waveform(make_tone(300, gen_n / SR, SR), SR)
+        ref = Waveform(make_tone(320, ref_n / SR, SR), SR)
+        evaluate_pair(gen, ref)
+        assert sum(rows) == rows_per_pair(gen_n, ref_n)
+
+    def test_padded_mfccs_hold_no_padded_spectrogram(self):
+        # 20 s padded to 60 s: the clip's spectrogram is spent before the
+        # tail is transformed, and the padded clip's rows are never all held
+        # as magnitudes; the slack is the tail's mel and DCT arrays
+        cfg = PipelineConfig()
+        p = cfg.frame
+        w = Waveform(make_tone(300, 20.0, SR), SR)
+        n = 60 * SR
+        metrics._mfccs(w, n, cfg)  # caches the window and the mel terms
+        tracemalloc.start()
+        try:
+            metrics._mfccs(w, n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own, padded = frame_count(w.n_frames), frame_count(n)
+        tail = padded - shared_rows(w.n_frames)
+        slack = 2 * padded * cfg.n_mels * 8 + (1 << 20)
+        assert peak < (own + tail) * (p.fft_size // 2 + 1) * 8 + slack
 
     def test_reused_mfccs_give_the_padded_mcd_exactly(self):
         gen = Waveform(make_tone(300, 0.3, SR), SR)

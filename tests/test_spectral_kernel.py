@@ -2,10 +2,10 @@
 they replaced (``reference_spectral.py``): equal spectra, energy, mel and
 MFCC bit for bit at any block size, odd and short windows, hop 1 and the
 smallest and largest FFT sizes, plus their memory bound. The spectrogram of
-a zero-padded clip built from the clip's own rows equals the padded clip's
-spectrogram. The block framer equals the reference framing, numpy's rfft into
-a given array equals scipy's, and the in-place mel path equals the public
-one."""
+a zero-padded clip is the clip's own first rows followed by the padded tail.
+The block framer equals the reference framing, numpy's rfft into
+a given array and its irfft equal scipy's, and the in-place mel path equals
+the public one."""
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -148,12 +148,16 @@ def padded_cases(draw):
 
 
 def assert_padded_spectrogram(w, n, p, rows=None):
+    # the padded clip's spectrogram is the clip's own first rows, then the tail
     span = rows * p.fft_size if rows else dsp._SPECTRAL_SPAN
     with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span, _MIN_BLOCK=1 if rows else dsp._MIN_BLOCK):
-        got = dsp._padded_stft(stft_magnitude(w, p), w, n)
+        own = stft_magnitude(w, p)
+        shared, tail = dsp._padded_tail(w, n, p)
     expected = stft_magnitude(pad_to_length(w, n), p)
-    assert np.array_equal(got.frames, expected.frames)
-    assert (got.params, got.sample_rate) == (expected.params, expected.sample_rate)
+    assert 0 <= shared <= own.n_frames
+    assert np.array_equal(own.frames[:shared], expected.frames[:shared])
+    assert np.array_equal(tail.frames, expected.frames[shared:])
+    assert (tail.params, tail.sample_rate) == (expected.params, expected.sample_rate)
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,6 +196,26 @@ def test_numpy_rfft_into_a_given_array_is_scipys(n):
                 out = np.empty((rows, n // 2 + 1), dtype=complex)
                 np.fft.rfft(x, n=n, axis=1, out=out)
                 assert out.tobytes() == rfft(x, n=n, axis=1).tobytes(), (rows, width, x.strides)
+
+
+@pytest.mark.parametrize("kind", ["noise", "silence", "16-bit"])
+def test_numpy_irfft_is_scipys(kind):
+    # pitch_track's cross-correlation uses numpy.fft.irfft; the pitch oracle
+    # and every pinned output were computed with scipy.fft.irfft
+    from scipy.fft import irfft
+
+    length, n = dsp.PITCH_FRAME_LENGTH, 2 * dsp.PITCH_FRAME_LENGTH
+    rng = np.random.default_rng(len(kind))
+    for rows in (1, 2, 7, 8, 9, 128, 300):
+        frames = rng.uniform(-1.0, 1.0, (rows, length))
+        if kind == "silence":
+            frames[...] = 0.0
+        elif kind == "16-bit":
+            frames = np.round(frames * 32767.0) / 32768.0
+        spec_full = np.fft.rfft(frames, n=n, axis=1)
+        spec_head = np.fft.rfft(frames[:, : length // 2], n=n, axis=1)
+        product = spec_full * spec_head.conj()  # as _pitch_block forms it
+        assert np.fft.irfft(product, n=n, axis=1).tobytes() == irfft(product, n=n, axis=1).tobytes()
 
 
 def assert_framing(x, n, length, hop, rows, first):
