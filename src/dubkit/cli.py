@@ -65,7 +65,7 @@ def _pipeline_config(args):
     """The pipeline flags as a ``PipelineConfig``, checked before any file is
     read by running the library's own extractors on one sample of silence."""
     from .audio import Waveform
-    from .dsp import FrameParams, stft_magnitude
+    from .dsp import FrameParams
     from .metrics import PipelineConfig, _cepstra
 
     try:
@@ -76,7 +76,7 @@ def _pipeline_config(args):
                              scale=getattr(args, "scale", "plain"),
                              pad_mode=getattr(args, "pad_mode", "pad"))
         silence = Waveform([0.0], cfg.sample_rate)
-        _cepstra(stft_magnitude(silence, cfg.frame), cfg)
+        _cepstra(silence, cfg)
         if hasattr(args, "pitch_fmin"):
             _pitch(silence, args, cfg)
     except ValueError as exc:
@@ -99,8 +99,7 @@ def _pitch_values(w, args, cfg, n_frames):
 
 def cmd_features(args) -> dict:
     from .audio import read_mono, resample
-    from .dsp import (_frame_count, _mel_spectrogram_in_place, energy_track, mfcc,
-                      stft_magnitude)
+    from .dsp import _frame_count, _mel_rows, mfcc
     from .metrics import _ForkedCall
 
     cfg = _pipeline_config(args)
@@ -113,19 +112,15 @@ def cmd_features(args) -> dict:
     # rendering of mel and mfcc, which waits for it only at "pitch"
     pitch = _ForkedCall(_pitch_values, w, args, cfg, n_frames)
     try:
-        spec = stft_magnitude(w, cfg.frame)
-        del w  # freed before the mel stage
-        energy = energy_track(spec)
-        # the magnitudes are squared in place: spec is spent from here on
-        mel = _mel_spectrogram_in_place(spec, cfg.n_mels, cfg.fmin, cfg.fmax)
+        mel, energy = _mel_rows(w, cfg.frame, cfg.n_mels, cfg.fmin, cfg.fmax, energy=True)
         coeffs = mfcc(mel, cfg.n_coeffs)
     except BaseException:
         pitch.close()
         raise
     return {
         "config": config,
-        "n_frames": spec.n_frames,
-        "frame_rate": spec.frame_rate,
+        "n_frames": n_frames,
+        "frame_rate": mel.frame_rate,
         "mel": mel.frames,
         "mfcc": coeffs.frames,
         "pitch": pitch,  # called by _emit, which closes it whatever happens

@@ -13,8 +13,8 @@ import numpy as np
 PITCH_FRAME_LENGTH = 2048
 # samples of frame per block of a framed kernel (see _blocks): 256 rows at
 # fft_size 1024, 128 pitch frames, so a block stays about 2 MiB of float64
-# whatever the framing. rfft magnitudes and row sums of squares do not depend
-# on where the blocks are cut; pitch does below _MIN_BLOCK rows.
+# whatever the framing. rfft magnitudes, row sums of squares and mel rows do
+# not depend on where the blocks are cut; pitch does below _MIN_BLOCK rows.
 _SPECTRAL_SPAN = 1 << 18
 # 8 frames x 2049 bins x 16 B = 256 KiB of rfft output, numpy's NPY_MIN_ELIDE_BYTES:
 # from there on numpy elides the conj temporary in pitch_track's spectrum product
@@ -22,11 +22,11 @@ _SPECTRAL_SPAN = 1 << 18
 # ulp at block edges and tests/test_pitch_kernel.py's block-boundary test fails.
 _MIN_BLOCK = 8
 _MEL_FLOOR = 1e-10  # mel power below this is logged as log(_MEL_FLOOR)
-# frames per block of the mel product: at fft 1024 and 80 bands a block's
-# transposed power and products take about 1 MiB, and 10336 frames took
-# 22-25 ms in blocks of 128 against 24-35 ms in blocks of 511 on a 2-vCPU VM;
-# no mel value depends on it
-_MEL_BLOCK = 128
+# bounds that keep a flag from sizing a multi-GiB array: an FFT of 65536
+# samples (3 s at 22.05 kHz) and 4 Mi filterbank cells, 32 MiB of float64,
+# which hold 80 bands at that FFT size
+_MAX_FFT_SIZE = 1 << 16
+_MAX_FILTERBANK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class FrameParams:
     win_length: int = 1024
 
     def __post_init__(self):
-        if not 0 < self.hop <= self.win_length <= self.fft_size:
+        if not 0 < self.hop <= self.win_length <= self.fft_size <= _MAX_FFT_SIZE:
             raise ValueError(
-                f"need 0 < hop <= win_length <= fft_size, got "
+                f"need 0 < hop <= win_length <= fft_size <= {_MAX_FFT_SIZE}, got "
                 f"hop={self.hop}, win={self.win_length}, fft={self.fft_size}"
             )
 
@@ -117,44 +117,59 @@ def stft_magnitude(w, p: FrameParams = FrameParams()) -> Spectrogram:
     if len(x) == 0:
         raise ValueError("cannot analyze an empty waveform")
     mags = np.empty((_frame_count(len(x), p.win_length, p.hop), p.fft_size // 2 + 1))
-    _stft_rows(x, p, mags)
+    for lo, hi, frames in _frame_blocks(x, p.win_length, p.hop, p.fft_size):
+        _magnitudes(frames, p, mags[lo:hi])
     return Spectrogram(mags, p, w.sample_rate)
 
 
-def _padded_tail(w, n: int, p: FrameParams) -> tuple[int, Spectrogram]:
-    """(shared, tail): stft_magnitude of w zero-padded to n samples is the
-    first ``shared`` rows of w's own spectrogram followed by ``tail``.
+def _magnitudes(frames: np.ndarray, p: FrameParams, out: np.ndarray) -> None:
+    """out[:] = |rfft(frames * window)|, row by row. The windowed frames and
+    their complex spectra are this call's own and are freed when it returns,
+    before the caller's next stage allocates."""
+    # numpy.fft.rfft gives scipy.fft.rfft's bits (tests/test_spectral_kernel.py pins that)
+    np.abs(np.fft.rfft(frames * _hann(p.win_length), n=p.fft_size, axis=1), out=out)
 
-    Frame t reads samples t * hop - win // 2 onward, so while it ends inside
-    w and w is longer than the reflected win // 2 samples at its start, the
-    padding cannot reach it. Only the rows from there on are transformed.
+
+def _mel_rows(w, p: FrameParams, n_mels: int, fmin: float, fmax: float, first: int = 0,
+              n: int | None = None, energy: bool = False):
+    """(mel_spectrogram(s, n_mels, fmin, fmax), energy_track(s) or None) in the
+    same bits, s being the rows from ``first`` on of stft_magnitude(w, p) of w
+    zero-padded to n samples (len(w) by default).
+
+    A block of frames at a time (see _frame_blocks): its magnitudes go into a
+    one-block buffer, are squared there, summed for the energy and multiplied
+    into that block's mel rows, so no clip-sized spectrogram is held.
     """
     x = w.mono_samples()
-    pad = p.win_length // 2
-    shared = 0 if len(x) <= pad else (len(x) + pad - p.win_length) // p.hop + 1
-    tail = np.empty((_frame_count(n, p.win_length, p.hop) - shared, p.fft_size // 2 + 1))
-    _stft_rows(x, p, tail, shared, n)
-    return shared, Spectrogram(tail, p, w.sample_rate)
-
-
-def _stft_rows(x: np.ndarray, p: FrameParams, out: np.ndarray, first: int = 0,
-               n: int | None = None) -> None:
-    """out[t - first] = |rfft(frame t * window)| for the frames from
-    ``first`` on of x zero-padded to n samples (see _frame_blocks). One
-    block's windowed frames and complex spectra are allocated per call and
-    refilled block by block; a row does not depend on where the blocks are
-    cut."""
-    window = _hann(p.win_length)
-    rows = _block_rows(len(out), p.fft_size)
-    windowed = np.empty((rows, p.win_length))
-    spectra = np.empty((rows, p.fft_size // 2 + 1), dtype=complex)
+    if len(x) == 0:
+        raise ValueError("cannot analyze an empty waveform")
+    n = len(x) if n is None else n
+    terms = _mel_terms(w.sample_rate, p.fft_size, n_mels, fmin, fmax)
+    n_rows = _frame_count(n, p.win_length, p.hop) - first
+    mel = np.empty((n_rows, n_mels))
+    sums = np.empty(n_rows) if energy else None
+    power = np.empty((_block_rows(n_rows, p.fft_size), p.fft_size // 2 + 1))
     for lo, hi, frames in _frame_blocks(x, p.win_length, p.hop, p.fft_size, first, n):
-        m = hi - lo
-        np.multiply(frames, window, out=windowed[:m])
-        # numpy.fft.rfft gives scipy.fft.rfft's bits (tests/test_spectral_kernel.py
-        # pins that) and, unlike it, fills a given array
-        np.fft.rfft(windowed[:m], n=p.fft_size, axis=1, out=spectra[:m])
-        np.abs(spectra[:m], out=out[lo - first : hi - first])
+        block, rows = power[: hi - lo], slice(lo - first, hi - first)
+        _magnitudes(frames, p, block)
+        np.square(block, out=block)
+        if energy:
+            block.sum(axis=1, out=sums[rows])
+        _mel_power(block, terms, mel[rows])
+    frame_rate = w.sample_rate / p.hop
+    np.maximum(mel, _MEL_FLOOR, out=mel)
+    return (MelSpectrogram(np.log(mel, out=mel), frame_rate),
+            EnergyTrack(np.sqrt(sums, out=sums), frame_rate) if energy else None)
+
+
+def _shared_rows(n: int, p: FrameParams) -> int:
+    """Leading frames of an n-sample clip that zero padding cannot reach:
+    stft_magnitude of the padded clip starts with that many of the clip's own
+    rows. Frame t reads samples t * hop - win // 2 onward, so while it ends
+    inside the clip and the clip is longer than the reflected win // 2
+    samples at its start, the padding cannot reach it."""
+    pad = p.win_length // 2
+    return 0 if n <= pad else (n + pad - p.win_length) // p.hop + 1
 
 
 def _frame_count(n: int, length: int, hop: int) -> int:
@@ -248,6 +263,9 @@ def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int,
     """
     if not 0 <= fmin < fmax <= sample_rate / 2:
         raise ValueError(f"need 0 <= fmin < fmax <= sr/2, got fmin={fmin}, fmax={fmax}")
+    most = _MAX_FILTERBANK_CELLS // (fft_size // 2 + 1)
+    if not 1 <= n_mels <= most:
+        raise ValueError(f"n_mels must be in [1, {most}] at fft_size {fft_size}, got {n_mels}")
     edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     lower, center, upper = edges[:-2, None], edges[1:-1, None], edges[2:, None]
@@ -287,62 +305,39 @@ def _mel_terms(sample_rate: int, fft_size: int, n_mels: int, fmin: float, fmax: 
 def mel_spectrogram(s: Spectrogram, n_mels: int = 80, fmin: float = 0.0,
                     fmax: float = 8000.0) -> MelSpectrogram:
     """Log mel power spectrogram: log(max(_MEL_FLOOR, filterbank @ magnitude^2)),
-    the product summed in the order _mel_power gives. ``s`` is left as it is."""
-    return _log_mel(s.frames**2, s, n_mels, fmin, fmax)
-
-
-def _mel_spectrogram_in_place(s: Spectrogram, n_mels: int, fmin: float,
-                              fmax: float) -> MelSpectrogram:
-    """mel_spectrogram(s, ...) in the same bits, squaring s's magnitudes in
-    place instead of beside them: s holds the power spectrum afterwards."""
-    return _log_mel(np.square(s.frames, out=s.frames), s, n_mels, fmin, fmax)
-
-
-def _log_mel(power: np.ndarray, s: Spectrogram, n_mels: int, fmin: float,
-             fmax: float) -> MelSpectrogram:
-    # Not np.matmul(power, fb.T): OpenBLAS picks its dgemm kernel by the row
-    # count and splits the work by its thread count, and both change the last
-    # bits of a row. _mel_power sums each band's nonzero bins in one fixed
-    # order instead, a block at a time, at about the cost of a one-thread dgemm.
-    mel = _mel_power(power, _mel_terms(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax))
+    the product summed in the order _mel_power gives, a block of frames at a
+    time (see _blocks). ``s`` is left as it is."""
+    terms = _mel_terms(s.sample_rate, s.params.fft_size, n_mels, fmin, fmax)
+    mel = np.empty((s.n_frames, n_mels))
+    for lo, hi in _blocks(s.n_frames, s.params.fft_size):
+        _mel_power(np.square(s.frames[lo:hi]), terms, mel[lo:hi])
     np.maximum(mel, _MEL_FLOOR, out=mel)
     return MelSpectrogram(np.log(mel, out=mel), s.frame_rate)
 
 
-def _mel_power(power: np.ndarray, terms) -> np.ndarray:
-    """power @ fb.T over the nonzero entries of fb only, given _mel_terms:
+def _mel_power(power: np.ndarray, terms, out: np.ndarray) -> None:
+    """out[:] = power @ fb.T over the nonzero entries of fb only, given _mel_terms:
 
-        mel[t, b] = ((0.0 + power[t, k0] * fb[b, k0]) + power[t, k1] * fb[b, k1]) + ...
+        out[t, b] = ((0.0 + power[t, k0] * fb[b, k0]) + power[t, k1] * fb[b, k1]) + ...
 
     for band b's nonzero bins k0 < k1 < ..., added left to right; a band with
-    none is 0.0. Every value is one row's own sequence of multiplies and adds,
-    so it depends neither on the other rows, nor on where the blocks of
-    _MEL_BLOCK rows are cut, nor on any thread count. Each block of power is
-    transposed, so each step of _mel_terms is one add over whole rows of
-    bins.
+    none is 0.0. ``power`` is one block of frames. Every value is one row's
+    own sequence of multiplies and adds, so it depends neither on the other
+    rows nor on any thread count. Not np.matmul(power, fb.T): OpenBLAS picks
+    its dgemm kernel by the row count and splits the work by its thread
+    count, and both change the last bits of a row. The block is transposed,
+    so each step of _mel_terms is one add over whole rows of bins.
     """
     bins, weights, counts, band_rows = terms
-    n_rows, n_mels = len(power), len(band_rows)
     top = int(bins.max(initial=-1)) + 1  # bins past the last band are not read
-    mel = np.empty((n_rows, n_mels))
-    # one block's transposed power, products and sums, refilled block by block
-    rows = min(n_rows, _MEL_BLOCK)
-    column_buf, product_buf, sum_buf = (np.empty(size * rows) for size in (top, len(bins), n_mels))
-    for lo in range(0, n_rows, _MEL_BLOCK):
-        m = min(n_rows - lo, _MEL_BLOCK)
-        columns = column_buf[: top * m].reshape(top, m)
-        columns[...] = power[lo : lo + m, :top].T
-        products = product_buf[: len(bins) * m].reshape(len(bins), m)
-        np.take(columns, bins, axis=0, out=products, mode="clip")
-        products *= weights
-        total = sum_buf[: n_mels * m].reshape(n_mels, m)
-        total[...] = 0.0
-        start = 0
-        for count in counts:
-            total[:count] += products[start : start + count]
-            start += count
-        mel[lo : lo + m] = total[band_rows].T
-    return mel
+    products = np.take(np.ascontiguousarray(power[:, :top].T), bins, axis=0)
+    products *= weights
+    total = np.zeros((len(band_rows), len(power)))
+    start = 0
+    for count in counts:
+        total[:count] += products[start : start + count]
+        start += count
+    out[...] = total[band_rows].T
 
 
 def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
@@ -352,6 +347,8 @@ def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
     so n_coeffs must be below the band count.
     """
     n_mels = m.frames.shape[1]
+    if n_mels < 2:
+        raise ValueError(f"MFCCs need at least 2 mel bands, got {n_mels}")
     if not 1 <= n_coeffs < n_mels:
         raise ValueError(f"n_coeffs must be in [1, {n_mels - 1}], got {n_coeffs}")
     from scipy.fft import dct

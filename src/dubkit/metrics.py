@@ -17,7 +17,7 @@ import numpy as np
 
 from . import jsonl
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
-from .dsp import FrameParams, _mel_spectrogram_in_place, _padded_tail, mfcc, stft_magnitude
+from .dsp import FrameParams, _mel_rows, _shared_rows, mfcc
 from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
 
 
@@ -356,11 +356,11 @@ def mcd_dtw_sl(a: AlignmentResult) -> tuple[float, float]:
     return eta * (a.cost / a.path_len), eta
 
 
-def _cepstra(spec, cfg: PipelineConfig):
-    """The MFCCs of ``spec``, whose magnitudes are squared in place: spec is
-    spent afterwards."""
-    return mfcc(_mel_spectrogram_in_place(spec, cfg.n_mels, cfg.fmin, cfg.fmax),
-                cfg.n_coeffs)
+def _cepstra(w: Waveform, cfg: PipelineConfig, first: int = 0, n: int | None = None):
+    """The MFCCs of the frames from ``first`` on of w zero-padded to n samples
+    (see dsp._mel_rows)."""
+    mel, _ = _mel_rows(w, cfg.frame, cfg.n_mels, cfg.fmin, cfg.fmax, first, n)
+    return mfcc(mel, cfg.n_coeffs)
 
 
 def evaluate_pair(gen: Waveform, ref: Waveform,
@@ -395,13 +395,13 @@ def _prepare_pair(gen: Waveform, ref: Waveform, cfg: PipelineConfig):
 def _mfccs(w: Waveform, n: int, cfg: PipelineConfig):
     """(MFCCs of w, MFCCs of w zero-padded to n samples), as T x K matrices.
     Every stage is row by row, so the padded clip's first rows are w's own
-    (see dsp._padded_tail): only the rows the padding reaches are
+    (see dsp._shared_rows): only the rows the padding reaches are
     transformed and go through mel and the DCT."""
-    coeffs = _cepstra(stft_magnitude(w, cfg.frame), cfg).frames
+    coeffs = _cepstra(w, cfg).frames
     if w.n_frames == n:
         return coeffs, coeffs
-    shared, tail = _padded_tail(w, n, cfg.frame)
-    return coeffs, np.concatenate([coeffs[:shared], _cepstra(tail, cfg).frames])
+    shared = _shared_rows(w.n_frames, cfg.frame)
+    return coeffs, np.concatenate([coeffs[:shared], _cepstra(w, cfg, shared, n).frames])
 
 
 def _score(plain: float, alignment: AlignmentResult, cfg: PipelineConfig) -> PairMetrics:
@@ -633,9 +633,10 @@ def _groups(pairs):
 
 
 def _group_bytes(pairs) -> int:
-    """Memory _align_many holds for ``pairs`` besides its _TILE_BYTES tile:
-    a backpointer byte per padded cell (pairs x M x diagonals) and the
-    padded float64 coefficient columns."""
+    """An upper bound on the memory _align_many holds for ``pairs`` besides
+    its _TILE_BYTES tile: a byte per cell of pairs x M x diagonals, more than
+    the pairs x M x N backpointer bytes it stores, and the padded float64
+    coefficient columns."""
     rows = max(len(a) for a, _ in pairs)
     cols = max(len(b) for _, b in pairs)
     diagonals = max(len(a) + len(b) - 1 for a, b in pairs)

@@ -56,9 +56,12 @@ def manifest_rows(n, **fields):
 
 # a --rate outside read_wav's 1000..768000 Hz is a flag error, not a
 # per-pair failure or a resample to a rate no WAV can have
-PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 80", "--k 81", "--n-mels 0", "--rate 0",
-                  "--rate 999 --fmax 400", "--rate 768001", "--rate 1000000000",
-                  "--fmax 20000", "--fmin -5"]
+# the last three would ask for 5.00 GiB (a filterbank of 80 x 8388609), 1.25
+# GiB and 7.64 GiB (2000000 x 513) unless the flags were bounded first
+PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 80", "--k 81", "--n-mels 0", "--n-mels 1",
+                  "--rate 0", "--rate 999 --fmax 400", "--rate 768001", "--rate 1000000000",
+                  "--fmax 20000", "--fmin -5", "--fft 16777216 --win 16777216",
+                  "--fft 4194304 --win 4194304", "--n-mels 2000000"]
 BAD_FLAG_CASES = ([(command, flag) for command in ("features", "mcd", "batch")
                    for flag in PIPELINE_FLAGS]
                   + [("features", "--pitch-fmin 0"), ("features", "--pitch-fmax 20000")]
@@ -119,6 +122,17 @@ class TestMcdCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--n-mels 1", "MFCCs need at least 2 mel bands, got 1"),
+        ("--fft 4194304 --win 4194304", "fft_size <= 65536, got hop=256, win=4194304"),
+        ("--n-mels 2000000", "n_mels must be in [1, 8176] at fft_size 1024, got 2000000"),
+    ])
+    def test_bad_frame_flags_say_what_is_wrong(self, tmp_path, capsys, flag, message):
+        missing = str(tmp_path / "missing")
+        code, _, err = invoke(capsys, "mcd", missing, missing, *flag.split())
+        assert code == 2
+        assert message in json.loads(err)["error"]["message"]
 
 
 PRETTY_FEATURES = """\
@@ -303,30 +317,30 @@ class TestFeaturesOnEveryCpu:
     # the spectra fail in the command, or the mfcc rows, rendered before
     # "pitch", hold a value JSON cannot encode
     @pytest.mark.parametrize("stage,error", [
-        ("stft_magnitude", {"type": "RuntimeError", "message": "spectra failed"}),
+        ("_mel_rows", {"type": "RuntimeError", "message": "spectra failed"}),
         ("mfcc", {"type": "TypeError",
                   "message": "Object of type object is not JSON serializable"}),
     ])
     def test_a_failure_beside_the_track_kills_and_reaps_it(self, tmp_path, capsys,
                                                            monkeypatch, stage, error):
         wav = write_tone(tmp_path / "a.wav")
-        parent, track, stft = os.getpid(), dsp.pitch_track, dsp.stft_magnitude
+        parent, track, mel_rows = os.getpid(), dsp.pitch_track, dsp._mel_rows
 
         def stalled(*args, **kwargs):
             if os.getpid() != parent:
                 time.sleep(60)
             return track(*args, **kwargs)
 
-        def failing_stft(w, p=None):
+        def failing_mel_rows(w, *args, **kwargs):
             if len(w.mono_samples()) > 1:  # not the flag check on one sample
                 raise RuntimeError("spectra failed")
-            return stft(w, p)
+            return mel_rows(w, *args, **kwargs)
 
         def unrenderable_mfcc(m, n_coeffs):
             return dsp.MfccSequence(np.full((len(m.frames), 1), object()), m.frame_rate)
 
         monkeypatch.setattr(dsp, "pitch_track", stalled)
-        monkeypatch.setattr(dsp, stage, {"stft_magnitude": failing_stft,
+        monkeypatch.setattr(dsp, stage, {"_mel_rows": failing_mel_rows,
                                          "mfcc": unrenderable_mfcc}[stage])
         use_cpus(monkeypatch, 2)
         forks = spy_forks(monkeypatch)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dubkit import dsp, metrics
+from dubkit import metrics
 from dubkit.audio import Waveform, read_mono, write_wav
 from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
                             PipelineConfig, dtw_align, evaluate_corpus, evaluate_pair,
@@ -347,22 +347,22 @@ class TestEvaluatePair:
         # its tail goes through mel and the DCT again; a clip of at most
         # win // 2 samples shares no row
         rows = []
-        log_mel = dsp._log_mel
+        mel_rows = metrics._mel_rows
 
-        def counting(power, *args):
-            rows.append(len(power))
-            return log_mel(power, *args)
+        def counting(*args):
+            mel, energy = mel_rows(*args)
+            rows.append(len(mel.frames))
+            return mel, energy
 
-        monkeypatch.setattr(dsp, "_log_mel", counting)
+        monkeypatch.setattr(metrics, "_mel_rows", counting)
         gen = Waveform(make_tone(300, gen_n / SR, SR), SR)
         ref = Waveform(make_tone(320, ref_n / SR, SR), SR)
         evaluate_pair(gen, ref)
         assert sum(rows) == rows_per_pair(gen_n, ref_n)
 
     def test_padded_mfccs_hold_no_padded_spectrogram(self):
-        # 20 s padded to 60 s: the clip's spectrogram is spent before the
-        # tail is transformed, and the padded clip's rows are never all held
-        # as magnitudes; the slack is the tail's mel and DCT arrays
+        # 20 s padded to 60 s: the padded clip's rows are never all held as
+        # magnitudes; the slack is the tail's mel and DCT arrays
         cfg = PipelineConfig()
         p = cfg.frame
         w = Waveform(make_tone(300, 20.0, SR), SR)
@@ -378,6 +378,23 @@ class TestEvaluatePair:
         tail = padded - shared_rows(w.n_frames)
         slack = 2 * padded * cfg.n_mels * 8 + (1 << 20)
         assert peak < (own + tail) * (p.fft_size // 2 + 1) * 8 + slack
+
+    @pytest.mark.parametrize("padded_s", [60, 90])
+    def test_mfccs_hold_no_clip_sized_spectrogram(self, padded_s):
+        # samples go to mel rows a block of frames at a time: 60 s of audio,
+        # alone or zero-padded to 90 s, peaks below its own T x 513 float64
+        # magnitudes (20.2 MiB)
+        cfg = PipelineConfig()
+        w = Waveform(make_tone(300, 60.0, SR), SR)
+        n = padded_s * SR
+        metrics._mfccs(w, n, cfg)  # caches the window and the mel terms
+        tracemalloc.start()
+        try:
+            metrics._mfccs(w, n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frame_count(w.n_frames) * (cfg.frame.fft_size // 2 + 1) * 8
 
     def test_reused_mfccs_give_the_padded_mcd_exactly(self):
         gen = Waveform(make_tone(300, 0.3, SR), SR)

@@ -1,11 +1,11 @@
 """The blocked STFT magnitude and frame energy against the whole-clip code
 they replaced (``reference_spectral.py``): equal spectra, energy, mel and
 MFCC bit for bit at any block size, odd and short windows, hop 1 and the
-smallest and largest FFT sizes, plus their memory bound. The spectrogram of
-a zero-padded clip is the clip's own first rows followed by the padded tail.
-The block framer equals the reference framing, numpy's rfft into
-a given array and its irfft equal scipy's, and the in-place mel path equals
-the public one."""
+smallest and largest FFT sizes, plus their memory bound. The mel and energy
+rows computed a block of frames at a time (``dsp._mel_rows``), from any
+frame on of a zero-padded clip, equal the public whole-array path, and the
+padded clip's spectrogram starts with the clip's own rows. The block framer
+equals the reference framing, and numpy's rfft and irfft equal scipy's."""
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -147,23 +147,39 @@ def padded_cases(draw):
     return w, length + extra, p, draw(st.sampled_from(BLOCK_ROWS))
 
 
-def assert_padded_spectrogram(w, n, p, rows=None):
-    # the padded clip's spectrogram is the clip's own first rows, then the tail
+def assert_mel_rows(w, n, p, rows=None, first=None):
+    """dsp._mel_rows from frame ``first`` on (the shared rows, by default) of
+    w zero-padded to n samples, in blocks of ``rows`` frames, against
+    mel_spectrogram and energy_track of the padded clip's whole spectrogram,
+    which starts with the dsp._shared_rows rows of the clip's own."""
     span = rows * p.fft_size if rows else dsp._SPECTRAL_SPAN
+    shared = dsp._shared_rows(len(w.samples), p)
+    first = shared if first is None else first
     with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span, _MIN_BLOCK=1 if rows else dsp._MIN_BLOCK):
         own = stft_magnitude(w, p)
-        shared, tail = dsp._padded_tail(w, n, p)
+        mel, energy = dsp._mel_rows(w, p, 80, 0.0, 8000.0, first, n, energy=True)
     expected = stft_magnitude(pad_to_length(w, n), p)
+    expected_mel = mel_spectrogram(expected).frames[first:]
     assert 0 <= shared <= own.n_frames
     assert np.array_equal(own.frames[:shared], expected.frames[:shared])
-    assert np.array_equal(tail.frames, expected.frames[shared:])
-    assert (tail.params, tail.sample_rate) == (expected.params, expected.sample_rate)
+    assert mel.frames.shape == expected_mel.shape
+    assert mel.frames.tobytes() == expected_mel.tobytes()
+    assert energy.values.tobytes() == energy_track(expected).values[first:].tobytes()
+    assert mel.frame_rate == energy.frame_rate == expected.frame_rate
 
 
 @settings(max_examples=300, deadline=None)
 @given(padded_cases())
 def test_padded_spectrogram_equals_the_padded_clips(case):
-    assert_padded_spectrogram(*case)
+    # the rows the padding reaches, as metrics._mfccs takes them
+    assert_mel_rows(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(padded_cases(), st.data())
+def test_block_mel_and_energy_rows_equal_the_whole_array_path(case, data):
+    w, n, p, rows = case
+    assert_mel_rows(w, n, p, rows, data.draw(st.integers(0, frame_count(n, p))))
 
 
 @pytest.mark.parametrize("extra", [0, 1, 255, 256, 5000])
@@ -172,13 +188,14 @@ def test_padded_spectrogram_past_one_block(extra):
     # 256-row block, and the padded rows start inside the second
     p = FrameParams()
     w = Waveform(signal("noise", 300 * p.hop + 77, 5), 22050)
-    assert_padded_spectrogram(w, len(w.samples) + extra, p)
+    assert_mel_rows(w, len(w.samples) + extra, p)
 
 
 @pytest.mark.parametrize("n", [16, 256, 512, 1000, 1024, 2048, 4096])
 def test_numpy_rfft_into_a_given_array_is_scipys(n):
-    # dsp fills its work arrays with numpy.fft.rfft(..., out=); the oracles
-    # and every pinned output were computed with scipy.fft.rfft
+    # dsp transforms frames with numpy.fft.rfft, pitch_track into its work
+    # arrays (out=); the oracles and every pinned output were computed with
+    # scipy.fft.rfft
     from scipy.fft import rfft
 
     rng = np.random.default_rng(n)
@@ -276,17 +293,20 @@ def test_block_framing_at_the_reflection_limits(length):
 @pytest.mark.parametrize("n_mels", [80, 40, 2])
 @pytest.mark.parametrize("seconds", [0.01, 0.3, 2.0])
 def test_mel_spectrogram_keeps_its_input_and_the_in_place_path_matches(n_mels, seconds):
+    # dsp._mel_rows squares each block's magnitudes in place, in its own buffer
     n = int(seconds * 22050)
     x = signal("noise", n, n_mels)
     x[: n // 3] = 0.0  # frames at the floor
-    spec = stft_magnitude(Waveform(x, 22050))
+    w = Waveform(x, 22050)
+    spec = stft_magnitude(w)
     before = spec.frames.copy()
     mel = mel_spectrogram(spec, n_mels)
     assert spec.frames.tobytes() == before.tobytes()
-    in_place = dsp._mel_spectrogram_in_place(spec, n_mels, 0.0, 8000.0)
+    in_place, energy = dsp._mel_rows(w, FrameParams(), n_mels, 0.0, 8000.0, energy=True)
     assert in_place.frames.tobytes() == mel.frames.tobytes()
     assert in_place.frame_rate == mel.frame_rate
-    assert spec.frames.tobytes() == (before**2).tobytes()
+    assert energy.values.tobytes() == energy_track(spec).values.tobytes()
+    assert energy.frame_rate == mel.frame_rate
 
 
 def test_concurrent_calls_give_the_serial_results():
