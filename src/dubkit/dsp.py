@@ -102,11 +102,7 @@ def _hann(length: int) -> np.ndarray:
     if length <= 1:
         window = np.ones(length)
     else:
-        fac = np.linspace(-np.pi, np.pi, length + 1)
-        window = np.zeros(length + 1)
-        for k in range(2):
-            window += 0.5 * np.cos(k * fac)
-        window = window[:-1]
+        window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, length + 1)))[:-1]
     window.flags.writeable = False  # shared by every caller through the cache
     return window
 

@@ -10,6 +10,7 @@ by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 """
 
 import os
+import stat
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -428,15 +429,14 @@ def load_pair_manifest(path) -> list[PairEntry]:
         ("id", "generated", "reference"))
 
 
-# evaluate_corpus deals the manifest round-robin to at most one part per
-# usable CPU and scores each part in a forked child. A part prepares its
-# pairs in manifest order into a window of at most _WINDOW_PAIRS pairs holding
-# at most _WINDOW_BYTES of MFCCs, then aligns the window a group at a time:
-# sorted by M + N, cut into groups of at most _GROUP_PAIRS pairs and
-# _GROUP_BYTES of sweep memory (_group_bytes). A pair over _GROUP_BYTES alone,
-# such as any pair of 30 s clips, is aligned alone.
-_WINDOW_PAIRS = 64
-_WINDOW_BYTES = 1 << 22
+# evaluate_corpus sorts the manifest largest first by the bytes of each
+# pair's two files (_pair_bytes, a stand-in for M + N) and deals it
+# round-robin to at most one part per usable CPU, so each part starts with
+# its longest pair, which sets its buffers' high-water mark once. A part
+# prepares its pairs in that order into one group, aligned in one sweep
+# before the next pair would take it past _GROUP_PAIRS pairs or _GROUP_BYTES
+# of sweep memory (_group_bytes). A pair over _GROUP_BYTES alone, such as any
+# pair of 30 s clips, is aligned alone.
 _GROUP_PAIRS = 32
 _GROUP_BYTES = 1 << 22
 
@@ -445,27 +445,43 @@ def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricRe
     """Evaluate every manifest pair; rows and failures come in manifest order,
     and a failing pair is recorded, not fatal.
 
-    With parts = min(usable CPUs, pairs), pair k is scored in part k % parts,
-    each part in a forked child (_ForkedCall), so this process holds only
-    the rows; on one CPU the one part is scored here. A pair's row does not
-    depend on the part, window or group it is scored in, so the report is
-    the same bits on any number of CPUs. A child that dies raises
+    With parts = min(usable CPUs, pairs), the k-th pair largest first is
+    scored in part k % parts, each in a forked child (_ForkedCall), so this
+    process holds only the rows; on one CPU the one part is scored here. A
+    row does not depend on the part or group it is scored in, so the report
+    is the same bits on any number of CPUs. A child that dies raises
     ChildProcessError, and the other children are killed and reaped.
     """
     entries = list(entries)
     parts = min(_usable_cpus(), len(entries))
+    order = sorted(range(len(entries)), key=lambda k: _pair_bytes(entries[k]), reverse=True)
     outcomes = [None] * len(entries)
     children = []
     try:
         for k in range(parts):
-            children.append(_ForkedCall(_evaluate_chunk, entries[k::parts], cfg))
+            children.append(_ForkedCall(_evaluate_part, [entries[i] for i in order[k::parts]],
+                                        cfg))
         for k, child in enumerate(children):
-            outcomes[k::parts] = child()
+            for i, outcome in zip(order[k::parts], child()):
+                outcomes[i] = outcome
     finally:
         for child in children:
             child.close()
     return MetricReport([o for o in outcomes if isinstance(o, PairMetrics)],
                         [o for o in outcomes if not isinstance(o, PairMetrics)])
+
+
+def _pair_bytes(entry: PairEntry) -> int:
+    """The bytes of a pair's two files; a path that is no regular file counts
+    0, and the pair fails with its own error when it is read."""
+    total = 0
+    for path in (entry.generated, entry.reference):
+        try:  # ValueError: a NUL byte in the path
+            info = os.stat(path)
+            total += info.st_size if stat.S_ISREG(info.st_mode) else 0
+        except (OSError, ValueError):
+            pass
+    return total
 
 
 def _usable_cpus() -> int:
@@ -514,9 +530,14 @@ class _ForkedCall:
 
         parent = os.getpid()
         read_fd, write_fd = os.pipe()
-        # the only other threads here are OpenBLAS's, which it stops at a fork
-        # (pthread_atfork) and starts again when next used
-        pid = os.fork()
+        try:
+            # the only other threads here are OpenBLAS's, which it stops at a
+            # fork (pthread_atfork) and starts again when next used
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             status = 1
             try:  # whatever happens, the child leaves here and nowhere else
@@ -566,70 +587,50 @@ class _ForkedCall:
         return status
 
 
-def _evaluate_chunk(entries, cfg: PipelineConfig) -> list:
+def _evaluate_part(entries, cfg: PipelineConfig) -> list:
     """evaluate_corpus of ``entries`` in this process, as one list in their
-    order of rows and (pair id, error) failures: prepared pairs wait in a
-    window, which is aligned a group at a time (see _score_window)."""
-    outcomes, window, held = [], [], 0
+    order of rows and (pair id, error) failures, their pairs aligned a group
+    at a time (_score_group)."""
+    outcomes, group = [], []
     for entry in entries:
         try:
-            gen = read_mono(entry.generated)
-            ref = read_mono(entry.reference)
-            outcome = _prepare_pair(gen, ref, cfg)
-            held += outcome[1].nbytes + outcome[2].nbytes
+            pair = _prepare_pair(read_mono(entry.generated), read_mono(entry.reference), cfg)
         except Exception as exc:  # collected per-row, reported in the summary
-            outcome = _failure(exc)
-        window.append((entry.pair_id, outcome))
-        if len(window) == _WINDOW_PAIRS or held >= _WINDOW_BYTES:
-            outcomes += _score_window(window, cfg)
-            window, held = [], 0
-    return outcomes + _score_window(window, cfg)
+            outcomes.append((entry.pair_id, _failure(exc)))
+            continue
+        if group and (len(group) == _GROUP_PAIRS
+                      or _group_bytes([p[1:] for _, p in group] + [pair[1:]]) > _GROUP_BYTES):
+            _score_group(group, outcomes, cfg)
+            group = []
+        group.append((len(outcomes), pair))
+        outcomes.append(entry.pair_id)
+    if group:
+        _score_group(group, outcomes, cfg)
+    return outcomes
 
 
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _score_window(window, cfg) -> list:
-    """Align the prepared pairs of ``window`` (pair id, prepared pair or
-    failure text) a group at a time, and return its rows and (pair id,
-    error) failures in window order. When a group's sweep fails, its pairs
-    are aligned one at a time, so each failure is recorded for its own
-    pair."""
-    outcomes = [outcome for _, outcome in window]
-    ready = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, str)]
-    ready.sort(key=lambda i: len(outcomes[i][1]) + len(outcomes[i][2]))
-    for group in _groups([outcomes[i][1:] for i in ready]):
-        indices, ready = ready[:len(group)], ready[len(group):]
-        try:
-            alignments = _align_many(group)
-        except Exception:  # retried pair by pair below
-            alignments = []
-            for pair in group:
-                try:
-                    alignments += _align_many([pair])
-                except Exception as exc:  # collected per-row
-                    alignments.append(_failure(exc))
-        for i, alignment in zip(indices, alignments):
-            outcomes[i] = (alignment if isinstance(alignment, str)
-                           else _score(outcomes[i][0], alignment, cfg))
-    return [(pair_id, outcome) if isinstance(outcome, str)
-            else replace(outcome, pair_id=pair_id)
-            for (pair_id, _), outcome in zip(window, outcomes)]
-
-
-def _groups(pairs):
-    """Cut ``pairs`` into consecutive runs of at most _GROUP_PAIRS whose
-    _group_bytes fit _GROUP_BYTES; a pair over it alone is a group of one."""
-    group = []
-    for pair in pairs:
-        if group and (len(group) == _GROUP_PAIRS
-                      or _group_bytes(group + [pair]) > _GROUP_BYTES):
-            yield group
-            group = []
-        group.append(pair)
-    if group:
-        yield group
+def _score_group(group, outcomes: list, cfg: PipelineConfig) -> None:
+    """Align the (index, prepared pair) of ``group`` in one sweep and put each
+    row, or (pair id, error) failure, in ``outcomes`` at the index, which held
+    the pair id. When the sweep fails, the pairs are aligned one at a time,
+    so each failure is recorded for its own pair."""
+    pairs = [pair[1:] for _, pair in group]
+    try:
+        alignments = _align_many(pairs)
+    except Exception:  # retried pair by pair below
+        alignments = []
+        for pair in pairs:
+            try:
+                alignments += _align_many([pair])
+            except Exception as exc:  # collected per-row
+                alignments.append(_failure(exc))
+    for (i, (plain, _, _)), alignment in zip(group, alignments):
+        outcomes[i] = ((outcomes[i], alignment) if isinstance(alignment, str)
+                       else replace(_score(plain, alignment, cfg), pair_id=outcomes[i]))
 
 
 def _group_bytes(pairs) -> int:

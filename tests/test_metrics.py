@@ -497,16 +497,15 @@ def pairwise_rows(manifest, cfg=PipelineConfig()):
 
 
 class TestCorpusGroups:
-    """evaluate_corpus aligns windows of prepared pairs a group at a time;
-    its rows and failures are those of scoring each pair on its own."""
+    """evaluate_corpus aligns prepared pairs a group at a time; its rows and
+    failures are those of scoring each pair on its own."""
 
-    @pytest.mark.parametrize("window, group_pairs, group_bytes", [
-        (5, 3, 40_000), (4, 8, 1 << 22), (1, 1, 0), (64, 32, 1 << 22)])
-    def test_rows_equal_pair_by_pair_rows(self, tmp_path, monkeypatch, window,
-                                          group_pairs, group_bytes):
+    @pytest.mark.parametrize("group_pairs, group_bytes", [
+        (3, 40_000), (8, 1 << 22), (1, 0), (32, 1 << 22)])
+    def test_rows_equal_pair_by_pair_rows(self, tmp_path, monkeypatch, group_pairs,
+                                          group_bytes):
         manifest = write_pair_corpus(tmp_path, mixed_pairs())
         expected = pairwise_rows(manifest)
-        monkeypatch.setattr(metrics, "_WINDOW_PAIRS", window)
         monkeypatch.setattr(metrics, "_GROUP_PAIRS", group_pairs)
         monkeypatch.setattr(metrics, "_GROUP_BYTES", group_bytes)
         report = evaluate_corpus(load_pair_manifest(manifest))
@@ -554,7 +553,7 @@ class TestCorpusGroups:
         assert sweeps[0] == 4 and sweeps[1:] == [1, 1, 1, 1]
 
     def test_memory_does_not_grow_with_the_manifest(self, tmp_path, monkeypatch):
-        # prepared pairs wait in a bounded window; what grows is the rows
+        # prepared pairs wait in a bounded group; what grows is the rows
         use_cpus(monkeypatch, 1)  # tracemalloc traces this process only
         gen, ref = tmp_path / "gen.wav", tmp_path / "ref.wav"
         write_wav(gen, tone(300, 0.5))
@@ -570,7 +569,7 @@ class TestCorpusGroups:
             finally:
                 tracemalloc.stop()
             assert len(report.rows) == count
-        # a window that held all 400 prepared pairs peaked 3.8 MB higher
+        # holding all 400 prepared pairs at once peaked 3.8 MB higher
         assert peaks[1] - peaks[0] < 1 << 20
 
     def test_finite_input_warns_nothing(self, tmp_path, monkeypatch):
@@ -601,10 +600,18 @@ def spy_parts(monkeypatch):
     return PartSpy.parts, spy_forks(monkeypatch)
 
 
+def pair_bytes(entry):
+    """The bytes of the pair's two files, 0 for a path that is no file."""
+    return sum(os.path.getsize(path) for path in (entry.generated, entry.reference)
+               if os.path.isfile(path))
+
+
 def dealt(entries, cpus):
-    """The parts evaluate_corpus deals ``entries`` into on ``cpus`` CPUs."""
+    """The parts evaluate_corpus deals ``entries`` into on ``cpus`` CPUs:
+    largest pair first, ties in manifest order, then round-robin."""
+    order = sorted(entries, key=pair_bytes, reverse=True)
     parts = min(cpus, len(entries))
-    return [entries[k::parts] for k in range(parts)]
+    return [order[k::parts] for k in range(parts)]
 
 
 def cycled_entries(tmp_path, count):
@@ -619,9 +626,10 @@ def cycled_entries(tmp_path, count):
 
 
 class TestCorpusPool:
-    """With more than one usable CPU, evaluate_corpus deals the manifest
-    round-robin to one forked child per CPU, at most one per pair; the
-    report is the one-CPU report, row for row and failure for failure."""
+    """With more than one usable CPU, evaluate_corpus deals the manifest,
+    largest pair first, round-robin to one forked child per CPU, at most one
+    per pair; the report is the one-CPU report, row for row and failure for
+    failure."""
 
     def test_pool_equals_inline(self, tmp_path, monkeypatch):
         cfg = PipelineConfig(pad_mode="strict")
@@ -681,30 +689,84 @@ class TestCorpusPool:
         assert len({len(part) for part in parts}) == 2  # the first parts take one pair more
         assert len(forks) == 3 and all(map(reaped, forks))
 
-    def test_a_chunk_holds_at_most_a_window(self, tmp_path, monkeypatch):
+    def test_a_part_holds_at_most_a_group(self, tmp_path, monkeypatch):
         entries = cycled_entries(tmp_path, 65)
         use_cpus(monkeypatch, 1)
         inline = evaluate_corpus(entries)
-        monkeypatch.setattr(metrics, "_WINDOW_PAIRS", 8)
-        log, score = tmp_path / "windows.log", metrics._score_window
+        monkeypatch.setattr(metrics, "_GROUP_PAIRS", 8)
+        log, score = tmp_path / "groups.log", metrics._score_group
 
-        def logged(window, cfg):
-            with open(log, "a") as fh:  # one short O_APPEND write per window
-                fh.write(f"{os.getpid()} {len(window)}\n")
-            return score(window, cfg)
+        def logged(group, outcomes, cfg):
+            with open(log, "a") as fh:  # one short O_APPEND write per group
+                fh.write(f"{os.getpid()} {len(group)}\n")
+            return score(group, outcomes, cfg)
 
-        monkeypatch.setattr(metrics, "_score_window", logged)
-        _, forks = spy_parts(monkeypatch)
+        monkeypatch.setattr(metrics, "_score_group", logged)
+        parts, forks = spy_parts(monkeypatch)
         use_cpus(monkeypatch, 2)
         pooled = evaluate_corpus(entries)
         assert pooled.rows == inline.rows and pooled.failures == inline.failures
-        windows = {}
+        groups = {}
         for line in log.read_text().splitlines():
             pid, size = map(int, line.split())
-            windows.setdefault(pid, []).append(size)
-        # parts of 33 and 32 pairs in windows of at most 8, each part ending
-        # with what is left of its last window
-        assert windows == {forks[0]: [8, 8, 8, 8, 1], forks[1]: [8, 8, 8, 8, 0]}
+            groups.setdefault(pid, []).append(size)
+        # parts of 33 and 32 pairs, 5 missing in each, sorted last; the
+        # others in groups of at most 8, the last group what is left
+        assert [len(part) for part in parts] == [33, 32]
+        assert groups == {forks[0]: [8, 8, 8, 4], forks[1]: [8, 8, 8, 3]}
+
+    def test_alternating_pairs_split_evenly(self, tmp_path, monkeypatch):
+        # long and short pairs in turn: dealt in manifest order, one part
+        # would get every long pair
+        pairs = []
+        for k in range(10):
+            seconds = (0.95 if k % 2 == 0 else 0.15) + 0.01 * k
+            pairs.append((f"a{k}", tone(300 + 10 * k, seconds), tone(320 + 10 * k, seconds + 0.05)))
+        entries = load_pair_manifest(write_pair_corpus(tmp_path, pairs))
+        use_cpus(monkeypatch, 1)
+        inline = evaluate_corpus(entries)
+        parts, forks = spy_parts(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        pooled = evaluate_corpus(entries)
+        assert pooled.rows == inline.rows and pooled.failures == inline.failures == []
+        assert len(forks) == 2 and all(map(reaped, forks))
+        ids = sorted(e.pair_id for e in entries)
+        assert sorted(e.pair_id for part in parts for e in part) == ids
+        sums = [sum(map(pair_bytes, part)) for part in parts]
+        assert abs(sums[0] - sums[1]) <= max(map(pair_bytes, entries))
+        for part in parts:  # each part is handed its pairs largest first
+            sizes = [pair_bytes(e) for e in part]
+            assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) == len(sizes)
+
+    def test_paths_that_are_no_file_sort_as_empty(self, tmp_path, monkeypatch):
+        good = load_pair_manifest(write_pair_corpus(tmp_path, [
+            (f"g{k}", tone(300 + 20 * k, 0.2 + 0.05 * k), tone(310 + 20 * k, 0.25))
+            for k in range(4)]))
+        (tmp_path / "dir.wav").mkdir()
+        broken = [PairEntry("missing", str(tmp_path / "no.wav"), good[0].reference),
+                  PairEntry("nul", str(tmp_path / "nul\0.wav"), str(tmp_path / "nul\0.wav")),
+                  PairEntry("dir", str(tmp_path / "dir.wav"), str(tmp_path / "dir.wav"))]
+        entries = [broken[0], good[0], broken[1], good[1], broken[2], good[2], good[3]]
+        assert [pair_bytes(e) for e in broken] == [os.path.getsize(good[0].reference), 0, 0]
+        use_cpus(monkeypatch, 1)
+        inline = evaluate_corpus(entries)
+        parts, forks = spy_parts(monkeypatch)
+        use_cpus(monkeypatch, 2)
+        pooled = evaluate_corpus(entries)
+        # the missing file counts 0, and so do both paths of nul and dir:
+        # sorted g3 g2 g1 g0 missing nul dir, then dealt round-robin
+        assert parts == dealt(entries, 2)
+        assert [[e.pair_id for e in part] for part in parts] == [["g3", "g1", "missing", "dir"],
+                                                                 ["g2", "g0", "nul"]]
+        assert len(forks) == 2 and all(map(reaped, forks))
+        assert pooled.rows == inline.rows and pooled.failures == inline.failures
+        assert [row.pair_id for row in pooled.rows] == ["g0", "g1", "g2", "g3"]
+        assert [pair_id for pair_id, _ in pooled.failures] == ["missing", "nul", "dir"]
+        errors = [error for _, error in pooled.failures]
+        assert errors[0].startswith("FileNotFoundError: ")
+        assert errors[1].startswith("ValueError: ")
+        assert errors[2].startswith("IsADirectoryError: ")
+        assert json.dumps(pooled.to_dict()) == json.dumps(inline.to_dict())
 
     def test_a_worker_killed_mid_chunk_fails_the_run(self, tmp_path):
         entries = cycled_entries(tmp_path, 12)
@@ -722,6 +784,40 @@ class TestCorpusPool:
         errors = [json.loads(line)["error"] for line in result.stderr.splitlines()]
         assert errors == [{"type": "ChildProcessError",
                            "message": "forked child killed by SIGKILL"}] * 2
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def failed_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+class TestFailedFork:
+    """A fork that raises leaves no descriptor open and no child running."""
+
+    def test_forked_call_closes_its_pipe(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", failed_fork)
+        before = open_fds()
+        for _ in range(5):
+            with pytest.raises(BlockingIOError):
+                metrics._ForkedCall(len, [])
+        assert open_fds() == before
+
+    def test_children_forked_before_are_killed_and_reaped(self, tmp_path, monkeypatch):
+        entries = cycled_entries(tmp_path, 12)
+        use_cpus(monkeypatch, 2)
+        forks = spy_forks(monkeypatch)
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: failed_fork() if forks else fork())
+        before = open_fds()
+        with pytest.raises(BlockingIOError):
+            evaluate_corpus(entries)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert open_fds() == before
 
 
 # dubkit batch on two CPUs, the second pair a child prepares killing it;
