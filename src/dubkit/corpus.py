@@ -41,8 +41,6 @@ class ClipRecord:
     text: str
     start_ms: int
     end_ms: int
-    audio_path: str | None = None
-    video_path: str | None = None
 
     def __post_init__(self):
         if self.emotion not in EMOTIONS:
@@ -63,15 +61,13 @@ class ClipRecord:
 
 def _record_from_row(row: dict) -> ClipRecord:
     return ClipRecord(
-        movie_id=str(row["movie_id"]),
+        movie_id=jsonl.text(row, "movie_id"),
         clip_index=jsonl.integer(row, "clip_index"),
-        speaker=str(row["speaker"]),
-        emotion=str(row["emotion"]),
-        text=str(row["text"]),
+        speaker=jsonl.text(row, "speaker"),
+        emotion=jsonl.text(row, "emotion"),
+        text=jsonl.text(row, "text"),
         start_ms=jsonl.integer(row, "start_ms"),
         end_ms=jsonl.integer(row, "end_ms"),
-        audio_path=row.get("audio_path"),
-        video_path=row.get("video_path"),
     )
 
 

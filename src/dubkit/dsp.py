@@ -13,14 +13,8 @@ import numpy as np
 PITCH_FRAME_LENGTH = 2048
 # samples of frame per block of a framed kernel (see _blocks): 256 rows at
 # fft_size 1024, 128 pitch frames, so a block stays about 2 MiB of float64
-# whatever the framing. rfft magnitudes, row sums of squares and mel rows do
-# not depend on where the blocks are cut; pitch does below _MIN_BLOCK rows.
+# whatever the framing. No output depends on where the blocks are cut.
 _SPECTRAL_SPAN = 1 << 18
-# 8 frames x 2049 bins x 16 B = 256 KiB of rfft output, numpy's NPY_MIN_ELIDE_BYTES:
-# from there on numpy elides the conj temporary in pitch_track's spectrum product
-# (see _pitch_block). If a numpy upgrade moves that threshold, pitch drifts by an
-# ulp at block edges and tests/test_pitch_kernel.py's block-boundary test fails.
-_MIN_BLOCK = 8
 _MEL_FLOOR = 1e-10  # mel power below this is logged as log(_MEL_FLOOR)
 # bounds that keep a flag from sizing a multi-GiB array: an FFT of 65536
 # samples (3 s at 22.05 kHz) and 4 Mi filterbank cells, 32 MiB of float64,
@@ -227,18 +221,14 @@ def _fill(out: np.ndarray, x: np.ndarray, a: int) -> None:
 
 def _block_rows(n_rows: int, row_length: int) -> int:
     """Rows in the largest of _blocks(n_rows, row_length)."""
-    return max((hi - lo for lo, hi in _blocks(n_rows, row_length)), default=0)
+    return min(n_rows, max(1, _SPECTRAL_SPAN // row_length))
 
 
 def _blocks(n_rows: int, row_length: int):
-    """(lo, hi) ranges covering rows 0..n_rows in order, _SPECTRAL_SPAN //
-    row_length rows each but never fewer than _MIN_BLOCK; a tail shorter
-    than _MIN_BLOCK joins the block before it."""
-    rows = max(_MIN_BLOCK, _SPECTRAL_SPAN // row_length)
-    starts = list(range(0, n_rows, rows))
-    if len(starts) > 1 and n_rows - starts[-1] < _MIN_BLOCK:
-        starts.pop()
-    return zip(starts, starts[1:] + [n_rows])
+    """(lo, hi) ranges covering rows 0..n_rows in order, max(1, _SPECTRAL_SPAN
+    // row_length) rows each but the last, which holds the rest."""
+    rows = max(1, _SPECTRAL_SPAN // row_length)
+    return ((lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows))
 
 
 def hz_to_mel(f):
@@ -395,18 +385,24 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     rows = _block_rows(n_frames, PITCH_FRAME_LENGTH)
     spec_full = np.empty((rows, PITCH_FRAME_LENGTH + 1), dtype=complex)
     spec_head = np.empty_like(spec_full)
+    # each block takes the operand order numpy gives full * head.conj() over the
+    # whole track in tests/reference_pitch.py: as written below 8 frames, conj *
+    # full from 8 (256 KiB of spectra, where numpy elides the conj temporary) on
+    conj_first = n_frames >= 8
     for lo, hi, frames in _frame_blocks(x, PITCH_FRAME_LENGTH, hop, PITCH_FRAME_LENGTH):
         values[lo:hi] = _pitch_block(frames, spec_full[: hi - lo], spec_head[: hi - lo],
-                                     sr, f_min, f_max, voicing_threshold, tau_min, tau_max)
+                                     conj_first, sr, f_min, f_max, voicing_threshold,
+                                     tau_min, tau_max)
     return PitchTrack(values, sr / hop)
 
 
 def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarray,
-                 sr: int, f_min: float, f_max: float, voicing_threshold: float,
-                 tau_min: int, tau_max: int) -> np.ndarray:
+                 conj_first: bool, sr: int, f_min: float, f_max: float,
+                 voicing_threshold: float, tau_min: int, tau_max: int) -> np.ndarray:
     """Pitch in Hz (0 when unvoiced) of each row of ``frames``; spec_full
     and spec_head, len(frames) x (PITCH_FRAME_LENGTH + 1) complex, are
-    overwritten."""
+    overwritten. The cross spectrum is conj(head) * full if ``conj_first``,
+    else full * conj(head): the two orders round differently in the FMA loop."""
     n_frames = len(frames)
     win = PITCH_FRAME_LENGTH // 2
 
@@ -414,13 +410,13 @@ def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarra
     n_fft = 2 * PITCH_FRAME_LENGTH
     np.fft.rfft(frames, n=n_fft, axis=1, out=spec_full)
     np.fft.rfft(frames[:, :win], n=n_fft, axis=1, out=spec_head)
-    # Keep this product as written. From 256 KiB (_MIN_BLOCK frames) on,
-    # numpy reuses the conj temporary and computes conj * full in place, and
-    # the swapped operands round differently in the FMA loop. So that a
-    # frame's pitch does not depend on where the blocks are cut, no block is
-    # below that size unless the whole clip is. numpy.fft.irfft gives
-    # scipy.fft.irfft's bits (tests/test_spectral_kernel.py pins that).
-    xcorr = np.fft.irfft(spec_full * spec_head.conj(), n=n_fft, axis=1)[:, : tau_max + 1]
+    np.conjugate(spec_head, out=spec_head)
+    if conj_first:
+        np.multiply(spec_head, spec_full, out=spec_head)
+    else:
+        np.multiply(spec_full, spec_head, out=spec_head)
+    # numpy.fft.irfft gives scipy.fft.irfft's bits (tests/test_spectral_kernel.py pins that)
+    xcorr = np.fft.irfft(spec_head, n=n_fft, axis=1)[:, : tau_max + 1]
     sq = np.cumsum(frames**2, axis=1)
     e0 = sq[:, win - 1]
     e_tau = np.empty((n_frames, tau_max + 1))

@@ -64,3 +64,14 @@ def integer(row: dict, key: str) -> int:
     if type(value) is int and -INT64_END <= value < INT64_END:
         return value
     raise ValueError(f"{key} must be an integer, got {row[key]!r}")
+
+
+def text(row: dict, key: str) -> str:
+    """``row[key]`` if it is a JSON string, a JSON number as its text ("7",
+    "1.5"); null, booleans, arrays and objects raise ValueError."""
+    value = row[key]
+    if type(value) in (int, float):
+        value = str(value)
+    if type(value) is str:
+        return value
+    raise ValueError(f"{key} must be a string or a number")

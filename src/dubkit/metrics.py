@@ -424,8 +424,8 @@ class PairEntry:
 def load_pair_manifest(path) -> list[PairEntry]:
     """Read a JSON Lines pair manifest ({id, generated, reference} rows)."""
     return jsonl.load_objects(
-        path, lambda row: PairEntry(str(row["id"]), str(row["generated"]),
-                                    str(row["reference"])),
+        path, lambda row: PairEntry(jsonl.text(row, "id"), jsonl.text(row, "generated"),
+                                    jsonl.text(row, "reference")),
         ("id", "generated", "reference"))
 
 

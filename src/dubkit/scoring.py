@@ -70,13 +70,6 @@ def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norm[..., 0]
 
 
-def _key_text(row: dict, key: str) -> str:
-    value = row[key]
-    if type(value) not in (str, int, float):  # JSON null, true, arrays, objects
-        raise EmbeddingFormatError(f"{key} must be a string or a number")
-    return str(value)
-
-
 def load_embeddings(path) -> EmbeddingSet:
     """Read a JSONL embedding file ({label, id, vector} rows).
 
@@ -93,6 +86,9 @@ def load_embeddings(path) -> EmbeddingSet:
             raise EmbeddingFormatError("vector is not numeric") from None
         if v.ndim != 1 or v.size == 0:
             raise EmbeddingFormatError("vector must be a flat, nonempty number list")
+        # numpy converts "1.0" and true as well; a flat vector here is a list
+        if not {int, float}.issuperset(map(type, row["vector"])):
+            raise EmbeddingFormatError("vector is not numeric")
         if not np.all(np.isfinite(v)):
             raise EmbeddingFormatError("non-finite vector entry")
         if vectors and v.size != vectors[0].size:
@@ -100,7 +96,7 @@ def load_embeddings(path) -> EmbeddingSet:
                                        f"established dimension {vectors[0].size}")
         if not v.any():
             raise EmbeddingFormatError("zero vector")
-        key = (_key_text(row, "label"), _key_text(row, "id"))
+        key = (jsonl.text(row, "label"), jsonl.text(row, "id"))
         if key in seen:
             raise EmbeddingFormatError(f"duplicate (label, id) {key}")
         seen.add(key)

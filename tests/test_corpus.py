@@ -36,18 +36,16 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         records = [record(i=1), record(i=2, emotion="happy", speaker="anna"),
                    record(i=3, text="Let it go")]
-        # rows without audio_path/video_path load with both None
-        rows = [{k: v for k, v in vars(r).items() if v is not None} for r in records]
-        assert all("audio_path" not in row for row in rows)
-        path = jsonl(tmp_path / "m.jsonl", rows)
+        path = jsonl(tmp_path / "m.jsonl", [vars(r) for r in records])
         assert load_manifest(path) == records
 
-    def test_round_trip_with_paths(self, tmp_path):
+    def test_media_paths_are_ignored(self, tmp_path):
         rec = ClipRecord(movie_id="m", clip_index=1, speaker="s",
-                         emotion="sad", text="t", start_ms=0, end_ms=10,
-                         audio_path="a.wav", video_path="v.mp4")
-        path = jsonl(tmp_path / "m.jsonl", [vars(rec)])
-        assert load_manifest(path) == [rec]
+                         emotion="sad", text="t", start_ms=0, end_ms=10)
+        rows = [{**vars(rec), "audio_path": "a.wav", "video_path": "v.mp4"},
+                {**vars(rec), "audio_path": None, "video_path": [1]}]
+        path = jsonl(tmp_path / "m.jsonl", rows)
+        assert load_manifest(path) == [rec, rec]
 
     def test_unknown_emotion_names_row(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -226,21 +226,19 @@ class TestBlocks:
 
     @pytest.mark.parametrize("row_length", [1024, 2048, 4096, 2**18, 2**19])
     def test_ranges_cover_the_rows_within_bounds(self, row_length):
-        rows = max(dsp._MIN_BLOCK, dsp._SPECTRAL_SPAN // row_length)
+        rows = max(1, dsp._SPECTRAL_SPAN // row_length)
         for n_rows in range(3 * rows + 9):
             blocks = list(dsp._blocks(n_rows, row_length))
             assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n_rows))
+            assert [lo for lo, _ in blocks] == list(range(0, n_rows, rows))
             sizes = [hi - lo for lo, hi in blocks]
-            assert all(0 < size <= rows + dsp._MIN_BLOCK - 1 for size in sizes), sizes
-            if len(blocks) > 1:
-                assert min(sizes) >= dsp._MIN_BLOCK, sizes
+            assert all(size == rows for size in sizes[:-1]), sizes
+            assert all(0 < size <= rows for size in sizes), sizes
+            assert dsp._block_rows(n_rows, row_length) == max(sizes, default=0)
 
-    def test_pitch_cuts_are_128_frames_with_short_tails_merged(self):
-        # the rule pitch_track applied before it shared _blocks
+    def test_pitch_cuts_are_128_frames_with_the_rest_last(self):
         def cuts(n_frames):
             starts = list(range(0, n_frames, 128))
-            if len(starts) > 1 and n_frames - starts[-1] < 8:
-                starts.pop()
             return list(zip(starts, starts[1:] + [n_frames]))
 
         for n_frames in range(3 * 128 + 9):

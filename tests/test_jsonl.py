@@ -12,6 +12,7 @@ from dubkit.metrics import load_pair_manifest
 from dubkit.scoring import EmbeddingFormatError, RatingError, load_embeddings, load_ratings
 
 from helpers import at
+from helpers import jsonl as write_rows
 
 LOADERS = {
     "pairs": (load_pair_manifest, ValueError, ("id", "generated", "reference")),
@@ -66,6 +67,30 @@ def test_any_json_line_loads_or_raises_located_error(tmp_path, name, line):
         assert str(exc).startswith(f"{path}:1: "), str(exc)
 
 
+# a valid row of each loader whose fields are text
+TEXT_ROWS = {
+    "pairs": {"id": "p1", "generated": "g.wav", "reference": "r.wav"},
+    "embeddings": {"label": "a", "id": "1", "vector": [1.0]},
+    "manifest": {"movie_id": "m", "clip_index": 1, "speaker": "s", "emotion": "sad",
+                 "text": "t", "start_ms": 0, "end_ms": 10},
+}
+TEXT_FIELDS = [("pairs", "id"), ("pairs", "generated"), ("pairs", "reference"),
+               ("embeddings", "label"), ("embeddings", "id"),
+               ("manifest", "movie_id"), ("manifest", "speaker"),
+               ("manifest", "emotion"), ("manifest", "text")]
+
+
+@pytest.mark.parametrize("name, key", TEXT_FIELDS)
+@pytest.mark.parametrize("value", [None, True, False, [1], {"a": 1}])
+def test_text_field_is_a_string_or_a_number(tmp_path, name, key, value):
+    # str() would read these as "None", "True", "[1]" ...
+    loader, error, _ = LOADERS[name]
+    row = TEXT_ROWS[name]
+    path = write_rows(tmp_path / "x.jsonl", [row, {**row, key: value}])
+    with pytest.raises(error, match=at(path, 2) + f"{key} must be a string or a number$"):
+        loader(path)
+
+
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_bad_row_after_blank_lines_is_located(tmp_path, name):
     loader, error, _ = LOADERS[name]
@@ -82,6 +107,13 @@ def test_missing_field_is_named(tmp_path, name):
     path.write_text('{"unrelated": 1}\n')
     with pytest.raises(error, match=at(path, 1) + f"missing field '{keys[0]}'"):
         loader(path)
+
+
+def test_text_is_a_string_or_a_number_as_its_text():
+    row = {"s": "x", "i": 7, "f": 1.5, "e": 1e300, "b": True}
+    assert [jsonl.text(row, key) for key in "sife"] == ["x", "7", "1.5", "1e+300"]
+    with pytest.raises(ValueError, match="^b must be a string or a number$"):
+        jsonl.text(row, "b")
 
 
 class TestParseObject:

@@ -1,15 +1,17 @@
 """The blocked YIN pitch tracker against the whole-clip tracker it replaced
-(``reference_pitch.py``): equal pitch bit for bit, including clips whose
-length puts a short block at numpy's in-place threshold, plus its memory
-bound."""
+(``reference_pitch.py``): equal pitch bit for bit, at every block size and
+on clips whose length leaves a short last block on either side of numpy's
+in-place threshold, plus its memory bound."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dubkit import dsp
 from dubkit.audio import Waveform
 from dubkit.dsp import _SPECTRAL_SPAN, PITCH_FRAME_LENGTH, pitch_track
 
@@ -65,20 +67,36 @@ def test_matches_reference_tracker(case):
     assert_same_pitch(*case)
 
 
-# numpy evaluates the spectrum product in another operand order below 8
-# frames than at 8 or more; a tail block of 1-7 frames not merged into the
-# block before it gives some frames a pitch 1 ulp off the reference.
+# The oracle multiplies its spectra in the operand order numpy picks for the
+# whole track, full * conj below 8 frames and conj * full from 8 on, and the
+# two round differently; a last block of 1-7 frames after whole blocks must
+# keep the track's order (see dsp.pitch_track).
 BLOCK = _SPECTRAL_SPAN // PITCH_FRAME_LENGTH  # frames per pitch block: 128
 BOUNDARY_FRAMES = [*range(1, 8), *(BLOCK * k + r for k in (1, 2) for r in range(1, 8))]
 
 
-@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)
-def test_matches_reference_at_block_boundaries(n_frames):
-    sr, hop = 22050, 64
+def tone_clip(n_frames, hop, sr=22050):
     w = Waveform(signal("tone+noise", (n_frames - 1) * hop + 1, sr, n_frames), sr)
     assert len(pitch_track(w, hop=hop).values) == n_frames
+    return w
+
+
+@pytest.mark.parametrize("n_frames", BOUNDARY_FRAMES)
+def test_matches_reference_at_block_boundaries(n_frames):
+    w = tone_clip(n_frames, 64)
     for threshold in (0.15, 2.0):
-        assert_same_pitch(w, 50.0, 600.0, threshold, hop)
+        assert_same_pitch(w, 50.0, 600.0, threshold, 64)
+
+
+@pytest.mark.parametrize("rows", range(1, 10))
+def test_matches_reference_at_every_block_size(rows):
+    # blocks of 1-9 frames put cuts on both sides of 8 frames, in tracks
+    # shorter and longer than 8
+    for n_frames in range(1, 41):
+        w = tone_clip(n_frames, 64)
+        with mock.patch.object(dsp, "_SPECTRAL_SPAN", rows * PITCH_FRAME_LENGTH):
+            for threshold in (0.15, 2.0):
+                assert_same_pitch(w, 50.0, 600.0, threshold, 64)
 
 
 def test_memory_does_not_grow_with_the_clip():

@@ -112,6 +112,15 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match=at(path, 1) + ".*not numeric"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("vector", [["1.0", "0.5"], [True, False], [1.0, True, 0.5],
+                                        [0.5, "2"]])
+    def test_vector_of_strings_or_booleans_names_line(self, tmp_path, vector):
+        # numpy would read these as [1.0, 0.5] and [1.0, 0.0]
+        path = jsonl(tmp_path / "e.jsonl", [{"label": "a", "id": "1", "vector": [1.0, 0.0]},
+                                            {"label": "a", "id": "2", "vector": vector}])
+        with pytest.raises(EmbeddingFormatError, match=at(path, 2) + "vector is not numeric$"):
+            load_embeddings(path)
+
     @staticmethod
     def peak_of_load(path, vectors):
         with open(path, "w") as fh:

@@ -77,11 +77,9 @@ def spectral_cases(draw):
 
 
 def assert_same_features(w, p, rows):
-    # blocks of exactly ``rows`` rows: the span gives that many per block, and
-    # a _MIN_BLOCK of 1 leaves blocks below 8 rows and short tails as they are
+    # blocks of exactly ``rows`` rows: the span gives that many per block
     span = rows * p.fft_size if rows else dsp._SPECTRAL_SPAN
-    min_block = 1 if rows else dsp._MIN_BLOCK
-    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span, _MIN_BLOCK=min_block):
+    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span):
         got = stft_magnitude(w, p)
         got_energy = energy_track(got)
     expected = reference_spectral.stft_magnitude(w, p)
@@ -155,7 +153,7 @@ def assert_mel_rows(w, n, p, rows=None, first=None):
     span = rows * p.fft_size if rows else dsp._SPECTRAL_SPAN
     shared = dsp._shared_rows(len(w.samples), p)
     first = shared if first is None else first
-    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span, _MIN_BLOCK=1 if rows else dsp._MIN_BLOCK):
+    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=span):
         own = stft_magnitude(w, p)
         mel, energy = dsp._mel_rows(w, p, 80, 0.0, 8000.0, first, n, energy=True)
     expected = stft_magnitude(pad_to_length(w, n), p)
@@ -231,8 +229,10 @@ def test_numpy_irfft_is_scipys(kind):
             frames = np.round(frames * 32767.0) / 32768.0
         spec_full = np.fft.rfft(frames, n=n, axis=1)
         spec_head = np.fft.rfft(frames[:, : length // 2], n=n, axis=1)
-        product = spec_full * spec_head.conj()  # as _pitch_block forms it
-        assert np.fft.irfft(product, n=n, axis=1).tobytes() == irfft(product, n=n, axis=1).tobytes()
+        conj = spec_head.conj()
+        for product in (spec_full * conj, conj * spec_full):  # _pitch_block's two orders
+            assert (np.fft.irfft(product, n=n, axis=1).tobytes()
+                    == irfft(product, n=n, axis=1).tobytes())
 
 
 def assert_framing(x, n, length, hop, rows, first):
@@ -242,7 +242,7 @@ def assert_framing(x, n, length, hop, rows, first):
     padded = np.zeros(n)
     padded[: len(x)] = x
     expected = reference_spectral._frame(padded, length, hop)
-    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=rows * length, _MIN_BLOCK=1):
+    with mock.patch.multiple(dsp, _SPECTRAL_SPAN=rows * length):
         blocks = list(dsp._frame_blocks(x, length, hop, length, first, n))
     assert [lo for lo, _, _ in blocks] == list(range(first, len(expected), rows))
     for lo, hi, frames in blocks:
