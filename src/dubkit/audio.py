@@ -270,12 +270,9 @@ def _lowpass(up: int, down: int):
     Built step by step as scipy 1.17's ``firwin`` builds it for
     ``resample_poly(x, up, down, window=("kaiser", kaiser_beta(80.0)))``,
     so the taps are bit-equal: a sinc of cutoff 1/max(up, down) in
-    array_api_extra's form, a Kaiser window from ``scipy.special.i0``
-    (``np.i0`` differs in the last bits), unit DC gain.
+    array_api_extra's form, a Kaiser window from ``_i0`` (scipy.special.i0's
+    bits), unit DC gain.
     """
-    # imported here, like scipy.fft in dsp; scipy.fft loads scipy.special too
-    from scipy.special import i0
-
     max_rate = max(up, down)
     f_c = 1.0 / max_rate
     half_len = 10 * max_rate
@@ -283,10 +280,56 @@ def _lowpass(up: int, down: int):
     x = f_c * m
     y = np.pi * np.where(x != 0, x, np.finfo(np.float64).eps)
     h = f_c * (np.sin(y) / y)
-    h *= i0(_KAISER_BETA * np.sqrt(1 - (m / half_len) ** 2.0)) / i0(_KAISER_BETA)
+    # the window's argument is the same at -m as at m: evaluate i0 from the
+    # centre on and mirror it
+    right = m[half_len:]
+    window = _i0(_KAISER_BETA * np.sqrt(1 - (right / half_len) ** 2.0))
+    window /= _i0(np.array([_KAISER_BETA]))
+    h[:half_len] *= window[:0:-1]
+    h[half_len:] *= window
     h /= np.sum(h)
     h *= up
     return h, half_len
+
+
+# cephes' Chebyshev coefficients of exp(-x) i0(x) on [0, 8], as numpy's _i0A
+_I0_COEFFS = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
+    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
+    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
+    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
+    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
+    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
+    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
+    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
+    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
+    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
+    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+
+
+def _i0(x: np.ndarray) -> np.ndarray:
+    """The modified Bessel function I0 of each x in [0, 8], bit-equal to
+    ``scipy.special.i0``: cephes' exp(x) * chbevl(x / 2 - 2, A), its
+    recurrence b0 = x * b1 - b2 + a taken one rounded numpy op at a time,
+    with exp from math.exp (the libm exp cephes calls); np.exp and np.i0
+    each differ in the last bit of about 4 % of values."""
+    y = x / 2.0 - 2.0
+    b0, b1, b2 = np.full_like(y, _I0_COEFFS[0]), np.zeros_like(y), np.empty_like(y)
+    for a in _I0_COEFFS[1:]:
+        b0, b1, b2 = b2, b0, b1  # b0 takes the buffer of the b2 it replaces
+        np.multiply(y, b1, out=b0)
+        b0 -= b2
+        b0 += a
+    b0 -= b2
+    b0 *= 0.5
+    exp = np.fromiter(map(math.exp, x), np.float64, len(x))
+    exp *= b0
+    return exp
 
 
 def _fill_block(lines: np.ndarray, x: np.ndarray, start: int) -> None:

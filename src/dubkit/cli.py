@@ -17,10 +17,9 @@ from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, clip_movie_id,
 from .modes import PAD_MODES, SCALES
 from .srt import load_srt
 
-# The audio, dsp, metrics and scoring layers load numpy (and dsp scipy.fft,
-# resampling scipy.special, when they run), so each command imports what it
-# runs itself: --version, srt, split and stats start without the numeric
-# stack.
+# The audio, dsp, metrics and scoring layers load numpy (and nothing else
+# outside the standard library), so each command imports what it runs
+# itself: --version, srt, split and stats start without the numeric stack.
 
 
 class UsageError(ValueError):

@@ -5,6 +5,7 @@ YIN-style pitch tracker. All extractors are pure functions: the same
 input always produces bit-identical output.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -330,17 +331,117 @@ def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
     """Orthonormal DCT-II of the log-mel frames.
 
     Keeps coefficients 1..n_coeffs; the 0th (frame log energy) is dropped,
-    so n_coeffs must be below the band count.
+    so n_coeffs must be below the band count. The result is its own
+    C-contiguous T x n_coeffs array, computed a block of frames at a time
+    (see _blocks) and bit-equal to ``scipy.fft.dct(frames, type=2,
+    norm="ortho", axis=1)[:, 1 : n_coeffs + 1]`` (see _dct_rows).
     """
     n_mels = m.frames.shape[1]
     if n_mels < 2:
         raise ValueError(f"MFCCs need at least 2 mel bands, got {n_mels}")
     if not 1 <= n_coeffs < n_mels:
         raise ValueError(f"n_coeffs must be in [1, {n_mels - 1}], got {n_coeffs}")
-    from scipy.fft import dct
+    frames = np.asarray(m.frames, dtype=np.float64)
+    out = np.empty((len(frames), n_coeffs))
+    half = np.empty((_block_rows(len(frames), n_mels), n_mels // 2 + 1), dtype=np.complex128)
+    for lo, hi in _blocks(len(frames), n_mels):
+        _dct_rows(frames[lo:hi], half[: hi - lo], out[lo:hi])
+    return MfccSequence(out, m.frame_rate)
 
-    cepstra = dct(m.frames, type=2, norm="ortho", axis=1)
-    return MfccSequence(cepstra[:, 1 : n_coeffs + 1], m.frame_rate)
+
+def _dct_rows(c: np.ndarray, half: np.ndarray, out: np.ndarray) -> None:
+    """out[:] = columns 1..K of the orthonormal DCT-II of each row of c,
+    K = out.shape[1] < N = c.shape[1]; ``half`` (len(c) x (N//2 + 1)
+    complex) is overwritten.
+
+    pocketfft's type-2 T_dcst23 steps, as scipy.fft.dct takes them, with
+    numpy.fft.irfft (the same pocketfft) for its real backward FFT: c[0]
+    (and c[N-1] for even N) doubled and each odd/even pair of the rest
+    turned into its sum and difference, written as FFTPACK half-complex
+    (r0, r1, i1, r2, ...) through the float64 view of ``half``; the
+    inverse FFT times 1/sqrt(2N), rounded from long double; then the
+    twiddle butterfly, run only for the kept columns. Every operand is a
+    basic slice: a fancy-indexed gather made this 10x slower than scipy.
+    """
+    n, k = c.shape[1], out.shape[1]
+    ns2 = (n + 1) // 2
+    w1, w2, fct = _dct_twiddles(n)
+    f = half.view(np.float64)
+    np.multiply(c[:, 0], 2.0, out=f[:, 0])
+    f[:, 1] = 0.0
+    odd, even = c[:, 1 : n - 1 : 2], c[:, 2:n:2]
+    np.add(odd, even, out=f[:, 2:n:2])
+    np.subtract(even, odd, out=f[:, 3 : n + 1 : 2])
+    if n % 2 == 0:
+        np.multiply(c[:, n - 1], 2.0, out=f[:, n])
+        f[:, n + 1] = 0.0
+    y = np.fft.irfft(half, n=n, axis=1, norm="forward")
+    y *= fct
+    # column j < ns2 is 0.5 * (t1 + t2) of pocketfft's step j, column
+    # n - j > n - ns2 is 0.5 * (t1 - t2) of the same step
+    low = min(k, ns2 - 1)
+    if low:
+        _butterfly(y[:, 1 : low + 1], y[:, n - 1 : n - 1 - low : -1],
+                   w1[:low], w2[:low], np.add, out[:, :low])
+    if n % 2 == 0 and k >= ns2:
+        np.multiply(y[:, ns2], w1[ns2 - 1], out=out[:, ns2 - 1])
+    top = n - ns2 + 1
+    if k >= top:
+        first = n - k
+        _butterfly(y[:, first:ns2], y[:, k : top - 1 : -1], w1[first - 1 : ns2 - 1],
+                   w2[first - 1 : ns2 - 1], np.subtract, out[:, k - 1 : top - 2 : -1])
+
+
+def _butterfly(ck, ckc, w1, w2, combine, out) -> None:
+    """out[:] = 0.5 * combine(t1, t2) with pocketfft's t1 = w1 * ckc + w2 * ck
+    and t2 = w1 * ck - w2 * ckc, each product and sum rounded on its own."""
+    t1 = w1 * ckc
+    t1 += w2 * ck
+    t2 = w1 * ck
+    t2 -= w2 * ckc
+    combine(t1, t2, out=out)
+    out *= 0.5
+
+
+# pi as pocketfft writes it, a long double literal
+_PI_LONG = np.longdouble("3.141592653589793238462643383279502884197")
+
+
+@lru_cache(maxsize=16)
+def _dct_twiddles(n: int):
+    """(w1, w2, fct) of an n-point DCT-II: w1[j - 1] = tw[j - 1] for j in
+    1..n-1 and w2[j - 1] = tw[n - j - 1] for j in 1..(n+1)//2 - 1, tw being
+    pocketfft's twiddles, and fct = 1/sqrt(2n) rounded from long double.
+
+    tw[i] is the real part of pocketfft's sincos_2pibyn(4n)[i + 1]: the
+    product v1[j & mask] * v2[j >> shift] of two tables of about sqrt(2n)
+    entries each, filled with std::cos and std::sin of x * ang, which
+    math.cos and math.sin (the same libm) reproduce; a correctly rounded
+    cos misses by an ulp. The indices j < n used here stay in the first
+    quadrant. Cached per n; the arrays are read-only.
+    """
+    big = 4 * n
+    ang = float(np.longdouble(0.25) * _PI_LONG / big)
+
+    def entry(x):  # pocketfft's sincos_2pibyn::calc for 8x < 2 * big
+        if 8 * x < big:
+            return math.cos(8 * x * ang), math.sin(8 * x * ang)
+        return math.sin((2 * big - 8 * x) * ang), math.cos((2 * big - 8 * x) * ang)
+
+    shift = 1
+    while 4**shift < (big + 2) // 2:
+        shift += 1
+    mask = (1 << shift) - 1
+    v1 = np.array([entry(x) for x in range(min(mask, n - 1) + 1)])
+    v2 = np.array([entry(x << shift) for x in range(((n - 1) >> shift) + 1)])
+    j = np.arange(1, n)
+    a, b = v1[j & mask], v2[j >> shift]
+    tw = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1]
+    ns2 = (n + 1) // 2
+    w1, w2 = tw, tw[n - ns2 :][::-1].copy()
+    for array in (w1, w2):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return w1, w2, float(1 / np.sqrt(np.longdouble(2 * n)))
 
 
 def energy_track(s: Spectrogram) -> EnergyTrack:

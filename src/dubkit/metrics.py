@@ -171,8 +171,8 @@ def _checked_pair(c1, c2) -> tuple[np.ndarray, np.ndarray]:
         raise AlignmentTooLargeError(
             f"aligning {m} x {n} frames needs {m * n} cells, "
             f"more than the {MAX_DTW_CELLS} cell limit")
-    # mfcc returns a column slice of the whole DCT matrix; a copy keeps only
-    # the coefficients
+    # mfcc's own arrays pass through; a caller's column slice or other
+    # strided view is copied for the sweep
     return np.ascontiguousarray(a), np.ascontiguousarray(b)
 
 

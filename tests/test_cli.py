@@ -813,7 +813,7 @@ def emit_payloads():
     rng = np.random.default_rng(3)
     arrays = {"n_frames": 3, "frame_rate": 86.1328125,
               "mel": rng.standard_normal((3, 5)),
-              "mfcc": rng.standard_normal((3, 8))[:, 1:4],  # a column slice, as mfcc returns
+              "mfcc": rng.standard_normal((3, 8))[:, 1:4],  # a strided column slice
               "special": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
               "none_by_k": np.empty((0, 4)), "one_by_k": rng.standard_normal((1, 4)),
               "k_by_none": np.empty((3, 0)), "empty": np.empty(0),
@@ -866,10 +866,9 @@ dk.evaluate_pair(w, w)
 """
 
 
-# numpy and scipy.fft dominate a command's start-up when loaded; scipy.signal is
-# slower still (it pulls in scipy.stats and scipy.interpolate) and resampling
-# runs without it; a command forks its children itself, with no process pool
-# (scipy loads concurrent.futures, but not its process pool or multiprocessing)
+# numpy dominates a command's start-up; no command loads scipy (scipy.fft
+# alone adds about 0.3 s), and a command forks its children itself, with no
+# process pool
 @pytest.mark.parametrize("argv,absent", [
     (None, ("numpy", "scipy")),
     (["--version"], ("numpy",)),
@@ -879,12 +878,12 @@ dk.evaluate_pair(w, w)
     (["stats", "{manifest}"], ("numpy",)),
     (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"], ("scipy",)),
     (["mos", "{ratings}"], ("scipy",)),
-    ("same-rate-pair", ("scipy.signal",)),
-    (["features", "{stereo48k}"],
-     ("scipy.signal", "concurrent.futures.process", "multiprocessing")),
-    (["batch", "{pairs}"], ("scipy.signal", "concurrent.futures.process", "multiprocessing")),
+    ("same-rate-pair", ("scipy",)),
+    (["features", "{stereo48k}"], ("scipy", "concurrent.futures.process", "multiprocessing")),
+    (["mcd", "{gen24k}", "{ref}"], ("scipy", "concurrent.futures.process", "multiprocessing")),
+    (["batch", "{pairs}"], ("scipy", "concurrent.futures.process", "multiprocessing")),
 ], ids=["import", "version", "srt-parse", "srt-plan", "split", "stats", "accuracy",
-        "mos", "same-rate-pair", "features-48k-stereo", "batch-24k-22k"])
+        "mos", "same-rate-pair", "features-48k-stereo", "mcd-24k-22k", "batch-24k-22k"])
 def test_command_imports_only_its_layers(tmp_path, argv, absent):
     (tmp_path / "s.srt").write_text(SRT_TEXT)
     (tmp_path / "r.csv").write_text("4\n3.5\n")
@@ -896,6 +895,7 @@ def test_command_imports_only_its_layers(tmp_path, argv, absent):
     write_tone(tmp_path / "r.wav", freq=330.0)
     files = {"srt": str(tmp_path / "s.srt"), "ratings": str(tmp_path / "r.csv"),
              "stereo48k": str(tmp_path / "st.wav"),
+             "gen24k": str(tmp_path / "g.wav"), "ref": str(tmp_path / "r.wav"),
              "pairs": jsonl(tmp_path / "p.jsonl", [
                  {"id": f"p{k}", "generated": "g.wav", "reference": "r.wav"}
                  for k in range(2)]),

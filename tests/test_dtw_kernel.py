@@ -78,7 +78,7 @@ def test_matches_reference_on_strided_and_non_finite_input():
 
 
 def test_mfcc_column_view_aligns_as_its_contiguous_copy():
-    # mfcc keeps columns 1..13 of an 80-band DCT, so its rows sit 640 B apart
+    # a caller's columns 1..13 of a whole 80-band DCT have rows 640 B apart
     rng = np.random.default_rng(11)
     a = rng.normal(size=(70, 80))[:, 1:14]
     b = rng.normal(size=(90, 80))[:, 1:14]

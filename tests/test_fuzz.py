@@ -4,8 +4,8 @@ resample-bound ValueError), never with another exception, an allocation
 beyond 1.5 GiB or a dead process.
 
 Every example runs in one long-lived child process under RLIMIT_AS, so the
-limit does not reach the test process and the child's start-up (numpy,
-scipy.special) is paid once rather than per example.
+limit does not reach the test process and the child's start-up (numpy)
+is paid once rather than per example.
 """
 
 import json

@@ -2,13 +2,15 @@
 one-frame oracle (``reference_mel.py``) and the dense matmul it replaced, and
 the determinism it buys: a mel value depends on its own frame only, so
 `features` and `batch` give the same bytes on any BLAS thread count and on
-any number of CPUs. The DCT after it works row by row as well.
+any number of CPUs. The DCT after it (``dsp.mfcc``) works row by row as
+well, and equals scipy.fft.dct bit for bit.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +102,53 @@ def test_the_mfccs_of_a_slice_of_frames_are_the_slice_of_the_whole(n_mels, rows,
     lo = data.draw(st.integers(0, rows))
     hi = data.draw(st.integers(lo, rows))
     assert mfcc(MelSpectrogram(log_mel[lo:hi], 86.0), k).frames.tobytes() == whole[lo:hi].tobytes()
+
+
+def dct_input(rows, n_mels, seed):
+    """Log-mel-like rows, some at the log floor, then a row of mixed signs
+    over many decades and a row of zeros."""
+    rng = np.random.default_rng(seed)
+    log_mel = np.log(np.maximum(power(rows, n_mels, seed), dsp._MEL_FLOOR))
+    spread = rng.standard_normal(n_mels) * 10.0 ** rng.integers(-8, 8, n_mels)
+    return np.vstack([log_mel, spread, np.zeros(n_mels)])
+
+
+def assert_scipys_dct(frames, ks):
+    from scipy.fft import dct
+
+    expected = dct(frames, type=2, norm="ortho", axis=1)
+    for k in ks:
+        got = mfcc(MelSpectrogram(frames, 86.0), k).frames
+        assert got.shape == (len(frames), k) and got.flags.c_contiguous and got.flags.owndata
+        assert got.tobytes() == expected[:, 1 : k + 1].tobytes(), (frames.shape[1], k)
+
+
+def test_mfcc_is_scipys_dct_for_every_band_and_coefficient_count():
+    # the port computes the butterfly for the kept columns only, so every K
+    # cuts its slices somewhere else; 80 bands is the default
+    for n_mels in range(2, 513):
+        assert_scipys_dct(dct_input(2, n_mels, n_mels), range(1, n_mels))
+
+
+@pytest.mark.parametrize("n_mels", [1009, 10007, 65537, 466033])
+def test_mfcc_is_scipys_dct_at_large_prime_band_counts(n_mels):
+    # primes take pocketfft's Bluestein path; 466033 is the largest band
+    # count the flags allow (at --fft 16)
+    ns2 = (n_mels + 1) // 2
+    assert_scipys_dct(dct_input(1, n_mels, n_mels), [1, ns2 - 1, ns2, n_mels - 1])
+
+
+def test_mfcc_is_computed_a_block_at_a_time():
+    frames = dct_input(40, 80, 3)
+    whole = mfcc(MelSpectrogram(frames, 86.0), 79).frames
+    for span in (80, 3 * 80, 7 * 80 - 1):
+        with mock.patch.object(dsp, "_SPECTRAL_SPAN", span):
+            assert mfcc(MelSpectrogram(frames, 86.0), 79).frames.tobytes() == whole.tobytes()
+
+
+def test_dct_twiddles_are_cached():
+    assert dsp._dct_twiddles(80) is dsp._dct_twiddles(80)
+    assert not dsp._dct_twiddles(80)[0].flags.writeable
 
 
 def test_empty_and_one_frame_spectrograms():

@@ -26,7 +26,7 @@ BUDGET_MB = 170
 
 CHILD = """\
 import resource, sys
-import dubkit.audio, dubkit.cli, dubkit.dsp, scipy.fft, scipy.special
+import dubkit.audio, dubkit.cli, dubkit.dsp
 size = next(int(line.split()[1]) for line in open("/proc/self/status")
             if line.startswith("VmSize:")) << 10
 limit = size + ({budget} << 20)

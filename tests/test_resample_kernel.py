@@ -1,7 +1,9 @@
 """The numpy polyphase resampler against scipy.signal.resample_poly
 (``reference_resample.py``): equal samples bit for bit, sign bits and shape
 included, over the standard rate pairs, across block boundaries and at the
-factor limit, plus its memory bound and its speed against scipy's."""
+factor limit, plus its memory bound and its speed against scipy's. Its
+filter and the cephes i0 port in its Kaiser window equal scipy's bit for
+bit."""
 
 import time
 import tracemalloc
@@ -82,6 +84,33 @@ def test_matches_across_block_boundaries(rates, n, rows, span, products, seed):
                                              (8191, 8192, 2000)])
 def test_matches_at_the_factor_limit(source, target, n):
     assert_same_resample(Waveform(samples("noise", n, 5), source), target)
+
+
+def test_i0_is_scipys():
+    from scipy.special import i0
+
+    x = np.linspace(0.0, 7.9, 200_001)
+    assert audio._i0(x).tobytes() == i0(x).tobytes()
+
+
+# (up, down): standard rate pairs, both directions, and the factor limit
+@pytest.mark.parametrize("up,down", [(1, 2), (147, 160), (160, 147), (441, 640), (5120, 147),
+                                     (147, 5120), (8191, MAX_RESAMPLE_FACTOR),
+                                     (MAX_RESAMPLE_FACTOR, 1)])
+def test_kaiser_window_and_filter_are_scipys(up, down):
+    from scipy.signal import firwin, kaiser_beta
+    from scipy.special import i0
+
+    half = 10 * max(up, down)
+    m = np.arange(2 * half + 1, dtype=np.float64) - half
+    beta = audio._KAISER_BETA
+    args = beta * np.sqrt(1 - (m / half) ** 2.0)  # the window's arguments, up to beta
+    assert audio._i0(args).tobytes() == i0(args).tobytes()
+    h, half_len = audio._lowpass(up, down)
+    # resample_poly's filter: firwin's taps times up
+    expected = firwin(2 * half + 1, 1.0 / max(up, down), window=("kaiser", kaiser_beta(80.0)))
+    assert half_len == half
+    assert h.tobytes() == (expected * up).tobytes()
 
 
 def test_empty_waveform_resamples_to_empty():
