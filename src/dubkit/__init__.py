@@ -8,7 +8,7 @@ construction with splits and statistics.
 
 Submodules load on first use (PEP 562): ``import dubkit`` imports none of
 them, and ``dubkit.read_wav`` or ``dubkit.metrics`` imports only the one it
-names, so a caller that never touches audio never loads numpy or scipy.
+names, so a caller that never touches audio never loads numpy.
 """
 
 import importlib

@@ -402,9 +402,10 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     out = np.empty((n_rows, up))
     # numpy runs a ufunc over strided lines shorter than its buffer (8192
     # elements by default) through that buffer, which made the products
-    # about 3x slower; numpy 1.x wants a multiple of 16
-    old_bufsize = np.setbufsize(max(16, rows // 16 * 16))
-    try:
+    # about 3x slower. numpy wants a multiple of 16, and leaving errstate
+    # restores the buffer size, also on an exception
+    with np.errstate():
+        np.setbufsize(max(16, rows // 16 * 16))
         for r0 in range(0, n_rows, rows):
             _fill_block(block.T, x, r0 * down - (n_taps - 1))
             for c in range(up):
@@ -427,8 +428,6 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
                     np.add.reduce(prod[: 1 + k1 - k0], axis=0, out=acc)
                 n = min(rows, n_rows - r0)
                 out[r0 : r0 + n, c] = acc[:n]
-    finally:
-        np.setbufsize(old_bufsize)
     return out.reshape(-1)[:n_out]
 
 

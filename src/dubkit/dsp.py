@@ -175,24 +175,16 @@ def _frame_blocks(x: np.ndarray, length: int, hop: int, row_length: int,
     (len(x) by default).
 
     Frame t reads samples t * hop - length // 2 onward, reflected about both
-    ends of the padded clip as ``np.pad(..., "reflect")`` reflects them. A
-    block inside x is a view of it; a block that reaches an end or the zeros
-    is framed from a block-sized segment with those samples filled in.
+    ends of the padded clip as numpy's "reflect" padding reflects them. A
+    block inside x is a view of it; any other block is framed from its
+    _reflected_segment.
     """
     n = len(x) if n is None else n
     pad = length // 2
-    whole = None
-    if n <= pad + 1:
-        # numpy reflects a clip this short more than once: pad all of it
-        whole = np.zeros(n)
-        whole[:len(x)] = x
-        whole = np.pad(whole, pad, mode="reflect")
     for lo, hi in _blocks(_frame_count(n, length, hop) - first, row_length):
         lo, hi = lo + first, hi + first
         start, stop = lo * hop - pad, (hi - 1) * hop - pad + length
-        if whole is not None:
-            segment = whole[start + pad : stop + pad]
-        elif 0 <= start and stop <= len(x):
+        if 0 <= start and stop <= len(x):
             segment = x[start:stop]
         else:
             segment = _reflected_segment(x, n, start, stop)
@@ -200,24 +192,21 @@ def _frame_blocks(x: np.ndarray, length: int, hop: int, row_length: int,
 
 
 def _reflected_segment(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Samples start..stop of z, x zero-padded to n > 1 samples, reflected
-    once about each end: z[-i] before 0 and z[2n - 2 - i] from n on, so
-    -n < start and stop < 2n - 1."""
+    """Samples start..stop of z, x zero-padded to n samples, reflected about
+    both ends as numpy's "reflect" padding reflects them, however many times
+    it takes: index i < 0 or i >= n reads z[r], r = i mod (2n - 2) folded
+    to 2n - 2 - r when r >= n (r = 0 when n = 1)."""
     segment = np.empty(stop - start)
-    inner = max(0, start)
-    _fill(segment[inner - start : min(stop, n) - start], x, inner)
-    if start < 0:
-        _fill(segment[:-start][::-1], x, 1)  # z[-start], ..., z[1]
-    if stop > n:
-        _fill(segment[n - start :][::-1], x, 2 * n - 1 - stop)  # z[n - 2], ..., z[2n - 1 - stop]
+    # segment offsets of samples 0, len(x) and n, clipped to the segment
+    a, b, c = (min(max(i, start), stop) - start for i in (0, len(x), n))
+    segment[a:b] = x[start + a : start + b]
+    segment[b:c] = 0.0
+    period = max(1, 2 * n - 2)
+    r = np.concatenate((np.arange(start, start + a), np.arange(start + c, stop))) % period
+    np.minimum(r, period - r, out=r)
+    reflected = np.where(r < len(x), x.take(r, mode="clip"), 0.0)
+    segment[:a], segment[c:] = reflected[:a], reflected[a:]
     return segment
-
-
-def _fill(out: np.ndarray, x: np.ndarray, a: int) -> None:
-    """out[:] = z[a : a + len(out)], z being x followed by zeros."""
-    k = min(len(out), max(0, len(x) - a))
-    out[:k] = x[a : a + k]
-    out[k:] = 0.0
 
 
 def _block_rows(n_rows: int, row_length: int) -> int:

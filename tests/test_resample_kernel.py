@@ -119,6 +119,29 @@ def test_empty_waveform_resamples_to_empty():
     assert out.samples.shape == (0,)
 
 
+def test_ufunc_buffer_size_is_restored():
+    # the resampler shrinks numpy's ufunc buffer to its block's row count:
+    # the caller's size comes back after the call and after a block raises
+    before = np.getbufsize()
+    fill_block, sizes = audio._fill_block, []
+
+    def failing_fill_block(lines, x, start):
+        sizes.append(np.getbufsize())
+        if len(sizes) == 2:
+            raise RuntimeError("block failed")
+        fill_block(lines, x, start)
+
+    w = Waveform(samples("noise", 4000, 9), 44100)  # 2000 outputs, 32 blocks of 64
+    with mock.patch.object(audio, "_RESAMPLE_ROWS", 64):
+        assert_same_resample(w, 22050)
+        assert np.getbufsize() == before
+        with mock.patch.object(audio, "_fill_block", failing_fill_block), \
+                pytest.raises(RuntimeError, match="block failed"):
+            resample(w, 22050)
+    assert sizes == [64, 64]
+    assert np.getbufsize() == before
+
+
 def traced_peak(w, target_rate):
     tracemalloc.start()
     try:
