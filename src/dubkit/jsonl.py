@@ -4,6 +4,7 @@ message ``"{path}:{lineno}: {problem}"``.
 """
 
 import json
+import math
 
 # the exclusive upper bound of a signed 64-bit integer
 INT64_END = 2**63
@@ -67,10 +68,11 @@ def integer(row: dict, key: str) -> int:
 
 
 def text(row: dict, key: str) -> str:
-    """``row[key]`` if it is a JSON string, a JSON number as its text ("7",
-    "1.5"); null, booleans, arrays and objects raise ValueError."""
+    """``row[key]`` if it is a JSON string, a finite JSON number as its text
+    ("7", "1.5"); null, booleans, arrays, objects and NaN, Infinity or an
+    overflowing literal such as 1e999 raise ValueError."""
     value = row[key]
-    if type(value) in (int, float):
+    if type(value) is int or type(value) is float and math.isfinite(value):
         value = str(value)
     if type(value) is str:
         return value

@@ -1,9 +1,10 @@
-"""SubRip (.srt) subtitle parsing and serialization.
+"""SubRip (.srt) subtitle parsing.
 
 The grammar is the plain SubRip one: numbered cues separated by blank
 lines, each with an "HH:MM:SS,mmm --> HH:MM:SS,mmm" timestamp line and one
-or more text lines. Multi-line cue text is joined with single spaces, so
-parse(serialize(entries)) round-trips exactly.
+or more text lines. Multi-line cue text is joined with single spaces. A cue
+written in this grammar with its text on one line, trimmed, parses back to
+exactly the number, span and text it was written with.
 """
 
 import re
@@ -126,19 +127,3 @@ def load_srt(path) -> list[SrtEntry]:
                             f"0x{data[exc.start]:02x} ({exc.reason})") from None
     return parse_srt(text)
 
-
-def format_timestamp(ms: int) -> str:
-    hours, rem = divmod(ms, 3_600_000)
-    minutes, rem = divmod(rem, 60_000)
-    seconds, millis = divmod(rem, 1000)
-    return f"{hours:02d}:{minutes:02d}:{seconds:02d},{millis:03d}"
-
-
-def serialize_srt(entries) -> str:
-    """Render entries back to SRT text (one blank line between cues)."""
-    blocks = [
-        f"{e.index}\n{format_timestamp(e.start_ms)} --> "
-        f"{format_timestamp(e.end_ms)}\n{e.text}"
-        for e in entries
-    ]
-    return "\n\n".join(blocks) + "\n" if blocks else ""

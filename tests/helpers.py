@@ -68,6 +68,24 @@ def jsonl(path, rows):
     return str(path)
 
 
+def format_timestamp(ms: int) -> str:
+    """An SRT timestamp, HH:MM:SS,mmm (more hour digits past 99 hours)."""
+    hours, rem = divmod(ms, 3_600_000)
+    minutes, rem = divmod(rem, 60_000)
+    seconds, millis = divmod(rem, 1000)
+    return f"{hours:02d}:{minutes:02d}:{seconds:02d},{millis:03d}"
+
+
+def serialize_srt(entries) -> str:
+    """SRT text of SrtEntry cues, one blank line between cues."""
+    blocks = [
+        f"{e.index}\n{format_timestamp(e.start_ms)} --> "
+        f"{format_timestamp(e.end_ms)}\n{e.text}"
+        for e in entries
+    ]
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
 def embeddings(rows):
     """``load_embeddings`` of (label, id, vector) rows written to a temporary
     JSONL file; a temporary directory, not ``tmp_path``, so hypothesis tests

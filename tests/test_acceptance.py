@@ -18,10 +18,10 @@ from dubkit.dsp import MelSpectrogram, mel_spectrogram, mfcc, pitch_track, \
 from dubkit.metrics import (dtw_align, evaluate_corpus, evaluate_pair,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
 from dubkit.scoring import accuracy, build_centroids, mos_aggregate
-from dubkit.srt import SrtEntry, parse_srt, serialize_srt
+from dubkit.srt import SrtEntry, parse_srt
 
 from helpers import (brute_force_accuracy, brute_force_dtw_cost, embeddings,
-                     make_tone, textbook_mfcc)
+                     make_tone, serialize_srt, textbook_mfcc)
 
 SR = 22050
 

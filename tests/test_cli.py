@@ -242,19 +242,28 @@ class TestFeaturesOnEveryCpu:
     the track itself. The document is the same bytes either way."""
 
     @pytest.mark.parametrize("clip,flags", [
-        ("three", []),
+        ("three", []),  # shorter than half a window: its 1 frame reflects it many times
         ("whole-hops", ["--win", "1023"]),  # one STFT frame fewer than pitch frames
         ("five-seconds", []),  # 431 pitch frames: blocks of 128, 128, 128 and 47
+        ("stereo-48k", []),  # averaged to mono as it is decoded: 173 frames at 22.05 kHz
+        ("1600-samples", []),  # 7 and 8 frames, one on each side of the pitch
+        ("1800-samples", []),  # tracker's change of spectrum product order
     ])
     @pytest.mark.parametrize("mode", ["stdout", "out", "pretty"])
     def test_same_bytes_on_one_cpu_and_two(self, tmp_path, capsys, monkeypatch,
                                            clip, flags, mode):
         wav = str(tmp_path / f"{clip}.wav")
-        samples = {"three": np.array([0.25, -0.5, 0.125]),
-                   "whole-hops": make_tone(180.0, 86 * 256 / SR, SR),
-                   "five-seconds": np.concatenate([make_sawtooth(150.0, 2.0, SR), np.zeros(SR),
-                                                   make_tone(310.0, 2.0, SR)])}[clip]
-        write_wav(wav, Waveform(samples, SR))
+        stereo = np.stack([make_tone(440.0, 2.0, 48000), make_tone(660.0, 2.0, 48000)], 1)
+        waveform, n_frames = {
+            "three": (Waveform([0.25, -0.5, 0.125], SR), 1),
+            "whole-hops": (Waveform(make_tone(180.0, 86 * 256 / SR, SR), SR), 86),
+            "five-seconds": (Waveform(np.concatenate([make_sawtooth(150.0, 2.0, SR),
+                                                      np.zeros(SR), make_tone(310.0, 2.0, SR)]),
+                                      SR), 431),
+            "stereo-48k": (Waveform(0.5 * stereo, 48000), 173),
+            "1600-samples": (Waveform(make_tone(250.0, 1600 / SR, SR), SR), 7),
+            "1800-samples": (Waveform(make_tone(250.0, 1800 / SR, SR), SR), 8)}[clip]
+        write_wav(wav, waveform)
         argv = [wav, *flags, *(["--pretty"] if mode == "pretty" else [])]
         documents = []
         for cpus in (1, 2):
@@ -269,7 +278,8 @@ class TestFeaturesOnEveryCpu:
         assert (documents[0][1] is None) == (mode != "out")
         if mode != "pretty":
             doc = json.loads(documents[0][1] or documents[0][0])
-            assert len(doc["pitch"]) == doc["n_frames"]
+            assert doc["n_frames"] == n_frames
+            assert all(len(doc[key]) == n_frames for key in ("mel", "mfcc", "pitch", "energy"))
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])

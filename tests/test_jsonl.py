@@ -12,7 +12,6 @@ from dubkit.metrics import load_pair_manifest
 from dubkit.scoring import EmbeddingFormatError, RatingError, load_embeddings, load_ratings
 
 from helpers import at
-from helpers import jsonl as write_rows
 
 LOADERS = {
     "pairs": (load_pair_manifest, ValueError, ("id", "generated", "reference")),
@@ -80,13 +79,22 @@ TEXT_FIELDS = [("pairs", "id"), ("pairs", "generated"), ("pairs", "reference"),
                ("manifest", "emotion"), ("manifest", "text")]
 
 
+class Raw(str):
+    """A value written as the JSON text it holds, such as the number
+    literal 1e999, which json.dumps never writes."""
+
+
 @pytest.mark.parametrize("name, key", TEXT_FIELDS)
-@pytest.mark.parametrize("value", [None, True, False, [1], {"a": 1}])
+@pytest.mark.parametrize("value", [None, True, False, [1], {"a": 1}, float("nan"),
+                                   float("inf"), float("-inf"), Raw("1e999")])
 def test_text_field_is_a_string_or_a_number(tmp_path, name, key, value):
-    # str() would read these as "None", "True", "[1]" ...
+    # str() would read these as "None", "True", "[1]", "nan", "inf" ...
     loader, error, _ = LOADERS[name]
     row = TEXT_ROWS[name]
-    path = write_rows(tmp_path / "x.jsonl", [row, {**row, key: value}])
+    path = tmp_path / "x.jsonl"
+    fields = [{k: v if isinstance(v, Raw) else json.dumps(v) for k, v in r.items()}
+              for r in (row, {**row, key: value})]
+    path.write_text("".join(render_object(f) + "\n" for f in fields))
     with pytest.raises(error, match=at(path, 2) + f"{key} must be a string or a number$"):
         loader(path)
 
@@ -110,10 +118,12 @@ def test_missing_field_is_named(tmp_path, name):
 
 
 def test_text_is_a_string_or_a_number_as_its_text():
-    row = {"s": "x", "i": 7, "f": 1.5, "e": 1e300, "b": True}
+    row = {"s": "x", "i": 7, "f": 1.5, "e": 1e300, "b": True, "n": float("nan"),
+           "p": float("inf"), "m": float("-inf"), "o": jsonl.parse_object('{"o": 1e999}')["o"]}
     assert [jsonl.text(row, key) for key in "sife"] == ["x", "7", "1.5", "1e+300"]
-    with pytest.raises(ValueError, match="^b must be a string or a number$"):
-        jsonl.text(row, "b")
+    for key in "bnpmo":
+        with pytest.raises(ValueError, match=f"^{key} must be a string or a number$"):
+            jsonl.text(row, key)
 
 
 class TestParseObject:

@@ -661,15 +661,22 @@ class TestCorpusPool:
         assert errors[2].startswith("FileNotFoundError: ")
         assert json.dumps(pooled.to_dict()) == json.dumps(inline.to_dict())
 
-    @pytest.mark.parametrize("count", [1, 2, 63, 64, 65])
-    def test_chunk_edges(self, tmp_path, monkeypatch, count):
-        entries = cycled_entries(tmp_path, count)
+    # the sort by file bytes does not depend on manifest order: the entries
+    # reversed give the rows and failures reversed
+    @pytest.mark.parametrize("count, step", [(1, 1), (2, 1), (63, 1), (64, 1), (65, 1), (65, -1)],
+                             ids=["1", "2", "63", "64", "65", "65-reversed"])
+    def test_chunk_edges(self, tmp_path, monkeypatch, count, step):
+        cycled = cycled_entries(tmp_path, count)
+        entries = cycled[::step]
         use_cpus(monkeypatch, 1)
         inline = evaluate_corpus(entries)
+        forward = evaluate_corpus(cycled)
+        assert inline.rows == forward.rows[::step] and inline.failures == forward.failures[::step]
         parts, forks = spy_parts(monkeypatch)
         use_cpus(monkeypatch, 2)
         pooled = evaluate_corpus(entries)
         assert pooled.rows == inline.rows and pooled.failures == inline.failures
+        assert json.dumps(pooled.to_dict()) == json.dumps(inline.to_dict())
         assert [row.pair_id for row in pooled.rows] == [e.pair_id for e in entries
                                                         if e.generated.endswith("_gen.wav")]
         # never more children than pairs: one pair is scored in one child

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dubkit.srt import SrtEntry, SrtParseError, format_timestamp, load_srt, parse_srt, \
-    serialize_srt
+from dubkit.srt import SrtEntry, SrtParseError, load_srt, parse_srt
+
+from helpers import format_timestamp, serialize_srt
 
 SIMPLE = """1
 00:00:01,000 --> 00:00:02,500
