@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 
 # every submodule, with the public names the package re-exports from it
 _EXPORTS = {
-    "audio": ("Waveform", "read_wav", "read_mono", "write_wav", "to_mono",
-              "resample"),
+    "audio": ("Waveform", "read_wav", "read_mono", "to_mono", "resample"),
     "dsp": ("FrameParams", "Spectrogram", "MelSpectrogram", "MfccSequence",
             "PitchTrack", "EnergyTrack", "stft_magnitude", "mel_filterbank",
             "mel_spectrogram", "mfcc", "energy_track", "pitch_track"),

@@ -232,27 +232,6 @@ def _channel_mean(frames: np.ndarray, out: np.ndarray) -> None:
     out /= n_channels
 
 
-def write_wav(path, w: Waveform) -> None:
-    """Write a Waveform as 16-bit PCM.
-
-    Quantizes with the same 32768 scale used on read, so a read/write/read
-    loop of PCM data is sample-exact.
-    """
-    samples = w.samples if w.samples.ndim == 2 else w.samples[:, None]
-    quantized = np.clip(np.rint(samples * _PCM_SCALE), -32768, 32767).astype("<i2")
-    payload = quantized.tobytes()
-    n_channels = samples.shape[1]
-    byte_rate = w.sample_rate * n_channels * 2
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE")
-        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, _FMT_PCM, n_channels,
-                                       w.sample_rate, byte_rate, n_channels * 2, 16))
-        fh.write(b"data" + struct.pack("<I", len(payload)))
-        fh.write(payload)
-        if len(payload) % 2:
-            fh.write(b"\x00")
-
-
 def to_mono(w: Waveform) -> Waveform:
     """Reduce a waveform to one channel: the arithmetic mean across channels.
 

@@ -44,7 +44,7 @@ class ClipRecord:
 
     def __post_init__(self):
         if self.emotion not in EMOTIONS:
-            raise ValueError(f"unknown emotion {self.emotion!r}; "
+            raise ValueError(f"unknown emotion {jsonl.excerpt(self.emotion)}; "
                              f"expected one of {', '.join(EMOTIONS)}")
         if self.end_ms <= self.start_ms:
             raise ValueError(f"clip duration must be positive "
@@ -216,7 +216,7 @@ def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
     if len(set(ids)) != len(ids):
         seen = set()
         clash = next(i for i in ids if i in seen or seen.add(i))
-        raise ValueError(f"duplicate clip id {clash!r}; cannot partition")
+        raise ValueError(f"duplicate clip id {jsonl.excerpt(clash)}; cannot partition")
 
     groups = [ids]
     if stratify_by_speaker:

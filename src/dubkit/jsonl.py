@@ -1,6 +1,7 @@
 """JSON Lines input shared by every dubkit loader: one JSON object per
 non-blank line, each problem raised as the caller's error class with the
-message ``"{path}:{lineno}: {problem}"``.
+message ``"{path}:{lineno}: {problem}"``; a bad value is quoted in a
+message through ``excerpt``.
 """
 
 import json
@@ -8,6 +9,16 @@ import math
 
 # the exclusive upper bound of a signed 64-bit integer
 INT64_END = 2**63
+
+
+def excerpt(value) -> str:
+    """repr of ``value`` for an error message, cut so that a huge value is not
+    echoed whole: a string to its first 40 characters, any other value's repr
+    to 40 characters."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def parse_object(text: str, required=()) -> dict:
@@ -64,7 +75,7 @@ def integer(row: dict, key: str) -> int:
         value = int(value)
     if type(value) is int and -INT64_END <= value < INT64_END:
         return value
-    raise ValueError(f"{key} must be an integer, got {row[key]!r}")
+    raise ValueError(f"{key} must be an integer, got {excerpt(row[key])}")
 
 
 def text(row: dict, key: str) -> str:

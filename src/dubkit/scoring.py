@@ -33,10 +33,6 @@ class EmbeddingSet:
     labels: tuple
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int | None:
-        return self.vectors.shape[1] if len(self.labels) else None
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -98,7 +94,8 @@ def load_embeddings(path) -> EmbeddingSet:
             raise EmbeddingFormatError("zero vector")
         key = (jsonl.text(row, "label"), jsonl.text(row, "id"))
         if key in seen:
-            raise EmbeddingFormatError(f"duplicate (label, id) {key}")
+            raise EmbeddingFormatError("duplicate (label, id) "
+                                       f"({jsonl.excerpt(key[0])}, {jsonl.excerpt(key[1])})")
         seen.add(key)
         vectors.append(v)
         return key[0]
@@ -228,14 +225,14 @@ def _number(line: str) -> float:
                 return float(value)
             except (TypeError, ValueError, OverflowError):
                 pass
-        raise ValueError(f"score is not a number: {value!r}")
+        raise ValueError(f"score is not a number: {jsonl.excerpt(value)}")
     fields = [f.strip() for f in text.split(",") if f.strip()]
     if len(fields) != 1:
         raise ValueError("expected a single rating column")
     try:
         return float(fields[0])
     except ValueError:
-        raise ValueError(f"not a number: {fields[0]!r}") from None
+        raise ValueError(f"not a number: {jsonl.excerpt(fields[0])}") from None
 
 
 def load_ratings(path) -> list[float]:

@@ -10,7 +10,7 @@ exactly the number, span and text it was written with.
 import re
 from dataclasses import dataclass
 
-from .jsonl import INT64_END
+from .jsonl import INT64_END, excerpt
 
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones
 _TIMESTAMP_LINE = re.compile(
@@ -32,11 +32,6 @@ class SrtEntry:
     start_ms: int
     end_ms: int
     text: str
-
-
-def _excerpt(line: str) -> str:
-    """repr of ``line``, cut to 40 characters so that a huge line is not echoed whole."""
-    return repr(line) if len(line) <= 40 else f"{line[:40]!r}... ({len(line)} characters)"
 
 
 def _parse_timestamp(field: tuple, entry_no: int, lineno: int) -> int:
@@ -81,7 +76,7 @@ def parse_srt(text: str) -> list[SrtEntry]:
         number = index_line.strip()
         if not _CUE_NUMBER.fullmatch(number):
             raise SrtParseError(f"entry {entry_no} (line {index_lineno}): "
-                                f"non-numeric cue number {_excerpt(number)}")
+                                f"non-numeric cue number {excerpt(number)}")
         try:
             index = int(number)
         except ValueError:  # more digits than int() converts
@@ -99,7 +94,7 @@ def parse_srt(text: str) -> list[SrtEntry]:
         match = _TIMESTAMP_LINE.match(ts_line.strip())
         if not match:
             raise SrtParseError(f"entry {entry_no} (line {ts_lineno}): "
-                                f"malformed timestamp line {_excerpt(ts_line.strip())}")
+                                f"malformed timestamp line {excerpt(ts_line.strip())}")
         start_ms = _parse_timestamp(match.groups()[:4], entry_no, ts_lineno)
         end_ms = _parse_timestamp(match.groups()[4:], entry_no, ts_lineno)
         if start_ms >= end_ms:

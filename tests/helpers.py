@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the library's code paths: the DTW
 oracle enumerates every monotone path, the cepstral oracle spells out the
 filterbank and DCT sums with plain loops, and the accuracy oracle is a
-brute-force cosine loop. Fixture WAVs are written with raw struct packing
-so file-reading tests do not depend on the writer under test.
+brute-force cosine loop. The library reads WAVs and writes none: the
+fixture WAVs are packed here.
 """
 
 import json
@@ -109,16 +109,12 @@ def make_sawtooth(freq, duration_s, sample_rate, amplitude=0.8):
 
 
 def write_pcm16_wav(path, channels, sample_rate):
-    """Raw PCM16 writer: ``channels`` is a list of per-channel float arrays."""
-    n_channels = len(channels)
-    n_frames = len(channels[0])
-    frames = bytearray()
-    for i in range(n_frames):
-        for ch in range(n_channels):
-            value = max(-1.0, min(1.0, channels[ch][i]))
-            quantized = max(-32768, min(32767, int(round(value * 32768))))
-            frames += struct.pack("<h", quantized)
-    _write_riff(path, bytes(frames), 1, n_channels, sample_rate, 16)
+    """PCM16 writer: ``channels`` is a list of per-channel float arrays. Each
+    sample is rounded on the 32768 scale read_wav divides by and clipped to
+    the int16 range, so samples read from a PCM16 file write back exactly."""
+    frames = np.stack(channels, axis=1)
+    quantized = np.clip(np.rint(frames * 32768), -32768, 32767).astype("<i2")
+    _write_riff(path, quantized.tobytes(), 1, len(channels), sample_rate, 16)
 
 
 def write_pcm16_raw(path, int_samples, n_channels, sample_rate):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dubkit.audio import Waveform, read_wav, write_wav
+from dubkit.audio import Waveform, read_wav
 from dubkit.corpus import EMOTIONS, ClipRecord, corpus_stats, split_dataset
 from dubkit.dsp import MelSpectrogram, mel_spectrogram, mfcc, pitch_track, \
     stft_magnitude
@@ -21,7 +21,7 @@ from dubkit.scoring import accuracy, build_centroids, mos_aggregate
 from dubkit.srt import SrtEntry, parse_srt
 
 from helpers import (brute_force_accuracy, brute_force_dtw_cost, embeddings,
-                     make_tone, serialize_srt, textbook_mfcc)
+                     make_tone, serialize_srt, textbook_mfcc, write_pcm16_wav)
 
 SR = 22050
 
@@ -233,7 +233,7 @@ def test_criterion_8_corpus_pipeline():
 
 def test_criterion_9_end_to_end(tmp_path):
     wav_path = tmp_path / "same.wav"
-    write_wav(wav_path, Waveform(make_tone(440, 0.4, SR), SR))
+    write_pcm16_wav(wav_path, [make_tone(440, 0.4, SR)], SR)
     w = read_wav(wav_path)
     row = evaluate_pair(w, w)
     assert row.mcd == 0.0
@@ -257,8 +257,8 @@ def test_criterion_9_end_to_end(tmp_path):
                 np.concatenate([gen.samples, np.zeros(SR // 10)]) + noise, -1, 1), SR)
             gen_path = tmp_path / f"gen{i}.wav"
             ref_path = tmp_path / f"ref{i}.wav"
-            write_wav(gen_path, gen)
-            write_wav(ref_path, ref)
+            write_pcm16_wav(gen_path, [gen.samples], SR)
+            write_pcm16_wav(ref_path, [ref.samples], SR)
             fh.write(json.dumps({"id": f"pair{i}", "generated": str(gen_path),
                                  "reference": str(ref_path)}) + "\n")
 

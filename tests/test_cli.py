@@ -13,12 +13,11 @@ import pytest
 
 import dubkit
 from dubkit import dsp
-from dubkit.audio import Waveform, write_wav
 from dubkit.cli import _emit, build_parser, run
 from dubkit.metrics import PipelineConfig
 
 from helpers import (brute_force_accuracy, jsonl, make_sawtooth, make_tone, reaped, spy_forks,
-                     use_cpus)
+                     use_cpus, write_pcm16_wav)
 
 SR = 22050
 
@@ -30,13 +29,13 @@ def invoke(capsys, *argv):
 
 
 def write_tone(path, freq=440.0, duration=0.3):
-    write_wav(path, Waveform(make_tone(freq, duration, SR), SR))
+    write_pcm16_wav(path, [make_tone(freq, duration, SR)], SR)
     return str(path)
 
 
 def write_odd_rate_wav(path):
     # 767999 Hz is in read_wav's range but shares no useful factor with 22050
-    write_wav(path, Waveform(make_tone(440, 1e-4, 767999), 767999))
+    write_pcm16_wav(path, [make_tone(440, 1e-4, 767999)], 767999)
     return str(path)
 
 
@@ -205,7 +204,7 @@ class TestFeaturesCommand:
     def test_pretty_rendering(self, tmp_path, capsys):
         # pinned: arrays render as the lists they are written as
         wav = str(tmp_path / "tiny.wav")
-        write_wav(wav, Waveform(make_tone(440.0, 1000 / SR, SR), SR))
+        write_pcm16_wav(wav, [make_tone(440.0, 1000 / SR, SR)], SR)
         code, out, _ = invoke(capsys, "features", wav, "--pretty")
         assert code == 0
         assert out == PRETTY_FEATURES.format(wav=wav)
@@ -253,17 +252,16 @@ class TestFeaturesOnEveryCpu:
     def test_same_bytes_on_one_cpu_and_two(self, tmp_path, capsys, monkeypatch,
                                            clip, flags, mode):
         wav = str(tmp_path / f"{clip}.wav")
-        stereo = np.stack([make_tone(440.0, 2.0, 48000), make_tone(660.0, 2.0, 48000)], 1)
-        waveform, n_frames = {
-            "three": (Waveform([0.25, -0.5, 0.125], SR), 1),
-            "whole-hops": (Waveform(make_tone(180.0, 86 * 256 / SR, SR), SR), 86),
-            "five-seconds": (Waveform(np.concatenate([make_sawtooth(150.0, 2.0, SR),
-                                                      np.zeros(SR), make_tone(310.0, 2.0, SR)]),
-                                      SR), 431),
-            "stereo-48k": (Waveform(0.5 * stereo, 48000), 173),
-            "1600-samples": (Waveform(make_tone(250.0, 1600 / SR, SR), SR), 7),
-            "1800-samples": (Waveform(make_tone(250.0, 1800 / SR, SR), SR), 8)}[clip]
-        write_wav(wav, waveform)
+        channels, rate, n_frames = {
+            "three": ([[0.25, -0.5, 0.125]], SR, 1),
+            "whole-hops": ([make_tone(180.0, 86 * 256 / SR, SR)], SR, 86),
+            "five-seconds": ([np.concatenate([make_sawtooth(150.0, 2.0, SR), np.zeros(SR),
+                                              make_tone(310.0, 2.0, SR)])], SR, 431),
+            "stereo-48k": ([0.5 * make_tone(440.0, 2.0, 48000),
+                            0.5 * make_tone(660.0, 2.0, 48000)], 48000, 173),
+            "1600-samples": ([make_tone(250.0, 1600 / SR, SR)], SR, 7),
+            "1800-samples": ([make_tone(250.0, 1800 / SR, SR)], SR, 8)}[clip]
+        write_pcm16_wav(wav, channels, rate)
         argv = [wav, *flags, *(["--pretty"] if mode == "pretty" else [])]
         documents = []
         for cpus in (1, 2):
@@ -306,7 +304,7 @@ class TestFeaturesOnEveryCpu:
     def test_a_track_killed_mid_clip_fails_the_command(self, tmp_path, capsys, monkeypatch,
                                                        out):
         wav = str(tmp_path / "long.wav")
-        write_wav(wav, Waveform(make_tone(220.0, 5.0, SR), SR))  # four pitch blocks
+        write_pcm16_wav(wav, [make_tone(220.0, 5.0, SR)], SR)  # four pitch blocks
         parent, block, blocks = os.getpid(), dsp._pitch_block, []
 
         def dying(*args):
@@ -898,10 +896,9 @@ def test_command_imports_only_its_layers(tmp_path, argv, absent):
     (tmp_path / "s.srt").write_text(SRT_TEXT)
     (tmp_path / "r.csv").write_text("4\n3.5\n")
     t = np.arange(4800) / 48000
-    write_wav(tmp_path / "st.wav", Waveform(0.5 * np.stack([np.sin(2 * np.pi * 440 * t),
-                                                            np.sin(2 * np.pi * 660 * t)], 1),
-                                            48000))
-    write_wav(tmp_path / "g.wav", Waveform(make_tone(440, 0.3, 24000), 24000))
+    write_pcm16_wav(tmp_path / "st.wav", [0.5 * np.sin(2 * np.pi * 440 * t),
+                                          0.5 * np.sin(2 * np.pi * 660 * t)], 48000)
+    write_pcm16_wav(tmp_path / "g.wav", [make_tone(440, 0.3, 24000)], 24000)
     write_tone(tmp_path / "r.wav", freq=330.0)
     files = {"srt": str(tmp_path / "s.srt"), "ratings": str(tmp_path / "r.csv"),
              "stereo48k": str(tmp_path / "st.wav"),

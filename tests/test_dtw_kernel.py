@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dubkit import metrics
-from dubkit.audio import Waveform, write_wav
 from dubkit.cli import run
 from dubkit.metrics import AlignmentTooLargeError, dtw_align
 
 import reference_dtw
-from helpers import make_tone
+from helpers import make_tone, write_pcm16_wav
 
 
 def assert_same_alignment(a, b, got=None):
@@ -188,7 +187,7 @@ class TestCellLimit:
     def test_batch_records_a_failure_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(metrics, "MAX_DTW_CELLS", 100)
         wav = str(tmp_path / "a.wav")
-        write_wav(wav, Waveform(make_tone(440.0, 0.3, 22050), 22050))
+        write_pcm16_wav(wav, [make_tone(440.0, 0.3, 22050)], 22050)
         manifest = tmp_path / "pairs.jsonl"
         manifest.write_text(json.dumps({"id": "big", "generated": wav, "reference": wav}) + "\n")
         assert run(["batch", str(manifest)]) == 0

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 
 import dubkit
 from dubkit import dsp
-from dubkit.audio import Waveform, write_wav
 from dubkit.dsp import (FrameParams, MelSpectrogram, Spectrogram, mel_filterbank,
                         mel_spectrogram, mfcc)
 
-from helpers import jsonl, make_tone
+from helpers import jsonl, make_tone, write_pcm16_wav
 from reference_mel import mel_power_row
 
 # (rate, fft, bands, fmin, fmax): the default, fewer bands, a larger FFT, and
@@ -181,12 +180,12 @@ for argv in ({features!r}, {batch!r}):
 
 def test_features_and_batch_bytes_do_not_depend_on_threads_or_cpus(tmp_path):
     t = np.arange(2 * 22050)
-    write_wav(tmp_path / "clip.wav", Waveform(0.4 * np.sin(t / 11.0) * np.sin(t / 3000.0), 22050))
+    write_pcm16_wav(tmp_path / "clip.wav", [0.4 * np.sin(t / 11.0) * np.sin(t / 3000.0)], 22050)
     rows = []
     for k in range(10):
         gen = make_tone(200 + 31 * k, 0.4 + 0.05 * k, 22050)
-        write_wav(tmp_path / f"g{k}.wav", Waveform(gen, 22050))
-        write_wav(tmp_path / f"r{k}.wav", Waveform(make_tone(220 + 17 * k, 0.5, 24000), 24000))
+        write_pcm16_wav(tmp_path / f"g{k}.wav", [gen], 22050)
+        write_pcm16_wav(tmp_path / f"r{k}.wav", [make_tone(220 + 17 * k, 0.5, 24000)], 24000)
         rows.append({"id": f"p{k}", "generated": f"g{k}.wav", "reference": f"r{k}.wav"})
     manifest = jsonl(tmp_path / "pairs.jsonl", rows)
     base = dict(os.environ, PYTHONPATH=str(Path(dubkit.__file__).parents[1]))

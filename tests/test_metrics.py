@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from dubkit import metrics
-from dubkit.audio import Waveform, read_mono, write_wav
+from dubkit.audio import Waveform, read_mono
 from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
                             PipelineConfig, dtw_align, evaluate_corpus, evaluate_pair,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
 
 from helpers import (at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone, reaped,
-                     spy_forks, use_cpus)
+                     spy_forks, use_cpus, write_pcm16_wav)
 from reference_dtw import frame_distance
 from reference_spectral import extract_mfcc, pad_to_length
 
@@ -412,8 +412,8 @@ def write_pair_corpus(tmp_path, pairs):
         for pair_id, gen, ref in pairs:
             gen_path = tmp_path / f"{pair_id}_gen.wav"
             ref_path = tmp_path / f"{pair_id}_ref.wav"
-            write_wav(gen_path, gen)
-            write_wav(ref_path, ref)
+            write_pcm16_wav(gen_path, [gen.samples], gen.sample_rate)
+            write_pcm16_wav(ref_path, [ref.samples], ref.sample_rate)
             fh.write(json.dumps({"id": pair_id, "generated": str(gen_path),
                                  "reference": str(ref_path)}) + "\n")
     return manifest
@@ -556,8 +556,8 @@ class TestCorpusGroups:
         # prepared pairs wait in a bounded group; what grows is the rows
         use_cpus(monkeypatch, 1)  # tracemalloc traces this process only
         gen, ref = tmp_path / "gen.wav", tmp_path / "ref.wav"
-        write_wav(gen, tone(300, 0.5))
-        write_wav(ref, tone(320, 0.6))
+        write_pcm16_wav(gen, [make_tone(300, 0.5, SR)], SR)
+        write_pcm16_wav(ref, [make_tone(320, 0.6, SR)], SR)
         peaks = []
         evaluate_corpus([metrics.PairEntry("warm", str(gen), str(ref))])  # imports, caches
         for count in (50, 400):

@@ -21,10 +21,10 @@ def test_star_import_binds_every_exported_name():
 def test_test_only_helpers_are_not_public():
     # the zero-padding, frame distance and one-call MFCC helpers live in the
     # test oracles (reference_spectral.py, reference_dtw.py) that use them,
-    # the SRT writer in helpers.py
+    # the SRT and WAV writers in helpers.py
     for module, name in [("audio", "pad_to_length"), ("metrics", "frame_distance"),
                          ("metrics", "extract_mfcc"), ("srt", "serialize_srt"),
-                         ("srt", "format_timestamp")]:
+                         ("srt", "format_timestamp"), ("audio", "write_wav")]:
         assert name not in dubkit.__all__
         assert not hasattr(getattr(dubkit, module), name)
 

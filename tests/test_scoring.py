@@ -29,7 +29,7 @@ class TestLoadEmbeddings:
         path = jsonl(tmp_path / "e.jsonl",
                      [{"label": "a", "id": "1", "vector": [3.0, 4.0]}])
         es = load_embeddings(path)
-        assert es.dim == 2
+        assert es.vectors.shape == (1, 2)
         assert es.labels == ("a",)
         assert np.allclose(es.vectors[0], [0.6, 0.8], atol=1e-12)
 
@@ -46,7 +46,7 @@ class TestLoadEmbeddings:
         path.write_text("")
         es = load_embeddings(path)
         assert len(es) == 0
-        assert es.dim is None
+        assert es.vectors.shape == (0, 0)
 
     def test_zero_vector_rejected(self, tmp_path):
         path = jsonl(tmp_path / "e.jsonl",
@@ -69,12 +69,15 @@ class TestLoadEmbeddings:
         assert model.labels == ("a", "b")
 
     def test_duplicate_label_id_rejected(self, tmp_path):
-        path = jsonl(tmp_path / "e.jsonl", [
-            {"label": "a", "id": "1", "vector": [1.0, 0.0]},
-            {"label": "a", "id": "1", "vector": [0.0, 1.0]},
-        ])
-        with pytest.raises(EmbeddingFormatError, match="duplicate"):
-            load_embeddings(path)
+        for k, label in enumerate(["a", "x" * 100_000]):
+            path = jsonl(tmp_path / f"e{k}.jsonl", [
+                {"label": label, "id": "1", "vector": [1.0, 0.0]},
+                {"label": label, "id": "1", "vector": [0.0, 1.0]},
+            ])
+            with pytest.raises(EmbeddingFormatError, match=at(path, 2) + "duplicate") as excinfo:
+                load_embeddings(path)
+            # a huge value is not echoed whole
+            assert len(str(excinfo.value)) - len(path) < 200
 
     @pytest.mark.parametrize("field", ["label", "id"])
     @pytest.mark.parametrize("value", ["null", "true", "[1]", '{"a": 1}'])
@@ -384,7 +387,7 @@ class TestAgainstReference:
                 assert error == expected
                 if ours is not None:
                     assert ours.labels == tuple(r.label for r in theirs.records)
-                    assert ours.dim == theirs.dim
+                    assert ours.vectors.shape == (len(theirs), theirs.dim or 0)
                     if len(ours):
                         assert np.array_equal(
                             _bits(ours.vectors), _bits([r.vector for r in theirs.records]))
@@ -524,10 +527,13 @@ class TestLoadRatings:
             load_ratings(path)
 
     def test_non_numeric_score_names_line(self, tmp_path):
-        path = jsonl(tmp_path / "r.jsonl",
-                     [{"rater": "r1", "item": "a", "score": "great"}])
-        with pytest.raises(ValueError, match=at(path, 1) + ".*not a number"):
-            load_ratings(path)
+        for k, score in enumerate(["great", "x" * 100_000]):
+            path = jsonl(tmp_path / f"r{k}.jsonl",
+                         [{"rater": "r1", "item": "a", "score": score}])
+            with pytest.raises(ValueError, match=at(path, 1) + ".*not a number") as excinfo:
+                load_ratings(path)
+            # a huge value is not echoed whole
+            assert len(str(excinfo.value)) - len(path) < 200
 
     @pytest.mark.parametrize("score", ["true", "false", "null", "[4]", '{"v": 4}'])
     def test_non_numeric_json_score_rejected(self, tmp_path, score):
@@ -537,10 +543,13 @@ class TestLoadRatings:
             load_ratings(path)
 
     def test_non_number_names_line(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("4.0\nhello\n")
-        with pytest.raises(ValueError, match=at(path, 2)):
-            load_ratings(path)
+        for k, field in enumerate(["hello", "x" * 100_000]):
+            path = tmp_path / f"r{k}.csv"
+            path.write_text(f"4.0\n{field}\n")
+            with pytest.raises(ValueError, match=at(path, 2)) as excinfo:
+                load_ratings(path)
+            # a huge value is not echoed whole
+            assert len(str(excinfo.value)) - len(str(path)) < 200
 
     @pytest.mark.parametrize("row,shown", [("7", "7.0"), ("nan", "nan"), ("4.25", "4.25"),
                                            ('{"score": 0.5}', "0.5"),
