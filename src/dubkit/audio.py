@@ -96,9 +96,9 @@ def _open_data(fh, path):
 
     Returns the rate, the channel count, the sample count and the data
     chunk's float64 blocks (see _decode). Errors come in one fixed order:
-    container, chunk sizes, codec, mid-sample, non-finite float sample,
-    channel count, rate, whole frames. So when a check after the
-    non-finite one fails, a float payload is scanned first.
+    container, chunk sizes, codec, mid-sample, channel count, rate, whole
+    frames, all before any sample is decoded, then a non-finite float
+    sample while the blocks are decoded.
     """
     header = fh.read(12)
     if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
@@ -151,20 +151,15 @@ def _open_data(fh, path):
         raise TruncatedFileError(f"{path}: data chunk ends mid-sample")
 
     if n_channels < 1:
-        late = UnsupportedFormatError(f"{path}: invalid channel count {n_channels}")
-    elif not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
-        late = UnsupportedFormatError(
+        raise UnsupportedFormatError(f"{path}: invalid channel count {n_channels}")
+    if not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
+        raise UnsupportedFormatError(
             f"{path}: sample rate {sample_rate} Hz is outside "
             f"{MIN_SAMPLE_RATE}..{MAX_SAMPLE_RATE} Hz")
-    elif n_samples % n_channels:
-        late = TruncatedFileError(f"{path}: data chunk is not a whole number of frames")
-    else:
-        return (sample_rate, n_channels, n_samples,
-                _decode(fh, path, dtype, n_channels, offset, n_samples))
-    if dtype == "<f4":
-        for _ in _decode(fh, path, dtype, 1, offset, n_samples):
-            pass  # raises at the first non-finite sample
-    raise late
+    if n_samples % n_channels:
+        raise TruncatedFileError(f"{path}: data chunk is not a whole number of frames")
+    return (sample_rate, n_channels, n_samples,
+            _decode(fh, path, dtype, n_channels, offset, n_samples))
 
 
 def _decode(fh, path, dtype, n_channels, offset, n_samples):

@@ -320,10 +320,10 @@ def mfcc(m: MelSpectrogram, n_coeffs: int = 13) -> MfccSequence:
     """Orthonormal DCT-II of the log-mel frames.
 
     Keeps coefficients 1..n_coeffs; the 0th (frame log energy) is dropped,
-    so n_coeffs must be below the band count. The result is its own
-    C-contiguous T x n_coeffs array, computed a block of frames at a time
-    (see _blocks) and bit-equal to ``scipy.fft.dct(frames, type=2,
-    norm="ortho", axis=1)[:, 1 : n_coeffs + 1]`` (see _dct_rows).
+    so n_coeffs must be below the band count. The result is a T x n_coeffs
+    array, computed a block of frames at a time (see _blocks) and bit-equal
+    to ``scipy.fft.dct(frames, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]``
+    (see _dct_rows).
     """
     n_mels = m.frames.shape[1]
     if n_mels < 2:

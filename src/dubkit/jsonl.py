@@ -48,9 +48,12 @@ def load_lines(path, convert, error=ValueError) -> list:
     """``convert(line)`` for each non-blank line of a UTF-8 file; a ValueError,
     invalid UTF-8 included, is re-raised as ``error`` with the location,
     formatted only then. Lines are decoded one at a time so that a bad byte
-    is located."""
+    is located. A byte order mark that starts the file is skipped."""
     out = []
     with open(path, "rb") as fh:
+        # a UTF-8 byte order mark, as a spreadsheet's "CSV UTF-8" export writes
+        if fh.peek(3).startswith(b"\xef\xbb\xbf"):
+            fh.read(3)
         for lineno, raw in enumerate(_raw_lines(fh), start=1):
             try:
                 line = raw.decode("utf-8")

@@ -254,14 +254,14 @@ class TestReadMono:
             assert got.samples.tobytes() == to_mono(read_wav(path)).samples.tobytes()
 
     @pytest.mark.parametrize("rate", [999, 768_001])
-    def test_non_finite_float_reported_before_a_bad_rate(self, tmp_path, rate):
+    def test_bad_rate_reported_before_any_sample_is_decoded(self, tmp_path, rate):
         path = tmp_path / "nan.wav"
         payload = struct.pack("<4f", 0.5, 0.25, float("nan"), 0.0)
         path.write_bytes(wav_file(payload, True, 2, rate, False, False, []))
         for read in (read_wav, read_mono):
-            with mock.patch.object(audio, "_DECODE_FRAMES", 1):
+            with mock.patch.object(audio, "_decode", side_effect=AssertionError("decoded")):
                 with pytest.raises(UnsupportedFormatError,
-                                   match=f"{path}: float samples must be finite"):
+                                   match=f"{path}: sample rate {rate} Hz is outside"):
                     read(path)
 
     def test_bad_rate_reported_for_a_finite_float_file(self, tmp_path):

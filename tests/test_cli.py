@@ -544,13 +544,18 @@ class TestAccuracyCommand:
 class TestMosCommand:
     def test_csv_ratings(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
-        path.write_text("3.0\n4.0\n5.0\n")
-        code, out, _ = invoke(capsys, "mos", str(path))
-        assert code == 0
-        payload = json.loads(out)
-        assert list(payload) == ["config", "mean", "half_width", "n", "std", "rendered"]
-        assert payload["mean"] == 4.0
-        assert payload["rendered"] == "4.00 ± 1.13"
+        documents = []
+        # a spreadsheet's "CSV UTF-8" export: byte order mark and CRLF lines
+        for data in (b"3.0\n4.0\n5.0\n", b"\xef\xbb\xbf3.0\r\n4.0\r\n5.0\r\n"):
+            path.write_bytes(data)
+            code, out, _ = invoke(capsys, "mos", str(path))
+            assert code == 0
+            payload = json.loads(out)
+            assert list(payload) == ["config", "mean", "half_width", "n", "std", "rendered"]
+            assert payload["mean"] == 4.0
+            assert payload["rendered"] == "4.00 ± 1.13"
+            documents.append(out)
+        assert documents[1] == documents[0]
 
     def test_off_grid_rating_fails(self, tmp_path, capsys):
         path = tmp_path / "r.csv"

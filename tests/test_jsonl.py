@@ -117,6 +117,34 @@ def test_missing_field_is_named(tmp_path, name):
         loader(path)
 
 
+UTF8_BOM = b"\xef\xbb\xbf"
+
+
+def two_valid_lines(name) -> list:
+    if name == "ratings":
+        return ["4.5", "3"]  # a single-column CSV
+    row = TEXT_ROWS[name]
+    return [json.dumps(row), json.dumps({**row, "movie_id" if name == "manifest" else "id": "2"})]
+
+
+def comparable(loaded):
+    # an EmbeddingSet holds a numpy matrix, compared here by its bytes
+    return (loaded.labels, loaded.vectors.tobytes()) if hasattr(loaded, "vectors") else loaded
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path, name):
+    loader, error, _ = LOADERS[name]
+    first, second = (line.encode() for line in two_valid_lines(name))
+    plain, marked, late = (tmp_path / f"{stem}.txt" for stem in ("plain", "marked", "late"))
+    plain.write_bytes(first + b"\n" + second + b"\n")
+    marked.write_bytes(UTF8_BOM + first + b"\n" + second + b"\n")
+    assert comparable(loader(marked)) == comparable(loader(plain))
+    late.write_bytes(first + b"\n" + UTF8_BOM + second + b"\n")
+    with pytest.raises(error, match=at(late, 2)):
+        loader(late)
+
+
 def test_text_is_a_string_or_a_number_as_its_text():
     row = {"s": "x", "i": 7, "f": 1.5, "e": 1e300, "b": True, "n": float("nan"),
            "p": float("inf"), "m": float("-inf"), "o": jsonl.parse_object('{"o": 1e999}')["o"]}
