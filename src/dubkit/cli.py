@@ -77,23 +77,19 @@ def _pipeline_config(args):
         silence = Waveform([0.0], cfg.sample_rate)
         _cepstra(silence, cfg)
         if hasattr(args, "pitch_fmin"):
-            _pitch(silence, args, cfg)
+            _pitch_values(silence, args, cfg, n_frames=1)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return cfg
 
 
-def _pitch(w, args, cfg):
+def _pitch_values(w, args, cfg, n_frames):
     from .dsp import pitch_track
 
-    return pitch_track(w, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
-                       hop=cfg.frame.hop)
-
-
-def _pitch_values(w, args, cfg, n_frames):
     # pitch frames sit at the same hop * i centres, but an odd --win gives
     # one STFT frame fewer when the clip is a whole number of hops
-    return _pitch(w, args, cfg).values[:n_frames]
+    return pitch_track(w, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
+                       hop=cfg.frame.hop).values[:n_frames]
 
 
 def cmd_features(args) -> dict:
@@ -337,30 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_pretty(payload, indent: int = 0) -> str:
+def _render_pretty(payload: dict, indent: int = 0) -> str:
     pad = "  " * indent
     lines = []
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            value = value() if callable(value) else value
-            if isinstance(value, dict):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_pretty(value, indent + 1))
-            elif isinstance(value, list) and value and isinstance(value[0], dict):
-                lines.append(f"{pad}{key}:")
-                columns = list(value[0].keys())
-                rows = [[_fmt(v.get(c)) for c in columns] for v in value]
-                widths = [max(len(c), *(len(r[i]) for r in rows))
-                          for i, c in enumerate(columns)]
-                lines.append(pad + "  " + "  ".join(c.ljust(w) for c, w
-                                                    in zip(columns, widths)))
-                for row in rows:
-                    lines.append(pad + "  " + "  ".join(cell.ljust(w) for cell, w
-                                                        in zip(row, widths)))
-            else:
-                lines.append(f"{pad}{key}: {_fmt(value)}")
-    else:
-        lines.append(f"{pad}{_fmt(payload)}")
+    for key, value in payload.items():
+        value = value() if callable(value) else value
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            lines.append(_render_pretty(value, indent + 1))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{pad}{key}:")
+            columns = list(value[0].keys())
+            rows = [[_fmt(v.get(c)) for c in columns] for v in value]
+            widths = [max(len(c), *(len(r[i]) for r in rows))
+                      for i, c in enumerate(columns)]
+            for cells in (columns, *rows):
+                lines.append(pad + "  " + "  ".join(cell.ljust(w) for cell, w
+                                                    in zip(cells, widths)))
+        else:
+            lines.append(f"{pad}{key}: {_fmt(value)}")
     return "\n".join(lines)
 
 

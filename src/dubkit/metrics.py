@@ -19,7 +19,7 @@ import numpy as np
 from . import jsonl
 from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
 from .dsp import FrameParams, _mel_rows, _shared_rows, mfcc
-from .modes import CONVENTIONAL_SCALE, PAD_MODES, SCALES  # noqa: F401 (re-exported)
+from .modes import PAD_MODES, SCALES
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,6 +38,7 @@ class EmbeddingSet:
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
+_BLOCK_SIMILARITIES = 1 << 17  # accuracy's block: about 1 MiB of float64 similarities
 
 
 def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +148,10 @@ def accuracy(test: EmbeddingSet, model: CentroidModel) -> float:
     their own label.
 
     The first maximum wins, so exact ties go to the lexicographically
-    smallest label. einsum without ``optimize`` (no BLAS) sums each pair on
-    its own, so a vector's similarities do not depend on the other rows.
+    smallest label. Test vectors are classified a block at a time, so memory
+    does not grow with test vectors x labels; einsum without ``optimize``
+    (no BLAS) sums each pair on its own, so a vector's similarities do not
+    depend on the other rows of its block.
     """
     if not len(test):
         raise ValueError("empty test set")
@@ -157,13 +160,17 @@ def accuracy(test: EmbeddingSet, model: CentroidModel) -> float:
                          f"model dimension {model.dim}")
     if not np.isfinite(test.vectors).all():
         raise ValueError("cannot classify a non-finite vector")
-    unit, norms = _normalize(test.vectors)
-    if not norms.all():
+    if not test.vectors.any(axis=1).all():
         raise ValueError("cannot classify a zero vector")
     if not model.labels:
         raise ValueError("all centroids are degenerate")
-    best = np.einsum("nd,ld->nl", unit, model.units).argmax(axis=1)
-    correct = sum(1 for label, i in zip(test.labels, best) if model.labels[i] == label)
+    step = max(1, _BLOCK_SIMILARITIES // len(model.labels))
+    correct = 0
+    for start in range(0, len(test), step):
+        unit = _normalize(test.vectors[start : start + step])[0]
+        best = np.einsum("nd,ld->nl", unit, model.units).argmax(axis=1)
+        correct += sum(1 for label, i in zip(test.labels[start : start + step], best)
+                       if model.labels[i] == label)
     return 100.0 * correct / len(test)
 
 

@@ -181,20 +181,61 @@ def chunk(chunk_id, body):
     return chunk_id + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) % 2)
 
 
+def fmt_body(tag, n_channels, bits=16, rate=8000):
+    """The 16 bytes of a fmt chunk with format tag ``tag``."""
+    align = n_channels * bits // 8
+    return struct.pack("<HHIIHH", tag, n_channels, rate, rate * align, align, bits)
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file of ``chunks``."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def wav_file(payload, float32, n_channels, rate, extensible, fmt_last, extra):
     """WAV bytes: a PCM16 or float32 fmt chunk (optionally in its
     WAVE_FORMAT_EXTENSIBLE wrapper, or after the data chunk) and ``extra``
     unknown chunks of any size ahead of the data."""
     tag, bits = (3, 32) if float32 else (1, 16)
-    align = n_channels * bits // 8
-    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, n_channels, rate,
-                      rate * align, align, bits)
+    fmt = fmt_body(0xFFFE if extensible else tag, n_channels, bits, rate)
     if extensible:  # cbSize, valid bits, channel mask, then the sub-format GUID
         fmt += struct.pack("<HHIH", 22, bits, 0, tag) + bytes(14)
     chunks = [chunk(b"LIST", body) for body in extra] + [chunk(b"data", payload)]
     chunks.insert(len(chunks) if fmt_last else 0, chunk(b"fmt ", fmt))
-    body = b"WAVE" + b"".join(chunks)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+    return riff(*chunks)
+
+
+# a header with one fault each, and the error read_wav and read_mono raise for it
+MALFORMED_HEADERS = {
+    "cut-chunk-header": (riff(chunk(b"fmt ", fmt_body(1, 1)), b"data"),
+                         TruncatedFileError, "file ends inside a chunk header"),
+    "no-fmt": (riff(chunk(b"data", bytes(4))),
+               UnsupportedFormatError, "missing or short fmt chunk"),
+    "short-fmt": (riff(chunk(b"fmt ", fmt_body(1, 1)[:14]), chunk(b"data", bytes(4))),
+                  UnsupportedFormatError, "missing or short fmt chunk"),
+    "no-data": (riff(chunk(b"fmt ", fmt_body(1, 1))),
+                TruncatedFileError, "missing data chunk"),
+    "short-extensible-fmt": (riff(chunk(b"fmt ", fmt_body(0xFFFE, 1) + bytes(8)),
+                                  chunk(b"data", bytes(4))),
+                             UnsupportedFormatError, "malformed extensible fmt chunk"),
+    "mid-sample": (riff(chunk(b"fmt ", fmt_body(1, 1)), chunk(b"data", bytes(3))),
+                   TruncatedFileError, "data chunk ends mid-sample"),
+    "no-channels": (riff(chunk(b"fmt ", fmt_body(1, 0)), chunk(b"data", bytes(4))),
+                    UnsupportedFormatError, "invalid channel count 0"),
+    "partial-frame": (riff(chunk(b"fmt ", fmt_body(1, 2)), chunk(b"data", bytes(6))),
+                      TruncatedFileError, "data chunk is not a whole number of frames"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_HEADERS))
+def test_malformed_header_is_a_located_error(tmp_path, case):
+    data, error, message = MALFORMED_HEADERS[case]
+    path = tmp_path / "bad.wav"
+    path.write_bytes(data)
+    for read in (read_wav, read_mono):
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read(path)
 
 
 @st.composite

@@ -756,6 +756,65 @@ class TestStatsCommand:
         assert json.loads(err)["error"]["type"] == "usage"
 
 
+# a "|" marks the end of a line whose table cells are padded with trailing spaces
+PRETTY_TABLES = {
+    "batch": """\
+config:
+  sample_rate: 22050
+  fft_size: 1024
+  hop: 256
+  win_length: 1024
+  n_mels: 80
+  fmin: 0.0000
+  fmax: 8000.0000
+  n_coeffs: 13
+  scale: plain
+  pad_mode: pad
+  manifest: pairs.jsonl
+rows:
+  id    mcd      mcd_dtw  mcd_dtw_sl  eta     m_frames  n_frames
+  same  0.0000   0.0000   0.0000      1.0000  26        26      |
+  near  23.2804  21.7275  24.2345     1.1154  26        29      |
+aggregate:
+  mcd: 11.6402
+  mcd_dtw: 10.8638
+  mcd_dtw_sl: 12.1173
+  n_pairs: 2
+  n_failures: 1
+failures:
+  id   error""" + " " * 103 + """|
+  odd  ValueError: cannot resample 767999 Hz to 22050 Hz: the rate ratio 22050/767999 \
+exceeds the factor limit 8192
+""",
+    "srt-parse": """\
+config:
+  srt: s.srt
+n_entries: 2
+entries:
+  index  start_ms  end_ms  text          |
+  1      1000      2500    Hello there   |
+  2      3000      4250    General Kenobi
+""",
+    "srt-plan": """\
+config:
+  srt: s.srt
+  movie: frozen.mkv
+  out_dir: clips
+  audio_mode: center-channel
+  emit_commands: True
+movie_id: frozen
+movie_path: frozen.mkv
+out_dir: clips
+audio_mode: center-channel
+jobs:
+  movie_id  index  start_s  end_s   audio_mode      out_audio               out_video             |
+  frozen    1      1.0000   2.5000  center-channel  clips/frozen_00001.wav  clips/frozen_00001.mp4
+  frozen    2      3.0000   4.2500  center-channel  clips/frozen_00002.wav  clips/frozen_00002.mp4
+commands: [[12 values], [13 values], [12 values], [13 values]]
+""",
+}
+
+
 class TestCliShell:
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -803,6 +862,26 @@ class TestCliShell:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
         assert "mcd" in out
+
+    @pytest.mark.parametrize("view,argv", [
+        ("batch", ["batch", "pairs.jsonl"]),
+        ("srt-parse", ["srt", "parse", "s.srt"]),
+        ("srt-plan", ["srt", "plan", "s.srt", "--movie", "frozen.mkv", "--emit-commands"]),
+    ], ids=["batch", "srt-parse", "srt-plan"])
+    def test_pretty_tables_are_pinned(self, tmp_path, capsys, monkeypatch, view, argv):
+        # a list of objects renders as a table: a header of the first object's
+        # keys, then one line per object, each column padded to its widest cell
+        monkeypatch.chdir(tmp_path)
+        write_tone(Path("a.wav"))
+        write_tone(Path("b.wav"), 330.0, duration=0.33)
+        write_odd_rate_wav(Path("odd.wav"))
+        jsonl("pairs.jsonl", [{"id": "same", "generated": "a.wav", "reference": "a.wav"},
+                              {"id": "odd", "generated": "odd.wav", "reference": "a.wav"},
+                              {"id": "near", "generated": "a.wav", "reference": "b.wav"}])
+        Path("s.srt").write_text(SRT_TEXT)
+        code, out, _ = invoke(capsys, *argv, "--pretty")
+        assert code == 0
+        assert out == PRETTY_TABLES[view].replace("|\n", "\n")
 
     def test_parser_builds(self):
         assert build_parser().prog == "dubkit"

@@ -13,9 +13,10 @@ import pytest
 
 from dubkit import metrics
 from dubkit.audio import Waveform, read_mono
-from dubkit.metrics import (CONVENTIONAL_SCALE, SCALES, AlignmentResult, PairEntry,
-                            PipelineConfig, dtw_align, evaluate_corpus, evaluate_pair,
-                            load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
+from dubkit.metrics import (SCALES, AlignmentResult, PairEntry, PipelineConfig, dtw_align,
+                            evaluate_corpus, evaluate_pair, load_pair_manifest, mcd, mcd_dtw,
+                            mcd_dtw_sl)
+from dubkit.modes import CONVENTIONAL_SCALE
 
 from helpers import (at, brute_force_dtw_cost, enumerate_dtw_paths, make_tone, reaped,
                      spy_forks, use_cpus, write_pcm16_wav)

@@ -24,7 +24,8 @@ def test_test_only_helpers_are_not_public():
     # the SRT and WAV writers in helpers.py
     for module, name in [("audio", "pad_to_length"), ("metrics", "frame_distance"),
                          ("metrics", "extract_mfcc"), ("srt", "serialize_srt"),
-                         ("srt", "format_timestamp"), ("audio", "write_wav")]:
+                         ("srt", "format_timestamp"), ("audio", "write_wav"),
+                         ("metrics", "CONVENTIONAL_SCALE")]:
         assert name not in dubkit.__all__
         assert not hasattr(getattr(dubkit, module), name)
 

@@ -4,12 +4,14 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dubkit import scoring
 from dubkit.scoring import (EmbeddingFormatError, EmbeddingSet, RatingError,
                             accuracy, build_centroids, load_embeddings, load_ratings,
                             mos_aggregate)
@@ -22,6 +24,12 @@ def queries(labels, vectors):
     """A test set built directly, so its vectors skip the loader's checks and
     normalization and reach ``accuracy`` as they are."""
     return EmbeddingSet(tuple(labels), np.array(vectors, dtype=np.float64))
+
+
+def accuracy_in_blocks(test, model, rows):
+    """``accuracy`` classifying ``rows`` test vectors at a time."""
+    with mock.patch.object(scoring, "_BLOCK_SIMILARITIES", rows * len(model.labels)):
+        return accuracy(test, model)
 
 
 class TestLoadEmbeddings:
@@ -289,7 +297,10 @@ class TestExactTies:
         model, vectors = tied_model(rng, n_labels, dim, first, second, n_queries)
         assert np.array_equal(model.units[first], model.units[second])
         # 100 only if every query goes to the smaller of the two tied labels
-        assert accuracy(queries([f"L{first:02d}"] * n_queries, vectors), model) == 100.0
+        test = queries([f"L{first:02d}"] * n_queries, vectors)
+        assert accuracy(test, model) == 100.0
+        for rows in (1, 7):
+            assert accuracy_in_blocks(test, model, rows) == 100.0
 
     def test_three_labels_dim_sixteen_one_query(self, rng):
         for _ in range(20):
@@ -449,8 +460,30 @@ class TestAccuracy:
             expected = brute_force_accuracy(
                 [(label, vec) for label, _, vec in train_rows],
                 [(label, vec) for label, _, vec in test_rows])
-            ours = accuracy(embeddings(test_rows), build_centroids(embeddings(train_rows)))
-            assert ours == expected
+            test, model = embeddings(test_rows), build_centroids(embeddings(train_rows))
+            assert accuracy(test, model) == expected
+            for rows in (1, 7):
+                assert accuracy_in_blocks(test, model, rows) == expected
+
+    def test_memory_does_not_grow_with_test_vectors_times_labels(self, rng):
+        # 20 000 test vectors against 2000 labels: one similarity matrix of
+        # them all would be 320 MB
+        angles = rng.uniform(0.0, 2 * np.pi, 2000)
+        train_rows = [(f"L{i}", [math.cos(a), math.sin(a)]) for i, a in enumerate(angles)]
+        # each query lies near a random centroid, so some nearer one wins at times
+        distinct = [(f"L{i}", (train_rows[i][1] + 0.002 * rng.normal(size=2)).tolist())
+                    for i in rng.integers(2000, size=100)]
+        model = build_centroids(embeddings([(label, "1", v) for label, v in train_rows]))
+        test = queries([label for label, _ in distinct] * 200, [v for _, v in distinct] * 200)
+        tracemalloc.start()
+        try:
+            value = accuracy(test, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        # each distinct query is 1/100 of the test set, so the percentage is theirs
+        assert value == brute_force_accuracy(train_rows, distinct)
 
     def test_empty_test_set_rejected(self):
         model = build_centroids(embeddings([("a", "1", [1.0])]))

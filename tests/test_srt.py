@@ -16,6 +16,7 @@ class TestParse:
     def test_single_entry(self):
         entries = parse_srt(SIMPLE)
         assert entries == [SrtEntry(1, 1000, 2500, "Hello there")]
+        assert parse_srt(SIMPLE.rstrip("\n")) == entries  # no newline after the last cue
 
     def test_high_cue_number_kept(self):
         text = "1340\n01:23:47,129 --> 01:23:49,500\nWhat do you want?\n"
@@ -73,6 +74,15 @@ class TestParse:
                 f"{number}\n00:00:03,000 --> 00:00:04,000\nhi\n")
         message = rf"^entry 2 \(line 5\): cue number too large \({len(number)} digits\)$"
         with pytest.raises(SrtParseError, match=message):
+            parse_srt(text)
+
+    @pytest.mark.parametrize("cue,message", [
+        ("0\n00:00:03,000 --> 00:00:04,000\nhi\n", "cue number must be >= 1, got 0"),
+        ("2\n", "missing timestamp line"),
+    ], ids=["cue-zero", "no-timestamp-line"])
+    def test_bad_cue_names_entry_and_line(self, cue, message):
+        text = f"1\n00:00:01,000 --> 00:00:02,000\nfine\n\n{cue}"
+        with pytest.raises(SrtParseError, match=rf"^entry 2 \(line 5\): {message}$"):
             parse_srt(text)
 
     def test_timestamps_must_fit_int64_milliseconds(self):
