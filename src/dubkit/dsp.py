@@ -174,10 +174,10 @@ def _frame_blocks(x: np.ndarray, length: int, hop: int, row_length: int,
     ``first`` on of the centered framing of x zero-padded to n samples
     (len(x) by default).
 
-    Frame t reads samples t * hop - length // 2 onward, reflected about both
-    ends of the padded clip as numpy's "reflect" padding reflects them. A
-    block inside x is a view of it; any other block is framed from its
-    _reflected_segment.
+    Frame t reads samples t * hop - length // 2 onward of the padded clip z
+    under np.pad(z, ..., mode="reflect"). A block inside x is a view of it.
+    Any other block is framed from np.pad of only the part of z that it and
+    its reflections read, a view of x unless the block reaches the padding.
     """
     n = len(x) if n is None else n
     pad = length // 2
@@ -186,27 +186,13 @@ def _frame_blocks(x: np.ndarray, length: int, hop: int, row_length: int,
         start, stop = lo * hop - pad, (hi - 1) * hop - pad + length
         if 0 <= start and stop <= len(x):
             segment = x[start:stop]
-        else:
-            segment = _reflected_segment(x, n, start, stop)
+        else:  # z[a:b] holds every sample the block reads, reflected or not
+            a, b = max(0, min(start, 2 * n - 1 - stop)), min(n, max(stop, 1 - start))
+            z = x[a:b] if b <= len(x) else np.concatenate((x[a:b], np.zeros(b - max(a, len(x)))))
+            head = max(0, -start)
+            padded = np.pad(z, (head, max(0, stop - n)), mode="reflect")
+            segment = padded[start + head - a : stop + head - a]
         yield lo, hi, np.lib.stride_tricks.sliding_window_view(segment, length)[::hop]
-
-
-def _reflected_segment(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Samples start..stop of z, x zero-padded to n samples, reflected about
-    both ends as numpy's "reflect" padding reflects them, however many times
-    it takes: index i < 0 or i >= n reads z[r], r = i mod (2n - 2) folded
-    to 2n - 2 - r when r >= n (r = 0 when n = 1)."""
-    segment = np.empty(stop - start)
-    # segment offsets of samples 0, len(x) and n, clipped to the segment
-    a, b, c = (min(max(i, start), stop) - start for i in (0, len(x), n))
-    segment[a:b] = x[start + a : start + b]
-    segment[b:c] = 0.0
-    period = max(1, 2 * n - 2)
-    r = np.concatenate((np.arange(start, start + a), np.arange(start + c, stop))) % period
-    np.minimum(r, period - r, out=r)
-    reflected = np.where(r < len(x), x.take(r, mode="clip"), 0.0)
-    segment[:a], segment[c:] = reflected[:a], reflected[a:]
-    return segment
 
 
 def _block_rows(n_rows: int, row_length: int) -> int:

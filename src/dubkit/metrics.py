@@ -9,7 +9,10 @@ alignment path length R. The length-weighted score additionally multiplies
 by eta = max(M, N) / min(M, N), penalizing duration mismatch.
 """
 
+import ctypes
 import os
+import pickle
+import signal
 import stat
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -497,9 +500,6 @@ _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 def _die_with(parent: int) -> None:
     """Have the kernel SIGKILL this forked child when the thread that forked
     it ends, by a signal too; exit at once if ``parent`` ended before that."""
-    import ctypes
-    import signal
-
     prctl = ctypes.CDLL(None, use_errno=True).prctl
     prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
     if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL):
@@ -527,8 +527,6 @@ class _ForkedCall:
         if _usable_cpus() == 1:
             self._result = fn(*args)
             return
-        import pickle
-
         parent = os.getpid()
         read_fd, write_fd = os.pipe()
         try:
@@ -559,13 +557,9 @@ class _ForkedCall:
     def __call__(self):
         if not self._pid:
             return self._result
-        import pickle
-
         data = self._pipe.read()  # to EOF: the child has exited or is exiting
         code = os.waitstatus_to_exitcode(self._reap())
         if code < 0:
-            import signal
-
             raise ChildProcessError(f"forked child killed by {signal.Signals(-code).name}")
         if code:
             raise ChildProcessError(f"forked child exited with status {code}")
@@ -576,8 +570,6 @@ class _ForkedCall:
 
     def close(self) -> None:
         if self._pid:
-            import signal
-
             os.kill(self._pid, signal.SIGKILL)
             self._reap()
 

@@ -6,11 +6,13 @@ MCD of a pair are held to. Test-only; not imported by dubkit.
 """
 
 import numpy as np
-from scipy.fft import rfft
+from scipy.fft import dct, rfft
 
 from dubkit.audio import Waveform
-from dubkit.dsp import (EnergyTrack, FrameParams, Spectrogram, _hann, mel_spectrogram,
-                        mfcc)
+from dubkit.dsp import (EnergyTrack, FrameParams, MfccSequence, Spectrogram, _hann,
+                        mel_filterbank)
+
+from reference_mel import mel_power_row
 
 
 def _frame(x: np.ndarray, length: int, hop: int) -> np.ndarray:
@@ -56,6 +58,11 @@ def pad_to_length(w: Waveform, target_len: int) -> Waveform:
 
 def extract_mfcc(w: Waveform, cfg):
     """Waveform -> MFCC sequence under a metrics.PipelineConfig, from the
-    whole-clip STFT and the mel stage that leaves its input as it is."""
+    oracles alone: the whole-clip STFT power, the mel product of one frame
+    at a time, the floored log and scipy's orthonormal DCT-II."""
     spec = stft_magnitude(w, cfg.frame)
-    return mfcc(mel_spectrogram(spec, cfg.n_mels, cfg.fmin, cfg.fmax), cfg.n_coeffs)
+    fb = mel_filterbank(w.sample_rate, cfg.frame.fft_size, cfg.n_mels, cfg.fmin, cfg.fmax)
+    mel = np.array([mel_power_row(row, fb) for row in spec.frames**2])
+    log_mel = np.log(np.maximum(mel, 1e-10))
+    coeffs = dct(log_mel, type=2, norm="ortho", axis=1)[:, 1 : cfg.n_coeffs + 1]
+    return MfccSequence(coeffs, spec.frame_rate)

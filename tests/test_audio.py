@@ -32,6 +32,16 @@ def spectrum_peak_hz(samples, sample_rate):
     return np.argmax(spectrum) * sample_rate / len(samples)
 
 
+@pytest.mark.parametrize("samples,rate,message", [
+    (np.zeros((2, 2, 2)), 100, "samples must be 1-D or 2-D, got 3-D"),
+    (np.zeros(4), 0, "sample_rate must be positive, got 0"),
+    (np.array([0.0, np.nan]), 100, "samples contain non-finite values"),
+], ids=["3-D", "zero-rate", "nan"])
+def test_waveform_rejects_what_no_clip_can_be(samples, rate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Waveform(samples, rate)
+
+
 class TestReadWav:
     def test_mono_pcm16_header_fields(self, tmp_path):
         path = tmp_path / "tone.wav"

@@ -63,7 +63,8 @@ PIPELINE_FLAGS = ["--hop 0", "--k 0", "--k 80", "--k 81", "--n-mels 0", "--n-mel
                   "--fft 4194304 --win 4194304", "--n-mels 2000000"]
 BAD_FLAG_CASES = ([(command, flag) for command in ("features", "mcd", "batch")
                    for flag in PIPELINE_FLAGS]
-                  + [("features", "--pitch-fmin 0"), ("features", "--pitch-fmax 20000")]
+                  + [("features", "--pitch-fmin 0"), ("features", "--pitch-fmax 20000"),
+                     ("features", "--pitch-fmin 590 --pitch-fmax 600")]
                   + [("features", f"--pitch-threshold {value}")
                      for value in ("nan", "inf", "-1", "0")])
 
@@ -219,6 +220,29 @@ class TestFeaturesCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert "767999 Hz to 22050 Hz" in error["message"]
+
+    def test_degenerate_pitch_band_says_so(self, tmp_path, capsys):
+        # ceil(22050 / 600) = floor(22050 / 590) = 37: the band holds one lag
+        wav = write_tone(tmp_path / "a.wav")
+        code, out, err = invoke(capsys, "features", wav, "--pitch-fmin", "590",
+                                "--pitch-fmax", "600")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "usage", "message": "band [590.0, 600.0] Hz is degenerate at rate 22050"}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command", ["mcd", "features"])
+def test_a_wav_with_no_samples_is_a_value_error(tmp_path, capsys, monkeypatch, command, cpus):
+    empty = str(tmp_path / "empty.wav")
+    write_pcm16_wav(empty, [np.zeros(0)], SR)
+    use_cpus(monkeypatch, cpus)
+    forks = spy_forks(monkeypatch)
+    code, out, err = invoke(capsys, command, *[empty] * (2 if command == "mcd" else 1))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "ValueError",
+                                        "message": "cannot analyze an empty waveform"}
+    assert all(map(reaped, forks))
 
 
 class TrackError(ValueError):
@@ -469,6 +493,20 @@ class TestBatchCommand:
         assert failure["id"] == "odd"
         assert failure["error"].startswith("ValueError: cannot resample 767999 Hz to 22050 Hz")
 
+    def test_a_wav_with_no_samples_is_a_failure_row(self, tmp_path, capsys):
+        empty = str(tmp_path / "empty.wav")
+        write_pcm16_wav(empty, [np.zeros(0)], SR)
+        good = write_tone(tmp_path / "good.wav")
+        manifest = jsonl(tmp_path / "pairs.jsonl", [
+            {"id": "good", "generated": good, "reference": good},
+            {"id": "empty", "generated": good, "reference": empty}])
+        code, out, _ = invoke(capsys, "batch", manifest)
+        assert code == 0
+        payload = json.loads(out)
+        assert [row["id"] for row in payload["rows"]] == ["good"]
+        assert payload["failures"] == [{"id": "empty",
+                                        "error": "ValueError: cannot analyze an empty waveform"}]
+
     def test_report_field_names(self, tmp_path, capsys):
         manifest = self.make_manifest(tmp_path, n=1)
         _, out, _ = invoke(capsys, "batch", manifest)
@@ -707,6 +745,10 @@ class TestSplitCommand:
         assert json.loads(err)["error"] == {
             "type": "usage",
             "message": "ratios must be three positive numbers, got (nan, 0.5, 0.5)"}
+        code, _, err = invoke(capsys, "split", manifest, "--ratios", "a,b,c", "--seed", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "usage", "message": "--ratios values must be numbers, got 'a,b,c'"}
 
     def test_data_errors_exit_one(self, tmp_path, capsys):
         duplicate = jsonl(tmp_path / "dup.jsonl", manifest_rows(3) + manifest_rows(1))

@@ -220,6 +220,10 @@ class TestDtwAlign:
         with pytest.raises(ValueError):
             dtw_align(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="^coefficient sequence must be a T x K matrix$"):
+            dtw_align(np.zeros(5), np.zeros((5, 13)))
+
 
 class TestDtwMetrics:
     def test_mcd_dtw_identity(self, rng):
@@ -267,6 +271,11 @@ class TestDtwMetrics:
         score, eta = mcd_dtw_sl(alignment)
         assert eta == pytest.approx(7 / 4)
         assert score == 0.0
+
+    def test_sl_rejects_an_empty_alignment(self):
+        empty = AlignmentResult(0.0, np.empty((0, 2), np.intp), 0, 4)
+        with pytest.raises(ValueError, match="^alignment over an empty sequence$"):
+            mcd_dtw_sl(empty)
 
 
 class TestEvaluatePair:
@@ -826,6 +835,15 @@ class TestFailedFork:
             evaluate_corpus(entries)
         assert len(forks) == 1 and reaped(forks[0])
         assert open_fds() == before
+
+
+def test_a_child_that_exits_with_a_status_is_a_child_process_error(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    forks = spy_forks(monkeypatch)
+    call = metrics._ForkedCall(os._exit, 3)
+    with pytest.raises(ChildProcessError, match="^forked child exited with status 3$"):
+        call()
+    assert len(forks) == 1 and reaped(forks[0])
 
 
 # dubkit batch on two CPUs, the second pair a child prepares killing it;
