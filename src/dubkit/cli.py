@@ -10,6 +10,7 @@ failure, 1 runtime or data failure.
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import __version__
 from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, clip_movie_id,
@@ -64,7 +65,7 @@ def _pipeline_config(args):
     """The pipeline flags as a ``PipelineConfig``, checked before any file is
     read by running the library's own extractors on one sample of silence."""
     from .audio import Waveform
-    from .dsp import FrameParams
+    from .dsp import FrameParams, pitch_track
     from .metrics import PipelineConfig, _cepstra
 
     try:
@@ -77,25 +78,69 @@ def _pipeline_config(args):
         silence = Waveform([0.0], cfg.sample_rate)
         _cepstra(silence, cfg)
         if hasattr(args, "pitch_fmin"):
-            _pitch_values(silence, args, cfg, n_frames=1)
+            pitch_track(silence, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
+                        hop=cfg.frame.hop)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return cfg
 
 
-def _pitch_values(w, args, cfg, n_frames):
-    from .dsp import pitch_track
+class _SharedPitch:
+    """The first n_frames pitch values of w, tracked a block at a time (see
+    dsp._pitch_blocks) from both ends: a forked child (metrics._ForkedCall)
+    takes blocks from the first on, and calling this object takes them from
+    the last back, then waits for the child and returns the values.
 
-    # pitch frames sit at the same hop * i centres, but an odd --win gives
-    # one STFT frame fewer when the clip is a whole number of hops
-    return pitch_track(w, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
-                       hop=cfg.frame.hop).values[:n_frames]
+    The values and each side's count of claimed blocks live in one shared
+    anonymous mapping made before the fork. A side claims a block before it
+    computes it and stops at the first block the other side has claimed, so
+    every block is computed; both sides may compute one block, and they
+    write the same bits. The values are read only once the child is reaped.
+    With one usable CPU the _ForkedCall runs at once, here, and takes every
+    block. close() kills and reaps a child not yet waited for."""
+
+    def __init__(self, w, args, cfg, n_frames: int):
+        import mmap
+
+        import numpy as np
+
+        from .dsp import PITCH_FRAME_LENGTH, _frame_count, _pitch_blocks
+        from .metrics import _ForkedCall
+
+        n_pitch = _frame_count(len(w.mono_samples()), PITCH_FRAME_LENGTH, cfg.frame.hop)
+        shared = mmap.mmap(-1, 8 * (2 + n_pitch))
+        self._claimed = np.frombuffer(shared, np.int64, 2)
+        self._values = np.frombuffer(shared, np.float64, n_pitch, 16)
+        # pitch frames sit at the same hop * i centres, but an odd --win gives
+        # one STFT frame fewer when the clip is a whole number of hops
+        self._n_frames = n_frames
+        self._track = partial(_pitch_blocks, w, args.pitch_fmin, args.pitch_fmax,
+                              args.pitch_threshold, cfg.frame.hop, self._values)
+        self._child = _ForkedCall(self._track, partial(_claims, self._claimed, 0))
+
+    def __call__(self):
+        self._track(partial(_claims, self._claimed, 1))
+        self._child()
+        return self._values[: self._n_frames]
+
+    def close(self) -> None:
+        self._child.close()
+
+
+def _claims(claimed, side: int, n_blocks: int):
+    """The blocks one side of a _SharedPitch takes: side 0 from block 0 up,
+    side 1 from the last block down. claimed[side] counts the side's blocks
+    and is raised before a block is yielded; the side stops once the two
+    counts cover every block."""
+    while claimed[0] + claimed[1] < n_blocks:
+        k = int(claimed[side])
+        claimed[side] = k + 1
+        yield k if side == 0 else n_blocks - 1 - k
 
 
 def cmd_features(args) -> dict:
     from .audio import read_mono, resample
     from .dsp import _frame_count, _mel_rows, mfcc
-    from .metrics import _ForkedCall
 
     cfg = _pipeline_config(args)
     config = cfg.to_dict()
@@ -103,9 +148,10 @@ def cmd_features(args) -> dict:
                    "pitch_threshold": args.pitch_threshold, "input": args.audio})
     w = resample(read_mono(args.audio), cfg.sample_rate)
     n_frames = _frame_count(len(w.mono_samples()), cfg.frame.win_length, cfg.frame.hop)
-    # on a second CPU the pitch track runs beside the spectral stages and the
-    # rendering of mel and mfcc, which waits for it only at "pitch"
-    pitch = _ForkedCall(_pitch_values, w, args, cfg, n_frames)
+    # on a second CPU a child tracks pitch beside the spectral stages and the
+    # rendering of mel and mfcc; at "pitch" the rendering tracks the blocks
+    # the child has not reached
+    pitch = _SharedPitch(w, args, cfg, n_frames)
     try:
         mel, energy = _mel_rows(w, cfg.frame, cfg.n_mels, cfg.fmin, cfg.fmax, energy=True)
         coeffs = mfcc(mel, cfg.n_coeffs)
@@ -366,21 +412,21 @@ def _fmt(value) -> str:
 
 
 def _json_pieces(payload):
-    """``json.dumps(payload)`` in pieces: the top-level object key by key, an
-    ndarray value (duck-typed, so this module needs no numpy) as the JSON
-    list of its ``tolist()``, a 2-D one row by row, and a callable value (a
-    deferred one, such as a metrics._ForkedCall) as what it returns, called
-    when the rendering reaches it."""
+    """``json.dumps(payload)`` in pieces: the top-level object key by key, a
+    1-D or 2-D float64 ndarray value through _render.float_pieces (imported
+    here, so only a command with such a value loads numpy through it), any
+    other ndarray value (duck-typed) as the JSON list of its ``tolist()``,
+    and a callable value (a deferred one, such as cmd_features' pitch) as
+    what it returns, called when the rendering reaches it."""
     yield "{"
     for i, (key, value) in enumerate(payload.items()):
         yield f"{', ' if i else ''}{json.dumps(key)}: "
         value = value() if callable(value) else value
         ndim = getattr(value, "ndim", 0)
-        if ndim == 2:
-            yield "["
-            for j, row in enumerate(value):
-                yield f"{', ' if j else ''}{json.dumps(row.tolist())}"
-            yield "]"
+        if ndim in (1, 2) and value.dtype == "float64":
+            from ._render import float_pieces
+
+            yield from float_pieces(value)
         else:
             yield json.dumps(value.tolist() if ndim else value)
     yield "}"

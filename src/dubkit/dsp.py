@@ -440,6 +440,18 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     positive. Frames are analysed a block at a time (see _blocks), so the
     working memory does not grow with the clip.
     """
+    values = np.zeros(_frame_count(len(w.mono_samples()), PITCH_FRAME_LENGTH, hop))
+    _pitch_blocks(w, f_min, f_max, voicing_threshold, hop, values, range)
+    return PitchTrack(values, w.sample_rate / hop)
+
+
+def _pitch_blocks(w, f_min: float, f_max: float, voicing_threshold: float, hop: int,
+                  values: np.ndarray, order) -> None:
+    """Write into ``values``, which has one entry per frame of w's pitch
+    track, the pitch of each block of the track (see _blocks) that
+    ``order(n_blocks)`` yields, in the order yielded; a block number is
+    taken from order before that block is computed. The bits of a block do
+    not depend on which blocks are computed or in what order."""
     x = w.mono_samples()
     sr = w.sample_rate
     if not 0 < f_min < f_max <= sr / 2:
@@ -455,9 +467,8 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     if tau_min >= tau_max:
         raise ValueError(f"band [{f_min}, {f_max}] Hz is degenerate at rate {sr}")
 
-    n_frames = _frame_count(len(x), PITCH_FRAME_LENGTH, hop)
-    values = np.zeros(n_frames)
-    # one block's spectra, refilled block by block
+    n_frames = len(values)
+    # frames per block but the last; one block's spectra, refilled block by block
     rows = _block_rows(n_frames, PITCH_FRAME_LENGTH)
     spec_full = np.empty((rows, PITCH_FRAME_LENGTH + 1), dtype=complex)
     spec_head = np.empty_like(spec_full)
@@ -465,11 +476,12 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     # whole track in tests/reference_pitch.py: as written below 8 frames, conj *
     # full from 8 (256 KiB of spectra, where numpy elides the conj temporary) on
     conj_first = n_frames >= 8
-    for lo, hi, frames in _frame_blocks(x, PITCH_FRAME_LENGTH, hop, PITCH_FRAME_LENGTH):
+    for block in order(-(-n_frames // rows)):
+        lo, hi, frames = next(_frame_blocks(x, PITCH_FRAME_LENGTH, hop, PITCH_FRAME_LENGTH,
+                                            block * rows))
         values[lo:hi] = _pitch_block(frames, spec_full[: hi - lo], spec_head[: hi - lo],
                                      conj_first, sr, f_min, f_max, voicing_threshold,
                                      tau_min, tau_max)
-    return PitchTrack(values, sr / hop)
 
 
 def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarray,
@@ -493,7 +505,7 @@ def _pitch_block(frames: np.ndarray, spec_full: np.ndarray, spec_head: np.ndarra
         np.multiply(spec_full, spec_head, out=spec_head)
     # numpy.fft.irfft gives scipy.fft.irfft's bits (tests/test_spectral_kernel.py pins that)
     xcorr = np.fft.irfft(spec_head, n=n_fft, axis=1)[:, : tau_max + 1]
-    sq = np.cumsum(frames**2, axis=1)
+    sq = np.cumsum(frames[:, : win + tau_max] ** 2, axis=1)  # the columns read below
     e0 = sq[:, win - 1]
     e_tau = np.empty((n_frames, tau_max + 1))
     e_tau[:, 0] = e0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dubkit
-from dubkit import dsp
+from dubkit import cli, dsp
 from dubkit.cli import _emit, build_parser, run
 from dubkit.metrics import PipelineConfig
 
@@ -259,10 +259,39 @@ def features_document(capsys, tmp_path, argv, out):
     return code, stdout, stderr, target.read_bytes() if target.exists() else None
 
 
+def meeting_at(meet, claims, parent_blocks):
+    """cli._claims with the two sides of `features`' pitch track meeting at
+    block ``meet``: the child takes blocks 0..meet-1 and the command the
+    rest, each side waiting, once it holds its share, for the other to take
+    its own. The blocks the command takes go into ``parent_blocks``."""
+    def forced(claimed, side, n_blocks):
+        share = meet if side == 0 else n_blocks - meet
+        blocks = claims(claimed, side, n_blocks)
+        while True:
+            if claimed[side] == share:
+                wait_until(lambda: claimed[1 - side] + share >= n_blocks, 30)
+            block = next(blocks, None)
+            if block is None:
+                return
+            if side == 1:
+                parent_blocks.append(block)
+            yield block
+    return forced
+
+
+def short_track_clip(tmp_path, frames):
+    """A tone of ``frames`` pitch and STFT frames at the default hop."""
+    wav = str(tmp_path / f"{frames}-frames.wav")
+    write_pcm16_wav(wav, [make_tone(220.0, ((frames - 1) * 256 + 100) / SR, SR)], SR)
+    return wav
+
+
 class TestFeaturesOnEveryCpu:
-    """With two usable CPUs `features` tracks pitch in a forked child while
-    it runs the spectral stages and renders the document; with one it runs
-    the track itself. The document is the same bytes either way."""
+    """With two usable CPUs `features` forks a child that tracks pitch from
+    the first block on while the command runs the spectral stages and
+    renders the document; at "pitch" the command tracks the blocks from the
+    last back until it meets the child's. With one CPU the command tracks
+    every block itself. The document is the same bytes either way."""
 
     @pytest.mark.parametrize("clip,flags", [
         ("three", []),  # shorter than half a window: its 1 frame reflects it many times
@@ -303,19 +332,65 @@ class TestFeaturesOnEveryCpu:
             assert doc["n_frames"] == n_frames
             assert all(len(doc[key]) == n_frames for key in ("mel", "mfcc", "pitch", "energy"))
 
+    # two pitch frames a block: 4 blocks under the track's change of product
+    # order at 8 frames, and 6 above it
+    @pytest.mark.parametrize("frames", [7, 11])
+    def test_same_bytes_wherever_the_two_sides_meet(self, tmp_path, capsys, monkeypatch,
+                                                    frames):
+        monkeypatch.setattr(dsp, "_SPECTRAL_SPAN", 2 * dsp.PITCH_FRAME_LENGTH)
+        wav = short_track_clip(tmp_path, frames)
+        use_cpus(monkeypatch, 1)
+        code, expected, err = invoke(capsys, "features", wav)
+        assert (code, err) == (0, "")
+        assert len(json.loads(expected)["pitch"]) == frames
+        use_cpus(monkeypatch, 2)
+        n_blocks, claims = (frames + 1) // 2, cli._claims
+        for meet in range(n_blocks + 1):
+            parent_blocks = []
+            monkeypatch.setattr(cli, "_claims", meeting_at(meet, claims, parent_blocks))
+            forks = spy_forks(monkeypatch)
+            assert invoke(capsys, "features", wav) == (0, expected, "")
+            assert parent_blocks == list(range(n_blocks - 1, meet - 1, -1))
+            assert len(forks) == 1 and all(map(reaped, forks))
+
+    @pytest.mark.parametrize("block", [0, 2, 5])  # the child's first, a middle and the last
+    def test_a_child_killed_in_its_share_fails_the_command(self, tmp_path, capsys, monkeypatch,
+                                                           block):
+        monkeypatch.setattr(dsp, "_SPECTRAL_SPAN", 2 * dsp.PITCH_FRAME_LENGTH)
+        wav = short_track_clip(tmp_path, 11)  # 6 blocks
+        parent, pitch_block, started = os.getpid(), dsp._pitch_block, []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                started.append(1)
+                if len(started) == block + 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return pitch_block(*args)
+
+        monkeypatch.setattr(dsp, "_pitch_block", dying)
+        # the command takes no block below the one the child dies in
+        monkeypatch.setattr(cli, "_claims", meeting_at(block + 1, cli._claims, []))
+        use_cpus(monkeypatch, 2)
+        forks = spy_forks(monkeypatch)
+        code, stdout, stderr, written = features_document(capsys, tmp_path, [wav], True)
+        assert (code, stdout, written) == (1, "", None)
+        assert json.loads(stderr)["error"] == {"type": "ChildProcessError",
+                                               "message": "forked child killed by SIGKILL"}
+        assert len(forks) == 1 and reaped(forks[0])
+
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     def test_an_error_in_the_track_keeps_its_type_and_message(self, tmp_path, capsys,
                                                               monkeypatch, cpus, out):
         wav = write_tone(tmp_path / "a.wav")
-        track = dsp.pitch_track
+        track = dsp._pitch_blocks
 
         def failing(w, *args, **kwargs):
             if len(w.mono_samples()) > 1:  # not the flag check on one sample
                 raise TrackError(f"no pitch in {len(w.mono_samples())} samples")
             return track(w, *args, **kwargs)
 
-        monkeypatch.setattr(dsp, "pitch_track", failing)
+        monkeypatch.setattr(dsp, "_pitch_blocks", failing)
         use_cpus(monkeypatch, cpus)
         forks = spy_forks(monkeypatch)
         code, stdout, stderr, written = features_document(capsys, tmp_path, [wav], out)
@@ -356,7 +431,7 @@ class TestFeaturesOnEveryCpu:
     def test_a_failure_beside_the_track_kills_and_reaps_it(self, tmp_path, capsys,
                                                            monkeypatch, stage, error):
         wav = write_tone(tmp_path / "a.wav")
-        parent, track, mel_rows = os.getpid(), dsp.pitch_track, dsp._mel_rows
+        parent, track, mel_rows = os.getpid(), dsp._pitch_blocks, dsp._mel_rows
 
         def stalled(*args, **kwargs):
             if os.getpid() != parent:
@@ -371,7 +446,7 @@ class TestFeaturesOnEveryCpu:
         def unrenderable_mfcc(m, n_coeffs):
             return dsp.MfccSequence(np.full((len(m.frames), 1), object()), m.frame_rate)
 
-        monkeypatch.setattr(dsp, "pitch_track", stalled)
+        monkeypatch.setattr(dsp, "_pitch_blocks", stalled)
         monkeypatch.setattr(dsp, stage, {"_mel_rows": failing_mel_rows,
                                          "mfcc": unrenderable_mfcc}[stage])
         use_cpus(monkeypatch, 2)
@@ -401,7 +476,7 @@ def stalled(fn):
         return fn(*args, **kwargs)
     return stalling
 
-dsp.pitch_track = stalled(dsp.pitch_track)
+dsp._pitch_blocks = stalled(dsp._pitch_blocks)
 metrics._prepare_pair = stalled(metrics._prepare_pair)
 cli.run(sys.argv[2:])
 """
@@ -951,8 +1026,18 @@ def emit_payloads():
               "special": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
               "none_by_k": np.empty((0, 4)), "one_by_k": rng.standard_normal((1, 4)),
               "k_by_none": np.empty((3, 0)), "empty": np.empty(0),
-              "pitch": np.array([0.0, 440.25, 1e300]), "ints": np.arange(3)}
+              "pitch": np.array([0.0, 440.25, 1e300]), "ints": np.arange(3),
+              # the float edge cases of the renderer (dubkit._render), as a
+              # 1-D array, as rows and as strided slices of both
+              "edges": FLOAT_EDGES, "edge_rows": FLOAT_EDGES.reshape(4, 5),
+              "edge_columns": FLOAT_EDGES.reshape(4, 5)[::2, 1::2],
+              "edge_stride": FLOAT_EDGES[::3]}
     return [{}, nested, arrays, {**nested, **arrays}]
+
+
+FLOAT_EDGES = np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16,
+                        9999999999999998.0, 1e-4, 9.999999999999999e-05, 2.0**53, 1e22, 0.1,
+                        0.0, -0.0, 123.0, np.nan, np.inf, -np.inf, -5e-324, -1e22, 1e-5, 0.5])
 
 
 @pytest.mark.parametrize("payload", emit_payloads(), ids=["empty", "nested", "arrays", "both"])
