@@ -115,32 +115,32 @@ def _bounds(mv, m_shift, ex):
 def _shortest(vr, vp, vm):
     """Ryū's step 4 where neither bound ends in zeros: (digits, digits
     removed). A digit comes off while vp // 10 > vm // 10, and the last one
-    removed rounds; vr is taken up when it equals vm. Each pass divides
-    every value still going; once fewer than a quarter go, they go on alone."""
+    removed rounds; vr is taken up when it equals vm."""
     out = vr + (vr == vm)
     removed = np.zeros(len(vr), np.int64)
-    rows, part_out, part_removed = None, out, removed
+    _strip(vr, vp // _TEN, vm, out, removed)
+    return out, removed
+
+
+def _strip(vr, vp, vm, out, removed):
+    """_shortest's loop, with vp already divided by ten; out and removed are
+    updated in place. Each pass divides every value; once at most a
+    quarter still lose a digit, they go on alone, in a call of their own."""
     while True:
-        vp, vm_next = vp // _TEN, vm // _TEN
+        vm_next = vm // _TEN
         go = vp > vm_next
         going = np.count_nonzero(go)
-        if going * 4 < len(go) or not going:
-            if rows is not None:
-                out[rows], removed[rows] = part_out, part_removed
-            if not going:
-                return out, removed
-            keep = np.flatnonzero(go)
-            rows = keep if rows is None else rows[keep]
-            vr, vp, vm_next, go = vr[keep], vp[keep], vm_next[keep], None
-            part_out, part_removed = out[rows], removed[rows]
+        if going * 4 <= len(go):  # an empty array stops here too
+            if going:
+                keep = np.flatnonzero(go)
+                part_out, part_removed = out[keep], removed[keep]
+                _strip(vr[keep], vp[keep], vm[keep], part_out, part_removed)
+                out[keep], removed[keep] = part_out, part_removed
+            return
         vr_next = vr // _TEN
-        rounded = vr_next + ((vr_next == vm_next) | (vr - vr_next * _TEN >= _U(5)))
-        if go is None:  # every value in the part goes
-            part_out, part_removed = rounded, part_removed + 1
-        else:
-            part_out += (rounded - part_out) * go
-            part_removed += go
-        vr, vm = vr_next, vm_next
+        out += (vr_next + ((vr_next == vm_next) | (vr - vr_next * _TEN >= _U(5))) - out) * go
+        removed += go
+        vr, vp, vm = vr_next, vp // _TEN, vm_next
 
 
 def _general(mv, m_shift, ex, vr, vp, vm):

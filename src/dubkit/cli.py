@@ -104,10 +104,10 @@ class _SharedPitch:
 
         import numpy as np
 
-        from .dsp import PITCH_FRAME_LENGTH, _frame_count, _pitch_blocks
+        from .dsp import _pitch_blocks, _pitch_frame_count
         from .metrics import _ForkedCall
 
-        n_pitch = _frame_count(len(w.mono_samples()), PITCH_FRAME_LENGTH, cfg.frame.hop)
+        n_pitch = _pitch_frame_count(w, cfg.frame.hop)
         shared = mmap.mmap(-1, 8 * (2 + n_pitch))
         self._claimed = np.frombuffer(shared, np.int64, 2)
         self._values = np.frombuffer(shared, np.float64, n_pitch, 16)

@@ -440,15 +440,20 @@ def pitch_track(w, f_min: float = 50.0, f_max: float = 600.0,
     positive. Frames are analysed a block at a time (see _blocks), so the
     working memory does not grow with the clip.
     """
-    values = np.zeros(_frame_count(len(w.mono_samples()), PITCH_FRAME_LENGTH, hop))
+    values = np.zeros(_pitch_frame_count(w, hop))
     _pitch_blocks(w, f_min, f_max, voicing_threshold, hop, values, range)
     return PitchTrack(values, w.sample_rate / hop)
+
+
+def _pitch_frame_count(w, hop: int) -> int:
+    """How many frames w's pitch track has at this hop."""
+    return _frame_count(len(w.mono_samples()), PITCH_FRAME_LENGTH, hop)
 
 
 def _pitch_blocks(w, f_min: float, f_max: float, voicing_threshold: float, hop: int,
                   values: np.ndarray, order) -> None:
     """Write into ``values``, which has one entry per frame of w's pitch
-    track, the pitch of each block of the track (see _blocks) that
+    track (_pitch_frame_count(w, hop) entries), the pitch of each block of the track (see _blocks) that
     ``order(n_blocks)`` yields, in the order yielded; a block number is
     taken from order before that block is computed. The bits of a block do
     not depend on which blocks are computed or in what order."""
