@@ -7,6 +7,7 @@ itself is delegated to an external tool; the clip plan is pure data with
 optional FFmpeg-style argument vectors as a convenience.
 """
 
+import operator
 import random
 import string
 from collections import Counter
@@ -21,6 +22,8 @@ _REQUIRED_FIELDS = ("movie_id", "clip_index", "speaker", "emotion", "text",
                     "start_ms", "end_ms")
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+# rows whose texts corpus_stats tokenises in one string
+_COUNT_CHUNK = 1024
 
 # each audio mode's FFmpeg arguments: the centre channel alone, or all channels averaged
 AUDIO_MODES = {"center-channel": ("-af", "pan=mono|c0=FC"), "downmix": ("-ac", "1")}
@@ -59,7 +62,18 @@ class ClipRecord:
         return (self.end_ms - self.start_ms) / 1000.0
 
 
+_row_fields = operator.itemgetter(*_REQUIRED_FIELDS)
+
+
 def _record_from_row(row: dict) -> ClipRecord:
+    fields = movie_id, clip_index, speaker, emotion, text, start_ms, end_ms = _row_fields(row)
+    # the common row, checked inline; any other goes through jsonl's checks
+    if (type(movie_id) is type(speaker) is type(emotion) is type(text) is str
+            and type(clip_index) is type(start_ms) is type(end_ms) is int
+            and -jsonl.INT64_END <= clip_index < jsonl.INT64_END
+            and -jsonl.INT64_END <= start_ms < jsonl.INT64_END
+            and -jsonl.INT64_END <= end_ms < jsonl.INT64_END):
+        return ClipRecord(*fields)
     return ClipRecord(
         movie_id=jsonl.text(row, "movie_id"),
         clip_index=jsonl.integer(row, "clip_index"),
@@ -157,17 +171,21 @@ def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-chan
     out_dir = str(out_dir)
     movie_id = clip_movie_id(movie_path, movie_id)
 
+    # str(Path(out_dir) / name), with out_dir normalised once: "", "." and "./"
+    # add no directory, and "/" and "//" keep their slashes
+    base = str(Path(out_dir))
+    prefix = "" if base == "." else base if base.endswith("/") else base + "/"
     jobs = []
     for entry in entries:
-        stem = f"{movie_id}_{entry.index:05d}"
+        stem = f"{prefix}{movie_id}_{entry.index:05d}"
         jobs.append(ClipJob(
             movie_id=movie_id,
             index=entry.index,
             start_s=entry.start_ms / 1000.0,
             end_s=entry.end_ms / 1000.0,
             audio_mode=audio_mode,
-            out_audio=str(Path(out_dir) / f"{stem}.wav"),
-            out_video=str(Path(out_dir) / f"{stem}.mp4"),
+            out_audio=f"{stem}.wav",
+            out_video=f"{stem}.mp4",
         ))
     commands = None
     if emit_commands:
@@ -270,11 +288,6 @@ class CorpusStats:
         }
 
 
-def tokenize_for_counts(text: str) -> list[str]:
-    """Word-count tokens: lowercase, ASCII punctuation removed."""
-    return [t for t in text.lower().translate(_PUNCT_TABLE).split() if t]
-
-
 def corpus_stats(records) -> CorpusStats:
     """Compute manifest statistics.
 
@@ -289,9 +302,13 @@ def corpus_stats(records) -> CorpusStats:
     histogram = Counter(lengths)
     total_tokens = sum(lengths)
 
+    # a chunk of texts is tokenised at once: "\n" is whitespace, and neither
+    # cased nor case-ignorable, so str.lower's final-sigma rule sees each row
+    # end as the end of a string
     word_counter: Counter = Counter()
-    for record in records:
-        word_counter.update(tokenize_for_counts(record.text))
+    for start in range(0, len(records), _COUNT_CHUNK):
+        chunk = "\n".join([r.text for r in records[start : start + _COUNT_CHUNK]])
+        word_counter.update(chunk.lower().translate(_PUNCT_TABLE).split())
     ranked = sorted(word_counter.items(), key=lambda item: (-item[1], item[0]))
 
     emotion_counts = {emotion: 0 for emotion in EMOTIONS}

@@ -10,6 +10,9 @@ import math
 # the exclusive upper bound of a signed 64-bit integer
 INT64_END = 2**63
 
+# json's own scanner, which json.loads runs after skipping leading whitespace
+_scan = json.JSONDecoder().scan_once
+
 
 def excerpt(value) -> str:
     """repr of ``value`` for an error message, cut so that a huge value is not
@@ -22,11 +25,20 @@ def excerpt(value) -> str:
 
 
 def parse_object(text: str, required=()) -> dict:
-    """One JSON object holding every ``required`` key, else ValueError."""
+    """One JSON object holding every ``required`` key, else ValueError.
+
+    A row that is one object from its first character to its end, or to a
+    final ``\\n``, is scanned once; every other row goes through
+    ``json.loads``, so each message comes from one path."""
     try:
-        row = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
+        row, end = _scan(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        row = end = None
+    if type(row) is not dict or end != len(text) and text[end:] != "\n":
+        try:
+            row = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(row, dict):
         raise ValueError("row is not an object")
     for key in required:

@@ -1,15 +1,17 @@
 """``dubkit.scoring``'s embedding path as it stood when each row became a
 record object normalized on its own, kept as the oracle that the one-matrix
 loader must match: the same labels, the same vector and centroid bits, the
-same accuracy and the same first-error message. Test-only.
+same accuracy and the same first-error message. Its rows come from
+``reference_jsonl``, which parses them with ``json.loads`` alone. Test-only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from dubkit import jsonl
 from dubkit.scoring import CentroidModel, EmbeddingFormatError, _normalize
+
+import reference_jsonl
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +66,7 @@ class _RecordChecker:
 def load_embeddings(path) -> EmbeddingSet:
     """Read a JSONL embedding file ({label, id, vector} rows)."""
     check = _RecordChecker()
-    records = jsonl.load_objects(
+    records = reference_jsonl.load_objects(
         path, lambda row: check(row["label"], row["id"], row["vector"]),
         ("label", "id", "vector"), EmbeddingFormatError)
     return EmbeddingSet(records, check.dim)

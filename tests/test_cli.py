@@ -754,6 +754,21 @@ class TestSrtCommands:
         assert [job["out_audio"] for job in jobs] == ["clips/frozen.2013_00001.wav",
                                                       "clips/frozen.2013_00002.wav"]
 
+    @pytest.mark.parametrize("out_dir", ["", ".", "./", "clips/", "a//b/", "/", "//", "///"])
+    def test_plan_paths_are_those_of_pathlib(self, tmp_path, capsys, out_dir):
+        path = tmp_path / "s.srt"
+        path.write_text(SRT_TEXT)
+        code, out, _ = invoke(capsys, "srt", "plan", str(path), "--movie", "m.mkv",
+                              "--out-dir", out_dir, "--emit-commands")
+        assert code == 0
+        payload = json.loads(out)
+        expected = [str(Path(out_dir) / f"m_{cue:05d}.{ext}")
+                    for cue in (1, 2) for ext in ("mp4", "wav")]
+        assert [job[key] for job in payload["jobs"]
+                for key in ("out_video", "out_audio")] == expected
+        assert [command[-1] for command in payload["commands"]] == expected
+        assert payload["out_dir"] == out_dir
+
     def test_unwritable_out_exit_one(self, tmp_path, capsys):
         path = tmp_path / "s.srt"
         path.write_text(SRT_TEXT)

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dubkit import corpus
 from dubkit.corpus import (EMOTIONS, ClipRecord, ManifestError, build_clip_plan,
-                           corpus_stats, load_manifest, split_dataset,
-                           tokenize_for_counts)
+                           corpus_stats, load_manifest, split_dataset)
 from dubkit.srt import SrtEntry
 
+import reference_corpus
 from helpers import at, jsonl
 
 
@@ -32,6 +35,24 @@ class TestClipRecord:
 
     def test_duration_seconds(self):
         assert record(start=1000, end=3400).duration_s == pytest.approx(2.4)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+MANIFEST_FIELDS = ["movie_id", "clip_index", "speaker", "emotion", "text",
+                   "start_ms", "end_ms"]
+# integers at and past the int64 ends, and manifest field values of every JSON type
+integer_values = st.one_of(
+    st.integers(-10, 10),
+    st.sampled_from([-2**63 - 1, -2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1, 2**63]))
+field_values = st.one_of(
+    integer_values, st.integers(), st.floats(), st.text(max_size=3), st.booleans(),
+    st.none(), st.sampled_from([[1], {"a": 1}, "joyful"]))
 
 
 class TestManifest:
@@ -87,6 +108,17 @@ class TestManifest:
             load_manifest(path)
         # a huge value is not echoed whole
         assert len(str(excinfo.value)) - len(str(path)) < 200
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.fixed_dictionaries({
+        "movie_id": st.text(max_size=3), "clip_index": integer_values,
+        "speaker": st.text(max_size=3), "emotion": st.sampled_from(EMOTIONS),
+        "text": st.text(max_size=3), "start_ms": integer_values, "end_ms": integer_values}),
+        changes=st.dictionaries(st.sampled_from(MANIFEST_FIELDS), field_values, max_size=2))
+    def test_row_checks_match_the_per_field_checks(self, row, changes):
+        row.update(changes)
+        assert (outcome(corpus._record_from_row, row)
+                == outcome(reference_corpus.record_from_row, row))
 
     def test_integral_floats_accepted(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -248,6 +280,15 @@ def test_split_partition_property(n, seed):
     assert len(set(split.train) | set(split.val) | set(split.test)) == n
 
 
+# subtitles built from pieces that a row boundary could change: a final
+# sigma (with a case-ignorable after it), capitals that lower to two
+# characters or stay, line breaks that str.split takes, and punctuation
+subtitle_texts = st.lists(
+    st.sampled_from(["\u03a3", "\u03a3'", "\u0130", "\u00df", "\n", "\x85", "\u2028",
+                     " ", "...", "!?", "-", "'", "Ab", "\u039f\u0394\u039f\u03a3", "go"]),
+    max_size=6).map("".join)
+
+
 class TestCorpusStats:
     def test_two_record_hand_case(self):
         records = [record(i=1, text="Hello there", start=0, end=2000),
@@ -289,9 +330,19 @@ class TestCorpusStats:
         assert stats.word_counts[2:] == [("aaa", 1), ("bbb", 1)]
 
     def test_tokenizer_strips_punctuation(self):
-        assert tokenize_for_counts("Don't stop, believing!") == \
-            ["dont", "stop", "believing"]
-        assert tokenize_for_counts("--- ...") == []
+        stats = corpus_stats([record(i=1, text="Don't stop, believing!"),
+                              record(i=2, text="--- ...")])
+        assert stats.word_counts == [("believing", 1), ("dont", 1), ("stop", 1)]
+
+    # the chunk size 1, 2 or 3 rows, or more than every drawn row
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 100])
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(subtitle_texts, min_size=1, max_size=12))
+    def test_chunked_word_counts_equal_the_per_row_count(self, chunk, texts):
+        records = [record(i=i, text=text) for i, text in enumerate(texts, start=1)]
+        with mock.patch.object(corpus, "_COUNT_CHUNK", chunk):
+            counts = corpus_stats(records).word_counts
+        assert counts == reference_corpus.ranked_word_counts(texts)
 
     def test_no_tracks_leaves_pitch_unset(self):
         # stats reads no audio; the pitch keys stay, null and last

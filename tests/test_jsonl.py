@@ -1,6 +1,7 @@
 """The shared JSON Lines reader and the four loaders built on it."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from dubkit.corpus import EMOTIONS, ManifestError, load_manifest
 from dubkit.metrics import load_pair_manifest
 from dubkit.scoring import EmbeddingFormatError, RatingError, load_embeddings, load_ratings
 
+import reference_jsonl
 from helpers import at
 
 LOADERS = {
@@ -154,6 +156,39 @@ def test_text_is_a_string_or_a_number_as_its_text():
             jsonl.text(row, key)
 
 
+def parse_outcome(parse, text, required):
+    try:
+        # repr finds two NaN rows equal, where == does not, and tells 1 from 1.0 and True
+        return "row", repr(parse(text, required))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def render_pairs(pairs) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+# rows that json.loads rejects, each for its own reason
+HOSTILE_ROWS = ['{"a": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000,
+                '{"a": ' * 100_000 + "1" + "}" * 100_000]
+# text around a row: JSON whitespace, what only str.strip takes as
+# whitespace, and a byte order mark
+row_padding = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x85\u2028\ufeff"), max_size=3)
+parse_rows = st.builds(
+    lambda before, body, after: before + body + after,
+    st.one_of(st.just(""), row_padding),
+    st.one_of(
+        json_texts,  # any value, NaN, Infinity and 1e999 among them
+        complete_rows,
+        # duplicate keys: the last value wins, at the first key's place
+        st.lists(st.tuples(st.sampled_from(["a", "id"]), json_texts), max_size=4)
+        .map(render_pairs),
+        st.sampled_from(HOSTILE_ROWS)),
+    st.one_of(st.just(""), st.just("\n"), row_padding,
+              # extra data after the row
+              st.builds(str.__add__, row_padding, st.sampled_from(["{}", "1", "x", ",", "]"]))))
+
+
 class TestParseObject:
     def test_oversized_integer_literal_is_invalid_json(self):
         with pytest.raises(ValueError, match="invalid JSON"):
@@ -162,6 +197,18 @@ class TestParseObject:
     def test_deep_nesting_is_invalid_json(self):
         with pytest.raises(ValueError, match="invalid JSON"):
             jsonl.parse_object("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("text", ['{"a": [1, {"b": null}]}', '{"a": 1}\n', "{}"])
+    def test_a_plain_object_row_is_parsed_once(self, text):
+        expected = json.loads(text)
+        with mock.patch.object(json, "loads", side_effect=AssertionError("parsed twice")):
+            assert jsonl.parse_object(text) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=parse_rows, required=st.lists(st.sampled_from(["a", "id", ""]), max_size=2))
+    def test_same_row_or_error_as_json_loads(self, text, required):
+        assert (parse_outcome(jsonl.parse_object, text, required)
+                == parse_outcome(reference_jsonl.parse_object, text, required))
 
 
 def test_converter_bugs_are_not_relabelled(tmp_path):
