@@ -11,10 +11,14 @@ float-to-string conversion", PLDI 2018) finds the same digits in a fixed
 number of integer steps, so here its steps run on uint64 arrays: the
 mantissa times a 125-bit power of 5 as 32-bit limbs, the bounds of the
 rounding interval from the same product, and the digit removal as whole-
-array steps. Each block's text is a byte table with a column per character
-slot (sign, leading ``0.``, each digit, the point after each digit,
-exponent, separator); the slots a value does not use hold zero bytes, and
-one ``bytes.translate`` deletes them.
+array steps. Only Ryū's common case runs on arrays: a value whose bounds
+may end in zeros (Ryū's general case: an integral value, a short dyadic
+fraction, nearly every value from about 2**48 to about 10**22) takes
+``float.__repr__`` itself, as feature arrays seldom hold one. Each block's
+text is a byte table with a column per character slot (sign, leading
+``0.``, each digit, the point after each digit, exponent, separator); the
+slots a value does not use hold zero bytes, and one ``bytes.translate``
+deletes them.
 """
 
 import json
@@ -37,11 +41,11 @@ def _exponent_tables():
     vr = (mv * C) >> (64 + s) is mv * 2**e2 / 10**e10, to the digit.
 
     Returns C as four 32-bit limbs, s, e10, the halves of (1 + m) * C above
-    and below bit 64 for m in (0, 1) (row 2 * ex + m), a mask with which
+    and below bit 64 for m in (0, 1) (row 2 * ex + m), and a mask with which
     mv & mask == 0 marks a value whose bounds may end in zeros (Ryū's
-    general case), and q and whether e2 >= 0, for that case.
+    general case, which _decimal leaves to float.__repr__).
     """
-    limbs, shift, e10, multiples, q_of, positive, trailing = [], [], [], [], [], [], []
+    limbs, shift, e10, multiples, trailing = [], [], [], [], []
     for ex in range(2048):
         e2 = max(ex, 1) - 1077
         if e2 >= 0:
@@ -61,18 +65,14 @@ def _exponent_tables():
         limbs.append([c >> (32 * k) & 0xFFFFFFFF for k in range(4)])
         shift.append(s % 64)  # ex 2047 (NaN, infinities) is never used
         multiples += ([k * c >> 64, k * c & (1 << 64) - 1] for k in (1, 2))
-        q_of.append(q)
-        positive.append(e2 >= 0)
         trailing.append(mask)
     # one 1-D table per column: a gather from each is cheaper than from a 2-D table
     limbs, multiples = (tuple(np.array(t, dtype=_U).T.copy()) for t in (limbs, multiples))
-    return (limbs, np.array(shift, _U), np.array(e10, np.int64), multiples,
-            np.array(trailing, _U), np.array(q_of), np.array(positive))
+    return limbs, np.array(shift, _U), np.array(e10, np.int64), multiples, np.array(trailing, _U)
 
 
-(_LIMBS, _SHIFT, _E10, _MULTIPLES, _TRAILING, _Q, _POSITIVE) = _exponent_tables()
+(_LIMBS, _SHIFT, _E10, _MULTIPLES, _TRAILING) = _exponent_tables()
 _POW10 = np.array([10**k for k in range(18)], dtype=_U)
-_POW5 = np.array([5**q for q in range(22)], dtype=_U)
 
 
 def _bounds(mv, m_shift, ex):
@@ -143,69 +143,33 @@ def _strip(vr, vp, vm, out, removed):
         vr, vp, vm = vr_next, vp // _TEN, vm_next
 
 
-def _general(mv, m_shift, ex, vr, vp, vm):
-    """Ryū's general case, for the values whose bounds may end in zeros:
-    step 3's trailing-zero tests, then step 4 with them, its second loop
-    and its round-half-even. The arrays are this call's own and are
-    overwritten."""
-    positive, q = _POSITIVE[ex], _Q[ex]
-    even = (mv & _U(4)) == 0  # the mantissa is even
-    vr_zeros = ~positive  # with e2 < 0 a value is here for mv's q trailing zero bits
-    vm_zeros = ~positive & (q <= 1) & even & (m_shift == 1)
-    vp -= ~positive & (q <= 1) & ~even
-    at = np.flatnonzero(positive)  # e2 >= 0 and q <= 21
-    if at.size:
-        m, power, even_at = mv[at], _POW5[q[at]], even[at]
-        fives = m % _U(5) == 0  # of mv, mv + 2 and mv - 1 - m_shift, one at most
-        vr_zeros[at] = fives & (m % power == 0)
-        vm_zeros[at] = ~fives & even_at & ((m - _U(1) - m_shift[at].astype(_U)) % power == 0)
-        vp[at] -= ~fives & ~even_at & ((m + _U(2)) % power == 0)
-    last = np.zeros(len(vr), _U)
-    removed = np.zeros(len(vr), np.int64)
-    live = np.arange(len(vr))
-    while live.size:
-        vp_next, vm_next = vp[live] // _TEN, vm[live] // _TEN
-        go = vp_next > vm_next
-        live, vp_next, vm_next = live[go], vp_next[go], vm_next[go]
-        vm_zeros[live] &= vm[live] == vm_next * _TEN
-        _drop_digit(live, vr, vr_zeros, last, removed)
-        vp[live], vm[live] = vp_next, vm_next
-    live = np.flatnonzero(vm_zeros)
-    while live.size:
-        vm_next = vm[live] // _TEN
-        go = vm[live] == vm_next * _TEN
-        live, vm_next = live[go], vm_next[go]
-        _drop_digit(live, vr, vr_zeros, last, removed)
-        vp[live], vm[live] = vp[live] // _TEN, vm_next
-    last[vr_zeros & (last == _U(5)) & (vr & _U(1) == 0)] = 4  # exactly ...50..0: to even
-    return vr + (((vr == vm) & ~(even & vm_zeros)) | (last >= _U(5))), removed
-
-
-def _drop_digit(live, vr, vr_zeros, last, removed):
-    """Take the last digit off vr at ``live`` into ``last``; vr_zeros stays
-    true while every digit taken before it was a zero."""
-    digits = vr[live]
-    vr[live] = digits // _TEN
-    vr_zeros[live] &= last[live] == 0
-    last[live] = digits - vr[live] * _TEN
-    removed[live] += 1
-
-
 def _decimal(bits):
     """(digits, exponent) with digits * 10**exponent the shortest decimal
     that reads back as each value of ``bits``, finite and nonzero float64
-    bits; digits is the nearest such to the value and ends in no zero."""
+    bits; digits is the nearest such to the value and ends in no zero.
+    Values whose bounds may end in zeros (Ryū's general case) take
+    float.__repr__ instead, all through one tolist(): a numpy scalar at a
+    time costs about half as much again per value."""
     ex = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
     mantissa = bits & _MANTISSA
     mv = (mantissa | ((ex != 0).astype(_U) << _U(52))) << _U(2)
     m_shift = ((mantissa != 0) | (ex <= 1)).astype(np.intp)
-    vr, vp, vm = _bounds(mv, m_shift, ex)
-    digits, removed = _shortest(vr, vp, vm)
+    digits, removed = _shortest(*_bounds(mv, m_shift, ex))
+    exponent = _E10[ex] + removed
     general = np.flatnonzero((mv & _TRAILING[ex]) == 0)
     if general.size:
-        digits[general], removed[general] = _general(
-            mv[general], m_shift[general], ex[general], vr[general], vp[general], vm[general])
-    return digits, _E10[ex] + removed
+        values = np.abs(bits[general].view(np.float64)).tolist()
+        digits[general], exponent[general] = zip(*map(_repr_decimal, values))
+    return digits, exponent
+
+
+def _repr_decimal(value):
+    """(digits, exponent) of float.__repr__(value), for a positive finite
+    value, with the trailing zeros of its digits moved to the exponent."""
+    text, _, power = float.__repr__(value).partition("e")
+    whole, _, fraction = text.partition(".")
+    digits = (whole + fraction).rstrip("0")
+    return int(digits), int(power or 0) + len(whole) - len(digits)
 
 
 # what follows each value: within a row, at the end of a row, after the last

@@ -1,6 +1,6 @@
 """_render.float_pieces against its oracle: each value as float.__repr__
 writes it (json's NaN, Infinity and -Infinity when not finite), joined as
-json.dumps joins a list."""
+json.dumps joins a list; and which values it leaves to float.__repr__."""
 
 import json
 import math
@@ -9,8 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dubkit import _render
+from dubkit import _render, cli
 from dubkit._render import float_pieces
+
+from helpers import make_sawtooth, write_pcm16_wav
 
 TINY = 5e-324
 EDGES = [
@@ -80,13 +82,37 @@ def test_a_million_random_bit_patterns():
 @pytest.mark.parametrize("low,high", [(1076, 1150), (1070, 1081)])
 def test_random_mantissas_where_the_bounds_may_end_in_zeros(low, high):
     # biased exponents 1077-1147 hold the values from 2**54 to about 10**22,
-    # where Ryu tests the bounds for factors of 5; 1074-1076 those where q <= 1
+    # 1074-1076 those where q <= 1: Ryu's general case, so these values now
+    # test the float.__repr__ fallback
     rng = np.random.default_rng(low)
     exponent = rng.integers(low, high, 200_000, dtype=np.uint64)
     mantissa = rng.integers(0, 2**52, 200_000, dtype=np.uint64)
     mantissa[::4] &= ~np.uint64(0xFFFFFFF)  # few set bits: short decimals
     a = ((exponent << np.uint64(52)) | mantissa).view(np.float64)
     assert rendered(a) == oracle(a.tolist())
+
+
+def repr_calls(render):
+    """How many values render() sends to the float.__repr__ fallback."""
+    with mock.patch.object(_render, "_repr_decimal", wraps=_render._repr_decimal) as spy:
+        render()
+    return spy.call_count
+
+
+def test_common_values_and_a_features_document_take_no_repr(tmp_path, capsys):
+    rng = np.random.default_rng(20180618)
+    a = rng.standard_normal(100_000) * 10.0 ** rng.integers(-8, 9, 100_000)
+    assert repr_calls(lambda: rendered(a)) == 0
+    wav = str(tmp_path / "voiced.wav")
+    write_pcm16_wav(wav, [make_sawtooth(220.0, 0.5, 22050)], 22050)
+    with mock.patch.object(_render, "_decimal", wraps=_render._decimal) as decimal:
+        assert repr_calls(lambda: cli.run(["features", wav])) == 0
+    assert decimal.call_count > 0 and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [600.0, 0.5, 123.0, 2.0**54, 1e22])
+def test_values_whose_bounds_may_end_in_zeros_take_repr(value):
+    assert repr_calls(lambda: rendered(np.array([value, -value]))) == 2
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
