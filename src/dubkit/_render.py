@@ -45,7 +45,7 @@ def _exponent_tables():
     mv & mask == 0 marks a value whose bounds may end in zeros (Ryū's
     general case, which _decimal leaves to float.__repr__).
     """
-    limbs, shift, e10, multiples, trailing = [], [], [], [], []
+    cs, shift, e10, trailing = [], [], [], []
     for ex in range(2048):
         e2 = max(ex, 1) - 1077
         if e2 >= 0:
@@ -62,13 +62,17 @@ def _exponent_tables():
             s = q - power.bit_length() + _POW5_BITS - 64
             e10.append(q + e2)
             mask = (1 << min(q, 64)) - 1
-        limbs.append([c >> (32 * k) & 0xFFFFFFFF for k in range(4)])
+        cs.append(c)
         shift.append(s % 64)  # ex 2047 (NaN, infinities) is never used
-        multiples += ([k * c >> 64, k * c & (1 << 64) - 1] for k in (1, 2))
         trailing.append(mask)
-    # one 1-D table per column: a gather from each is cheaper than from a 2-D table
-    limbs, multiples = (tuple(np.array(t, dtype=_U).T.copy()) for t in (limbs, multiples))
-    return limbs, np.array(shift, _U), np.array(e10, np.int64), multiples, np.array(trailing, _U)
+    # C and (1 + m) * C as little-endian 128-bit words, cut into 32-bit limbs
+    # and 64-bit halves; one 1-D table per column: a gather from each is
+    # cheaper than from a 2-D table
+    words = b"".join(c.to_bytes(16, "little") for c in cs)
+    limbs = tuple(np.frombuffer(words, "<u4").reshape(-1, 4).T.astype(_U, order="C"))
+    words = b"".join((k * c).to_bytes(16, "little") for c in cs for k in (1, 2))
+    low, high = np.frombuffer(words, "<u8").reshape(-1, 2).T.astype(_U, order="C")
+    return limbs, np.array(shift, _U), np.array(e10, np.int64), (high, low), np.array(trailing, _U)
 
 
 (_LIMBS, _SHIFT, _E10, _MULTIPLES, _TRAILING) = _exponent_tables()

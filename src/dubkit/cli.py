@@ -12,15 +12,14 @@ import json
 import sys
 from functools import partial
 
-from . import __version__
-from .corpus import (AUDIO_MODES, build_clip_plan, check_ratios, clip_movie_id,
-                     corpus_stats, load_manifest, split_dataset)
-from .modes import PAD_MODES, SCALES
-from .srt import load_srt
+import dubkit as dk
 
-# The audio, dsp, metrics and scoring layers load numpy (and nothing else
-# outside the standard library), so each command imports what it runs
-# itself: --version, srt, split and stats start without the numeric stack.
+from .modes import AUDIO_MODES, PAD_MODES, SCALES
+
+# A command reaches each layer as dk.<module>.<name>, which loads the module
+# on first use: --version loads no layer, srt, split and stats no numpy, and
+# a numeric command no corpus or srt. Names are looked up on the module, not
+# on the package's re-exports, so a patch of the module reaches the command.
 
 
 class UsageError(ValueError):
@@ -64,22 +63,18 @@ def _add_metric_flags(parser):
 def _pipeline_config(args):
     """The pipeline flags as a ``PipelineConfig``, checked before any file is
     read by running the library's own extractors on one sample of silence."""
-    from .audio import Waveform
-    from .dsp import FrameParams, pitch_track
-    from .metrics import PipelineConfig, _cepstra
-
     try:
-        frame = FrameParams(fft_size=args.fft, hop=args.hop, win_length=args.win)
-        cfg = PipelineConfig(sample_rate=args.rate, frame=frame,
-                             n_mels=args.n_mels, fmin=args.fmin, fmax=args.fmax,
-                             n_coeffs=args.k,
-                             scale=getattr(args, "scale", "plain"),
-                             pad_mode=getattr(args, "pad_mode", "pad"))
-        silence = Waveform([0.0], cfg.sample_rate)
-        _cepstra(silence, cfg)
+        frame = dk.dsp.FrameParams(fft_size=args.fft, hop=args.hop, win_length=args.win)
+        cfg = dk.metrics.PipelineConfig(sample_rate=args.rate, frame=frame,
+                                        n_mels=args.n_mels, fmin=args.fmin,
+                                        fmax=args.fmax, n_coeffs=args.k,
+                                        scale=getattr(args, "scale", "plain"),
+                                        pad_mode=getattr(args, "pad_mode", "pad"))
+        silence = dk.audio.Waveform([0.0], cfg.sample_rate)
+        dk.metrics._cepstra(silence, cfg)
         if hasattr(args, "pitch_fmin"):
-            pitch_track(silence, args.pitch_fmin, args.pitch_fmax, args.pitch_threshold,
-                        hop=cfg.frame.hop)
+            dk.dsp.pitch_track(silence, args.pitch_fmin, args.pitch_fmax,
+                               args.pitch_threshold, hop=cfg.frame.hop)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return cfg
@@ -104,19 +99,17 @@ class _SharedPitch:
 
         import numpy as np
 
-        from .dsp import _pitch_blocks, _pitch_frame_count
-        from .metrics import _ForkedCall
-
-        n_pitch = _pitch_frame_count(w, cfg.frame.hop)
+        n_pitch = dk.dsp._pitch_frame_count(w, cfg.frame.hop)
         shared = mmap.mmap(-1, 8 * (2 + n_pitch))
         self._claimed = np.frombuffer(shared, np.int64, 2)
         self._values = np.frombuffer(shared, np.float64, n_pitch, 16)
         # pitch frames sit at the same hop * i centres, but an odd --win gives
         # one STFT frame fewer when the clip is a whole number of hops
         self._n_frames = n_frames
-        self._track = partial(_pitch_blocks, w, args.pitch_fmin, args.pitch_fmax,
+        self._track = partial(dk.dsp._pitch_blocks, w, args.pitch_fmin, args.pitch_fmax,
                               args.pitch_threshold, cfg.frame.hop, self._values)
-        self._child = _ForkedCall(self._track, partial(_claims, self._claimed, 0))
+        self._child = dk.metrics._ForkedCall(self._track,
+                                             partial(_claims, self._claimed, 0))
 
     def __call__(self):
         self._track(partial(_claims, self._claimed, 1))
@@ -139,22 +132,21 @@ def _claims(claimed, side: int, n_blocks: int):
 
 
 def cmd_features(args) -> dict:
-    from .audio import read_mono, resample
-    from .dsp import _frame_count, _mel_rows, mfcc
-
     cfg = _pipeline_config(args)
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
                    "pitch_threshold": args.pitch_threshold, "input": args.audio})
-    w = resample(read_mono(args.audio), cfg.sample_rate)
-    n_frames = _frame_count(len(w.mono_samples()), cfg.frame.win_length, cfg.frame.hop)
+    w = dk.audio.resample(dk.audio.read_mono(args.audio), cfg.sample_rate)
+    n_frames = dk.dsp._frame_count(len(w.mono_samples()), cfg.frame.win_length,
+                                   cfg.frame.hop)
     # on a second CPU a child tracks pitch beside the spectral stages and the
     # rendering of mel and mfcc; at "pitch" the rendering tracks the blocks
     # the child has not reached
     pitch = _SharedPitch(w, args, cfg, n_frames)
     try:
-        mel, energy = _mel_rows(w, cfg.frame, cfg.n_mels, cfg.fmin, cfg.fmax, energy=True)
-        coeffs = mfcc(mel, cfg.n_coeffs)
+        mel, energy = dk.dsp._mel_rows(w, cfg.frame, cfg.n_mels, cfg.fmin, cfg.fmax,
+                                       energy=True)
+        coeffs = dk.dsp.mfcc(mel, cfg.n_coeffs)
     except BaseException:
         pitch.close()
         raise
@@ -170,13 +162,10 @@ def cmd_features(args) -> dict:
 
 
 def cmd_mcd(args) -> dict:
-    from .audio import read_mono
-    from .metrics import evaluate_pair
-
     cfg = _pipeline_config(args)
-    gen = read_mono(args.generated)
-    ref = read_mono(args.reference)
-    row = evaluate_pair(gen, ref, cfg).to_dict()
+    gen = dk.audio.read_mono(args.generated)
+    ref = dk.audio.read_mono(args.reference)
+    row = dk.metrics.evaluate_pair(gen, ref, cfg).to_dict()
     row.pop("id")
     config = cfg.to_dict()
     config.update({"generated": args.generated, "reference": args.reference})
@@ -184,23 +173,19 @@ def cmd_mcd(args) -> dict:
 
 
 def cmd_batch(args) -> dict:
-    from .metrics import evaluate_corpus, load_pair_manifest
-
     cfg = _pipeline_config(args)
-    entries = load_pair_manifest(args.manifest)
-    report = evaluate_corpus(entries, cfg)
+    entries = dk.metrics.load_pair_manifest(args.manifest)
+    report = dk.metrics.evaluate_corpus(entries, cfg)
     config = cfg.to_dict()
     config["manifest"] = args.manifest
     return {"config": config, **report.to_dict()}
 
 
 def cmd_accuracy(args) -> dict:
-    from .scoring import accuracy, build_centroids, load_embeddings
-
-    train = load_embeddings(args.train)
-    test = load_embeddings(args.test)
-    model = build_centroids(train)
-    value = accuracy(test, model)
+    train = dk.scoring.load_embeddings(args.train)
+    test = dk.scoring.load_embeddings(args.test)
+    model = dk.scoring.build_centroids(train)
+    value = dk.scoring.accuracy(test, model)
     return {
         "config": {"train": args.train, "test": args.test,
                    "label_key": args.label_key},
@@ -213,14 +198,12 @@ def cmd_accuracy(args) -> dict:
 
 
 def cmd_mos(args) -> dict:
-    from .scoring import load_ratings, mos_aggregate
-
-    summary = mos_aggregate(load_ratings(args.ratings))
+    summary = dk.scoring.mos_aggregate(dk.scoring.load_ratings(args.ratings))
     return {"config": {"ratings": args.ratings}, **summary.to_dict()}
 
 
 def cmd_srt_parse(args) -> dict:
-    entries = load_srt(args.srt)
+    entries = dk.srt.load_srt(args.srt)
     return {
         "config": {"srt": args.srt},
         "n_entries": len(entries),
@@ -230,13 +213,13 @@ def cmd_srt_parse(args) -> dict:
 
 def cmd_srt_plan(args) -> dict:
     try:
-        clip_movie_id(args.movie, args.movie_id)
+        dk.corpus.clip_movie_id(args.movie, args.movie_id)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    entries = load_srt(args.srt)
-    plan = build_clip_plan(entries, movie_path=args.movie, out_dir=args.out_dir,
-                           audio_mode=args.audio_mode, movie_id=args.movie_id,
-                           emit_commands=args.emit_commands)
+    entries = dk.srt.load_srt(args.srt)
+    plan = dk.corpus.build_clip_plan(entries, movie_path=args.movie, out_dir=args.out_dir,
+                                     audio_mode=args.audio_mode, movie_id=args.movie_id,
+                                     emit_commands=args.emit_commands)
     return {
         "config": {"srt": args.srt, "movie": args.movie, "out_dir": args.out_dir,
                    "audio_mode": args.audio_mode, "emit_commands": args.emit_commands},
@@ -257,12 +240,12 @@ def _parse_ratios(text: str):
 def cmd_split(args) -> dict:
     ratios = _parse_ratios(args.ratios)
     try:
-        check_ratios(ratios)
+        dk.corpus.check_ratios(ratios)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    records = load_manifest(args.manifest)
-    assignment = split_dataset(records, ratios, seed=args.seed,
-                               stratify_by_speaker=args.stratify_by_speaker)
+    records = dk.corpus.load_manifest(args.manifest)
+    assignment = dk.corpus.split_dataset(records, ratios, seed=args.seed,
+                                         stratify_by_speaker=args.stratify_by_speaker)
     return {
         "config": {"manifest": args.manifest, "ratios": list(ratios),
                    "seed": args.seed,
@@ -274,8 +257,8 @@ def cmd_split(args) -> dict:
 def cmd_stats(args) -> dict:
     if args.top_words < 0:
         raise UsageError(f"--top-words must be >= 0, got {args.top_words}")
-    records = load_manifest(args.manifest)
-    stats = corpus_stats(records)
+    records = dk.corpus.load_manifest(args.manifest)
+    stats = dk.corpus.corpus_stats(records)
     top = None if args.top_words == 0 else args.top_words
     return {
         "config": {"manifest": args.manifest, "top_words": args.top_words},
@@ -288,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dubkit",
         description="Objective metrics and corpus tools for movie-dubbing speech "
                     "synthesis.")
-    parser.add_argument("--version", action="version", version=f"dubkit {__version__}")
+    parser.add_argument("--version", action="version", version=f"dubkit {dk.__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("features", help="extract mel/MFCC/pitch/energy from one WAV")

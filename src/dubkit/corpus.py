@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import jsonl
+from .modes import AUDIO_MODES
 
 EMOTIONS = ("angry", "disgust", "fear", "happy", "neutral", "sad", "surprise", "others")
 
@@ -24,9 +25,6 @@ _REQUIRED_FIELDS = ("movie_id", "clip_index", "speaker", "emotion", "text",
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 # rows whose texts corpus_stats tokenises in one string
 _COUNT_CHUNK = 1024
-
-# each audio mode's FFmpeg arguments: the centre channel alone, or all channels averaged
-AUDIO_MODES = {"center-channel": ("-af", "pan=mono|c0=FC"), "downmix": ("-ac", "1")}
 
 
 class ManifestError(ValueError):

@@ -1,7 +1,6 @@
-"""The metric choices ``PipelineConfig`` accepts.
-
-Kept free of numpy so the command-line parser can offer them as flag
-choices without loading the numeric stack.
+"""Every flag choice the command-line parser offers that a layer checks:
+``PipelineConfig``'s scales and pad modes, and ``build_clip_plan``'s audio
+modes. Free of numpy and of the layers, so the parser loads neither.
 """
 
 import math
@@ -13,3 +12,5 @@ CONVENTIONAL_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
 SCALES = {"plain": 1.0, "conventional": CONVENTIONAL_SCALE}
 # "pad" zero-pads the shorter waveform for the plain MCD; "strict" refuses a mismatch
 PAD_MODES = ("pad", "strict")
+# each audio mode's FFmpeg arguments: the centre channel alone, or all channels averaged
+AUDIO_MODES = {"center-channel": ("-af", "pan=mono|c0=FC"), "downmix": ("-ac", "1")}

@@ -1105,20 +1105,24 @@ dk.evaluate_pair(w, w)
 
 # numpy dominates a command's start-up; no command loads scipy (scipy.fft
 # alone adds about 0.3 s), and a command forks its children itself, with no
-# process pool
+# process pool; only the commands that run the corpus or SRT layer load it
 @pytest.mark.parametrize("argv,absent", [
     (None, ("numpy", "scipy")),
-    (["--version"], ("numpy",)),
-    (["srt", "parse", "{srt}"], ("numpy",)),
+    (["--version"], ("numpy", "dubkit.corpus", "dubkit.srt", "dataclasses")),
+    (["srt", "parse", "{srt}"], ("numpy", "dubkit.corpus")),
     (["srt", "plan", "{srt}", "--movie", "m.mkv", "--emit-commands"], ("numpy",)),
-    (["split", "{manifest}", "--seed", "1"], ("numpy",)),
-    (["stats", "{manifest}"], ("numpy",)),
-    (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"], ("scipy",)),
-    (["mos", "{ratings}"], ("scipy",)),
-    ("same-rate-pair", ("scipy",)),
-    (["features", "{stereo48k}"], ("scipy", "concurrent.futures.process", "multiprocessing")),
-    (["mcd", "{gen24k}", "{ref}"], ("scipy", "concurrent.futures.process", "multiprocessing")),
-    (["batch", "{pairs}"], ("scipy", "concurrent.futures.process", "multiprocessing")),
+    (["split", "{manifest}", "--seed", "1"], ("numpy", "dubkit.srt")),
+    (["stats", "{manifest}"], ("numpy", "dubkit.srt")),
+    (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"],
+     ("scipy", "dubkit.corpus", "dubkit.srt")),
+    (["mos", "{ratings}"], ("scipy", "dubkit.corpus", "dubkit.srt")),
+    ("same-rate-pair", ("scipy", "dubkit.corpus", "dubkit.srt")),
+    (["features", "{stereo48k}"], ("scipy", "concurrent.futures.process", "multiprocessing",
+                                   "dubkit.corpus", "dubkit.srt")),
+    (["mcd", "{gen24k}", "{ref}"], ("scipy", "concurrent.futures.process", "multiprocessing",
+                                    "dubkit.corpus", "dubkit.srt")),
+    (["batch", "{pairs}"], ("scipy", "concurrent.futures.process", "multiprocessing",
+                            "dubkit.corpus", "dubkit.srt")),
 ], ids=["import", "version", "srt-parse", "srt-plan", "split", "stats", "accuracy",
         "mos", "same-rate-pair", "features-48k-stereo", "mcd-24k-22k", "batch-24k-22k"])
 def test_command_imports_only_its_layers(tmp_path, argv, absent):
