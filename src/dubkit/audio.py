@@ -172,11 +172,13 @@ def _decode(fh, path, dtype, n_channels, offset, n_samples):
     for start in range(0, n_samples, step):
         raw = fh.read(min(step, n_samples - start) * itemsize)
         block = np.frombuffer(raw, dtype=dtype).astype(np.float64)
+        del raw
         if dtype == "<i2":
             block /= _PCM_SCALE
         elif not np.all(np.isfinite(block)):
             raise UnsupportedFormatError(f"{path}: float samples must be finite")
         yield start, block
+        del block  # not held here while the next block is decoded
 
 
 def read_wav(path) -> Waveform:
@@ -202,15 +204,94 @@ def read_mono(path) -> Waveform:
     multichannel clip: each block of frames is averaged as it is decoded."""
     with open(path, "rb") as fh:
         sample_rate, n_channels, n_samples, blocks = _open_data(fh, path)
-        mono = np.empty(n_samples // n_channels)
-        for start, block in blocks:
-            lo = start // n_channels
-            out = mono[lo : lo + len(block) // n_channels]
-            if n_channels == 1:
-                out[:] = block
-            else:
-                _channel_mean(block.reshape(-1, n_channels), out)
-    return Waveform(mono, sample_rate)
+        return Waveform(_mono(blocks, n_channels, n_samples), sample_rate)
+
+
+def _read_resampled(path, rate: int) -> Waveform:
+    """``resample(read_mono(path), rate)``, bit for bit, without holding the
+    clip at its own rate: the data chunk is decoded, averaged to mono and
+    resampled a block at a time, the filter's history carried from each
+    block to the next (see _MonoStream).
+
+    At the file's own rate, or at a ratio resample refuses, this is
+    read_mono(path): the caller's resample of it then returns it or raises,
+    after the same reads as resample(read_mono(path), rate).
+    """
+    with open(path, "rb") as fh:
+        sample_rate, n_channels, n_samples, blocks = _open_data(fh, path)
+        up, down = _factors(sample_rate, rate)
+        if rate == sample_rate or max(up, down) > MAX_RESAMPLE_FACTOR:
+            return Waveform(_mono(blocks, n_channels, n_samples), sample_rate)
+        n = n_samples // n_channels
+        y = _resample_poly(_MonoStream(blocks, n_channels, n), n, up, down)
+    return Waveform(np.clip(y, -1.0, 1.0, out=y), rate)
+
+
+def _mono(blocks, n_channels: int, n_samples: int) -> np.ndarray:
+    """The whole clip of a data chunk's decoded ``blocks``, averaged to mono
+    a block at a time."""
+    mono = np.empty(n_samples // n_channels)
+    for start, block in blocks:
+        lo = start // n_channels
+        _mix(block, n_channels, mono[lo : lo + len(block) // n_channels])
+    return mono
+
+
+def _mix(block: np.ndarray, n_channels: int, out: np.ndarray) -> None:
+    """out[:] = the decoded ``block`` of interleaved frames averaged to mono."""
+    if n_channels == 1:
+        out[:] = block
+    else:
+        _channel_mean(block.reshape(-1, n_channels), out)
+
+
+class _MonoStream:
+    """``fill(lines, start)`` for _resample_poly: _fill_block of the mono
+    clip whose data chunk ``blocks`` decodes, read as the requests come.
+
+    _resample_poly passes the same lines each time, and each request starts
+    a whole number of lines after the last one and before it ends, where
+    the filter's history begins. So the lines the two share are moved up,
+    and only the lines past them are read from the clip, a decoded block at
+    a time, its samples past the request kept for the next. Every sample is
+    decoded once, and no more than one decoded block is held besides the
+    lines.
+    """
+
+    def __init__(self, blocks, n_channels: int, n: int):
+        self._blocks = blocks
+        self._n_channels = n_channels
+        self._n = n
+        self._start = None  # the last request's start
+        self._rest = np.empty(0)  # decoded samples not yet in the lines
+
+    def __call__(self, lines: np.ndarray, start: int) -> None:
+        n_lines, width = lines.shape
+        kept = 0
+        if self._start is not None:
+            shift = (start - self._start) // width
+            kept = max(0, n_lines - shift)
+            lines[:kept] = lines[shift:]
+        self._start = start
+        first, stop = start + kept * width, start + n_lines * width
+        lo, hi = max(first, 0), min(stop, self._n)
+        if lo > first or hi < stop:  # 0.0 outside the clip
+            lines[kept:].fill(0.0)
+        while lo < hi:
+            if not len(self._rest):
+                self._rest = None  # the last block's samples go before the next is decoded
+                self._rest = self._decoded()
+            k = min(len(self._rest), hi - lo)
+            _put(lines, self._rest[:k], lo - start)
+            self._rest = self._rest[k:]
+            lo += k
+
+    def _decoded(self) -> np.ndarray:
+        """The next decoded block, averaged to mono."""
+        _, block = next(self._blocks)
+        mono = np.empty(len(block) // self._n_channels)
+        _mix(block, self._n_channels, mono)
+        return mono
 
 
 def _channel_mean(frames: np.ndarray, out: np.ndarray) -> None:
@@ -313,9 +394,15 @@ def _fill_block(lines: np.ndarray, x: np.ndarray, start: int) -> None:
     a, b = max(-start, 0), min(len(x) - start, n * width)
     if a > 0 or b < n * width:
         lines.fill(0.0)
-    if b <= a:
-        return
-    xs = x[start + a : start + b]
+    if b > a:
+        _put(lines, x[start + a : start + b], a)
+
+
+def _put(lines: np.ndarray, xs: np.ndarray, a: int) -> None:
+    """Set ``lines[j, m] = xs[j * width + m - a]`` for the positions a to
+    a + len(xs) of ``lines`` of shape (n, width), row by row."""
+    width = lines.shape[1]
+    b = a + len(xs)
     j0, m0 = divmod(a, width)
     j1, m1 = divmod(b, width)
     if j0 == j1:
@@ -328,9 +415,11 @@ def _fill_block(lines: np.ndarray, x: np.ndarray, start: int) -> None:
         lines[j1, :m1] = xs[len(xs) - m1 :]
 
 
-def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
-    """Polyphase FIR resampling, bit-equal to scipy 1.17's ``resample_poly``
-    with the ``_lowpass`` filter.
+def _resample_poly(fill, n_in: int, up: int, down: int) -> np.ndarray:
+    """Polyphase FIR resampling of the ``n_in`` inputs that ``fill`` reads,
+    bit-equal to scipy 1.17's ``resample_poly`` with the ``_lowpass``
+    filter. ``fill(lines, start)`` sets lines as _fill_block does for the
+    input array, and is called with rising starts.
 
     After resample_poly's pad-and-trim bookkeeping, output r is the sum of
     x[q] * h[half_len + r*down - up*q] over q. upfirdn starts each output
@@ -349,7 +438,7 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     come in chunks of ``width`` lines, each chunk carrying the sum so far.
     """
     h, half_len = _lowpass(up, down)
-    n_out = -(-len(x) * up // down)
+    n_out = -(-n_in * up // down)
     n_taps = -(-len(h) // up)  # inputs per output, zero taps included
     padded = np.zeros(n_taps * up)
     padded[: len(h)] = h
@@ -381,7 +470,7 @@ def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
     with np.errstate():
         np.setbufsize(max(16, rows // 16 * 16))
         for r0 in range(0, n_rows, rows):
-            _fill_block(block.T, x, r0 * down - (n_taps - 1))
+            fill(block.T, r0 * down - (n_taps - 1))
             for c in range(up):
                 q0 = int(first[c])
                 for k0 in range(0, n_taps, width):
@@ -419,12 +508,17 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     x = w.mono_samples()
     if target_rate == w.sample_rate:
         return w
-    g = math.gcd(target_rate, w.sample_rate)
-    up, down = target_rate // g, w.sample_rate // g
+    up, down = _factors(w.sample_rate, target_rate)
     if max(up, down) > MAX_RESAMPLE_FACTOR:
         raise ValueError(
             f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the rate "
             f"ratio {up}/{down} exceeds the factor limit {MAX_RESAMPLE_FACTOR}")
-    y = _resample_poly(x, up, down)
+    y = _resample_poly(lambda lines, start: _fill_block(lines, x, start), len(x), up, down)
     return Waveform(np.clip(y, -1.0, 1.0, out=y), target_rate)
+
+
+def _factors(source_rate: int, target_rate: int) -> tuple[int, int]:
+    """The reduced (up, down) factors of resampling source_rate to target_rate."""
+    g = math.gcd(target_rate, source_rate)
+    return target_rate // g, source_rate // g
 

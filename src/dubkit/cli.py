@@ -136,7 +136,8 @@ def cmd_features(args) -> dict:
     config = cfg.to_dict()
     config.update({"pitch_fmin": args.pitch_fmin, "pitch_fmax": args.pitch_fmax,
                    "pitch_threshold": args.pitch_threshold, "input": args.audio})
-    w = dk.audio.resample(dk.audio.read_mono(args.audio), cfg.sample_rate)
+    w = dk.audio.resample(dk.audio._read_resampled(args.audio, cfg.sample_rate),
+                          cfg.sample_rate)
     n_frames = dk.dsp._frame_count(len(w.mono_samples()), cfg.frame.win_length,
                                    cfg.frame.hop)
     # on a second CPU a child tracks pitch beside the spectral stages and the
@@ -163,8 +164,8 @@ def cmd_features(args) -> dict:
 
 def cmd_mcd(args) -> dict:
     cfg = _pipeline_config(args)
-    gen = dk.audio.read_mono(args.generated)
-    ref = dk.audio.read_mono(args.reference)
+    gen = dk.audio._read_resampled(args.generated, cfg.sample_rate)
+    ref = dk.audio._read_resampled(args.reference, cfg.sample_rate)
     row = dk.metrics.evaluate_pair(gen, ref, cfg).to_dict()
     row.pop("id")
     config = cfg.to_dict()
@@ -416,23 +417,31 @@ def _json_pieces(payload):
 
 
 def _emit(payload, args) -> None:
-    """Write the document. It is rendered in full, every callable value
-    called, before the first byte is written or --out is opened, so a
-    failure leaves no partial document; each callable value is closed
-    whatever happens."""
+    """Write the document. It is rendered into an unlinked temporary file,
+    every callable value called, and only once it is complete is --out
+    opened, or stdout written, and the file copied there. So a failure
+    leaves no partial document, and no more than a piece of the document is
+    held in memory. Each callable value is closed whatever happens."""
+    import shutil
+    import tempfile
+
     try:
-        pieces = [_render_pretty(payload)] if args.pretty else list(_json_pieces(payload))
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spill:
+            if args.pretty:
+                spill.write(_render_pretty(payload))
+            else:
+                spill.writelines(_json_pieces(payload))
+            spill.write("\n")
+            spill.seek(0)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    shutil.copyfileobj(spill, fh)
+            else:
+                shutil.copyfileobj(spill, sys.stdout)
     finally:
         for value in payload.values():
             if callable(value):
                 value.close()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-            fh.write("\n")
-    else:
-        sys.stdout.writelines(pieces)
-        sys.stdout.write("\n")
 
 
 def _error(kind: str, message: str) -> None:

@@ -175,24 +175,44 @@ def _frame_blocks(x: np.ndarray, length: int, hop: int, row_length: int,
     (len(x) by default).
 
     Frame t reads samples t * hop - length // 2 onward of the padded clip z
-    under np.pad(z, ..., mode="reflect"). A block inside x is a view of it.
-    Any other block is framed from np.pad of only the part of z that it and
-    its reflections read, a view of x unless the block reaches the padding.
+    under np.pad(z, ..., mode="reflect"). A block inside x is a view of it;
+    any other block is framed from its samples of that padded clip, written
+    into one block-sized array (_reflected).
     """
     n = len(x) if n is None else n
     pad = length // 2
     for lo, hi in _blocks(_frame_count(n, length, hop) - first, row_length):
         lo, hi = lo + first, hi + first
         start, stop = lo * hop - pad, (hi - 1) * hop - pad + length
-        if 0 <= start and stop <= len(x):
-            segment = x[start:stop]
-        else:  # z[a:b] holds every sample the block reads, reflected or not
-            a, b = max(0, min(start, 2 * n - 1 - stop)), min(n, max(stop, 1 - start))
-            z = x[a:b] if b <= len(x) else np.concatenate((x[a:b], np.zeros(b - max(a, len(x)))))
-            head = max(0, -start)
-            padded = np.pad(z, (head, max(0, stop - n)), mode="reflect")
-            segment = padded[start + head - a : stop + head - a]
+        segment = x[start:stop] if 0 <= start and stop <= len(x) else _reflected(x, n, start, stop)
         yield lo, hi, np.lib.stride_tricks.sliding_window_view(segment, length)[::hop]
+
+
+def _reflected(x: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Samples start..stop of np.pad(z, ..., mode="reflect") for z, x
+    zero-padded to n samples, however many times the reflection wraps:
+    sample i reads z[r] for r = i mod (2n - 2), or z[2n - 2 - r] when
+    r >= n (z[0] when n = 1). They are copied a run of consecutive z
+    samples at a time, rising or falling, into one array."""
+    segment = np.empty(stop - start)
+    if n == 1:
+        segment.fill(x[0] if len(x) else 0.0)
+        return segment
+    period = 2 * n - 2
+    i = start
+    while i < stop:
+        r = i % period
+        if r < n:  # z[r], z[r + 1], ... up to z[n - 1]
+            count = min(stop - i, n - r)
+            out, a = segment[i - start : i - start + count], r
+        else:  # z[period - r], z[period - r - 1], ... down to z[1]
+            count = min(stop - i, period - r)
+            out, a = segment[i - start : i - start + count][::-1], period - r - count + 1
+        inside = max(0, min(count, len(x) - a))
+        out[:inside] = x[a : a + inside]
+        out[inside:] = 0.0
+        i += count
+    return segment
 
 
 def _block_rows(n_rows: int, row_length: int) -> int:
@@ -473,15 +493,18 @@ def _pitch_blocks(w, f_min: float, f_max: float, voicing_threshold: float, hop: 
         raise ValueError(f"band [{f_min}, {f_max}] Hz is degenerate at rate {sr}")
 
     n_frames = len(values)
-    # frames per block but the last; one block's spectra, refilled block by block
+    # frames per block but the last; one block's spectra, made when a block is
+    # first taken (a side of a shared track may take none) and refilled
     rows = _block_rows(n_frames, PITCH_FRAME_LENGTH)
-    spec_full = np.empty((rows, PITCH_FRAME_LENGTH + 1), dtype=complex)
-    spec_head = np.empty_like(spec_full)
+    spec_full = spec_head = None
     # each block takes the operand order numpy gives full * head.conj() over the
     # whole track in tests/reference_pitch.py: as written below 8 frames, conj *
     # full from 8 (256 KiB of spectra, where numpy elides the conj temporary) on
     conj_first = n_frames >= 8
     for block in order(-(-n_frames // rows)):
+        if spec_full is None:
+            spec_full = np.empty((rows, PITCH_FRAME_LENGTH + 1), dtype=complex)
+            spec_head = np.empty_like(spec_full)
         lo, hi, frames = next(_frame_blocks(x, PITCH_FRAME_LENGTH, hop, PITCH_FRAME_LENGTH,
                                             block * rows))
         values[lo:hi] = _pitch_block(frames, spec_full[: hi - lo], spec_head[: hi - lo],

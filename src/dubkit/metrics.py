@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import jsonl
-from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, read_mono, resample
+from .audio import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, Waveform, _read_resampled, resample
 from .dsp import FrameParams, _mel_rows, _shared_rows, mfcc
 from .modes import PAD_MODES, SCALES
 
@@ -587,7 +587,8 @@ def _evaluate_part(entries, cfg: PipelineConfig) -> list:
     outcomes, group = [], []
     for entry in entries:
         try:
-            pair = _prepare_pair(read_mono(entry.generated), read_mono(entry.reference), cfg)
+            pair = _prepare_pair(_read_resampled(entry.generated, cfg.sample_rate),
+                                 _read_resampled(entry.reference, cfg.sample_rate), cfg)
         except Exception as exc:  # collected per-row, reported in the summary
             outcomes.append((entry.pair_id, _failure(exc)))
             continue

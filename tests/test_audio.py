@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 import subprocess
@@ -322,6 +323,81 @@ class TestReadMono:
         for read in (read_wav, read_mono):
             with pytest.raises(UnsupportedFormatError, match="sample rate 999 Hz"):
                 read(path)
+
+
+# a file of each kind a batch pair side can be: a broken header, a float
+# sample that is NaN at a rate resample takes (read a block at a time) or
+# refuses, a rate resample refuses, and a clean clip
+PAIR_SIDES = {
+    "header": lambda: b"RIFX" + bytes(40),
+    "nan": lambda: wav_file(struct.pack("<4f", 0.5, 0.25, float("nan"), 0.0), True, 1,
+                            48000, False, False, []),
+    "nan-odd": lambda: wav_file(struct.pack("<4f", 0.5, 0.25, float("nan"), 0.0), True, 1,
+                                767999, False, False, []),
+    "odd": lambda: wav_file(bytes(2000), False, 1, 767999, False, False, []),
+    "good": lambda: wav_file(np.full(4000, 1000, "<i2").tobytes(), False, 2, 48000, False,
+                             False, []),
+}
+RATIO_ERROR = ("ValueError: cannot resample 767999 Hz to 22050 Hz: the rate ratio "
+               "22050/767999 exceeds the factor limit 8192")
+
+
+def first_pair_error(gen, ref):
+    """The failure batch reports for a pair: gen's header error, gen's
+    non-finite sample, ref's header error, ref's non-finite sample, then
+    gen's ratio error and ref's; None for a scored pair."""
+    for side, kind in (("gen", gen), ("ref", ref)):
+        if kind == "header":
+            return f"UnsupportedFormatError: {side}-{kind}.wav: not a RIFF/WAVE file"
+        if kind.startswith("nan"):
+            return f"UnsupportedFormatError: {side}-{kind}.wav: float samples must be finite"
+    return RATIO_ERROR if "odd" in (gen, ref) else None
+
+
+class TestReadResampled:
+    def test_a_refused_ratio_reads_the_clip_at_its_own_rate(self, tmp_path):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(PAIR_SIDES["odd"]())
+        got = audio._read_resampled(path, 22050)
+        assert got.sample_rate == 767999
+        assert got.samples.tobytes() == read_mono(path).samples.tobytes()
+        with pytest.raises(ValueError, match=re.escape(RATIO_ERROR.split(": ", 1)[1])):
+            resample(got, 22050)
+
+    @pytest.mark.parametrize("at", [0, 5, 39])
+    @pytest.mark.parametrize("rate", [48000, 11025, 767999])
+    def test_a_non_finite_sample_is_read_mono_s_error(self, tmp_path, at, rate):
+        # 4-frame blocks: the stream meets the NaN in its first, a middle or
+        # its last block
+        values = np.linspace(-0.5, 0.5, 80).astype("<f4")
+        values[2 * at] = np.nan
+        path = tmp_path / "nan.wav"
+        path.write_bytes(wav_file(values.tobytes(), True, 2, rate, False, False, []))
+        with mock.patch.object(audio, "_DECODE_FRAMES", 4), \
+                pytest.raises(UnsupportedFormatError,
+                              match=f"^{re.escape(str(path))}: float samples must be finite$"):
+            audio._read_resampled(path, 22050)
+
+    def test_batch_reports_each_pair_s_first_error_in_a_fixed_order(
+            self, tmp_path, monkeypatch, capsys):
+        from dubkit.cli import run
+
+        monkeypatch.chdir(tmp_path)
+        for side in ("gen", "ref"):
+            for kind, data in PAIR_SIDES.items():
+                (tmp_path / f"{side}-{kind}.wav").write_bytes(data())
+        pairs = [(gen, ref) for gen in PAIR_SIDES for ref in PAIR_SIDES]
+        (tmp_path / "pairs.jsonl").write_text("".join(
+            f'{{"id": "{gen}/{ref}", "generated": "gen-{gen}.wav", '
+            f'"reference": "ref-{ref}.wav"}}\n' for gen, ref in pairs))
+        assert run(["batch", "pairs.jsonl"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        failures = {row["id"]: row["error"] for row in doc["failures"]}
+        scored = {row["id"] for row in doc["rows"]}
+        for gen, ref in pairs:
+            error = first_pair_error(gen, ref)
+            assert failures.get(f"{gen}/{ref}") == error, (gen, ref)
+            assert (f"{gen}/{ref}" in scored) == (error is None)
 
 
 class TestToMono:

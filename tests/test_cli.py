@@ -1069,6 +1069,116 @@ def test_emit_equals_json_dumps(tmp_path, capsys, payload):
     assert target.read_bytes() == expected.encode("utf-8")
 
 
+def spill_files(spill_dir):
+    """The files this process holds open in ``spill_dir``, unlinked or not."""
+    links = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            links.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except FileNotFoundError:  # the listing's own descriptor, closed since
+            pass
+    return [link for link in links if link.startswith(f"{spill_dir}/")]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+@pytest.mark.parametrize("target", ["stdout", "new-out", "existing-out"])
+@pytest.mark.parametrize("case", ["child-killed-in-mel", "unencodable-mfcc", "success"])
+def test_the_document_is_spilled_then_published_whole(tmp_path, capsys, monkeypatch, case,
+                                                       target):
+    # _emit renders into an unlinked file in the temporary directory; only a
+    # whole document reaches stdout or --out, and nothing is left behind
+    import tempfile
+
+    from dubkit import _render
+
+    wav = write_tone(tmp_path / "a.wav")
+    use_cpus(monkeypatch, 2)
+    code, expected, err = invoke(capsys, "features", wav)
+    assert (code, err) == (0, "")
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    out = tmp_path / "doc.json"
+    if target == "existing-out":
+        out.write_bytes(b"the last document\n")
+    parent, track, float_pieces = os.getpid(), dsp._pitch_blocks, _render.float_pieces
+    forks, spilled = spy_forks(monkeypatch), []
+
+    def stalled(*args, **kwargs):
+        if case != "success" and os.getpid() != parent:
+            time.sleep(60)
+        return track(*args, **kwargs)
+
+    def rendering(a):  # mel, the first float array, then mfcc's rows are rendered
+        spilled.append(spill_files(spill_dir))
+        if case == "child-killed-in-mel" and len(spilled) == 1:
+            os.kill(forks[0], signal.SIGKILL)
+        return float_pieces(a)
+
+    def unrenderable_mfcc(m, n_coeffs):
+        return dsp.MfccSequence(np.full((len(m.frames), 1), object()), m.frame_rate)
+
+    monkeypatch.setattr(dsp, "_pitch_blocks", stalled)
+    monkeypatch.setattr(_render, "float_pieces", rendering)
+    if case == "unencodable-mfcc":
+        monkeypatch.setattr(dsp, "mfcc", unrenderable_mfcc)
+    code, stdout, stderr = invoke(capsys, "features", wav,
+                                  *([] if target == "stdout" else ["--out", str(out)]))
+    assert len(spilled[0]) == 1 and spilled[0][0].endswith("(deleted)")
+    assert os.listdir(spill_dir) == []
+    assert len(forks) == 1 and reaped(forks[0])
+    if case == "success":
+        assert (code, stderr) == (0, "")
+        assert stdout == (expected if target == "stdout" else "")
+        assert (out.read_text() if target != "stdout" else stdout) == expected
+        return
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["error"] == {
+        "child-killed-in-mel": {"type": "ChildProcessError",
+                                "message": "forked child killed by SIGKILL"},
+        "unencodable-mfcc": {"type": "TypeError",
+                             "message": "Object of type object is not JSON serializable"},
+    }[case]
+    if target == "existing-out":
+        assert out.read_bytes() == b"the last document\n"
+    else:
+        assert not out.exists()
+
+
+def test_a_symlinked_out_is_written_through(tmp_path, capsys):
+    srt = tmp_path / "s.srt"
+    srt.write_text(SRT_TEXT)
+    code, expected, _ = invoke(capsys, "srt", "parse", str(srt))
+    assert code == 0
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    link.symlink_to(real)
+    for _ in range(2):  # the target missing, then there
+        assert invoke(capsys, "srt", "parse", str(srt), "--out", str(link)) == (0, "", "")
+        assert link.is_symlink() and real.read_text() == expected
+
+
+def test_emit_holds_a_piece_of_the_document_not_all_of_it(tmp_path, capsys, monkeypatch):
+    # rendered into the spill piece by piece, the document is never held
+    # whole; holding every piece until the last took its length and more
+    import tracemalloc
+
+    wav = str(tmp_path / "long.wav")
+    write_pcm16_wav(wav, [make_tone(220.0, 60.0, SR)], SR)
+    use_cpus(monkeypatch, 1)
+    out = tmp_path / "doc.json"
+    args = build_parser().parse_args(["features", wav, "--out", str(out)])
+    payload = args.func(args)
+    tracemalloc.start()
+    try:
+        _emit(payload, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    length = out.stat().st_size
+    assert json.loads(out.read_text())["n_frames"] == 1 + 60 * SR // 256
+    assert peak < length / 2, (peak, length)
+
+
 def test_readme_library_block_runs(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

@@ -3,7 +3,8 @@
 included, over the standard rate pairs, across block boundaries and at the
 factor limit, plus its memory bound and its speed against scipy's. Its
 filter and the cephes i0 port in its Kaiser window equal scipy's bit for
-bit."""
+bit. The streamed reader (``audio._read_resampled``) equals resample of
+read_mono bit for bit and holds no clip at the file's rate."""
 
 import time
 import tracemalloc
@@ -18,7 +19,7 @@ from dubkit import audio
 from dubkit.audio import MAX_RESAMPLE_FACTOR, Waveform, resample
 
 import reference_resample
-from helpers import STANDARD_SOURCE_RATES, STANDARD_TARGET_RATES
+from helpers import STANDARD_SOURCE_RATES, STANDARD_TARGET_RATES, _write_riff
 
 RATE_PAIRS = [(s, t) for s in STANDARD_SOURCE_RATES for t in STANDARD_TARGET_RATES]
 
@@ -196,3 +197,62 @@ def test_compute_stays_near_resample_poly(source, target, seconds):
     ours = best_time(lambda: resample(w, target))
     theirs = best_time(lambda: reference_resample.resample(w, target))
     assert ours < 2.5 * theirs + 0.02
+
+
+def write_clip(path, n, n_channels, rate, float32, seed):
+    """An n-frame WAV of noise, its float32 form holding -0.0 and +0.0 runs
+    and full-scale samples whose filtered values clip."""
+    rng = np.random.default_rng(seed)
+    if float32:
+        frames = rng.uniform(-1.0, 1.0, (n, n_channels)).astype("<f4")
+        frames[rng.random((n, n_channels)) < 0.1] = -0.0
+        frames[rng.random((n, n_channels)) < 0.05] = 0.0
+        frames[rng.random((n, n_channels)) < 0.1] = 1.0
+        _write_riff(path, frames.tobytes(), 3, n_channels, rate, 32)
+    else:
+        frames = rng.integers(-32768, 32768, (n, n_channels)).astype("<i2")
+        _write_riff(path, frames.tobytes(), 1, n_channels, rate, 16)
+
+
+# to 22.05 kHz: the benchmark's movie rate, two more down branches, the
+# down-1 branch (11025 Hz) and the source rate itself
+READER_RATES = [48000, 44100, 24000, 11025, 22050]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(READER_RATES), st.integers(1, 3), st.booleans(),
+       st.sampled_from([0, 1, 2]) | st.integers(0, 3000), st.integers(1, 7),
+       st.integers(2, 64), st.integers(1, 4000), st.integers(1, 400),
+       st.integers(0, 2**32 - 1))
+def test_streamed_reader_is_resample_of_read_mono(tmp_path_factory, rate, n_channels, float32,
+                                                  n, frames, rows, span, products, seed):
+    # blocks of 1-7 decoded frames and a few resampled rows put decode and
+    # resample block edges everywhere inside the clip, the filter's history
+    # carried across each
+    path = tmp_path_factory.mktemp("reader") / "clip.wav"
+    write_clip(path, n, n_channels, rate, float32, seed)
+    expected = resample(audio.read_mono(path), 22050)
+    with mock.patch.object(audio, "_DECODE_FRAMES", frames), \
+            mock.patch.object(audio, "_RESAMPLE_ROWS", rows), \
+            mock.patch.object(audio, "_RESAMPLE_SPAN", span), \
+            mock.patch.object(audio, "_RESAMPLE_PRODUCTS", products):
+        got = audio._read_resampled(path, 22050)
+    assert got.sample_rate == expected.sample_rate == 22050
+    assert got.samples.shape == expected.samples.shape
+    assert got.samples.tobytes() == expected.samples.tobytes()
+
+
+def test_streamed_reader_holds_the_output_plus_its_blocks(tmp_path):
+    # resample(read_mono(path), rate) held the 23 MB clip at 48 kHz beside
+    # its output; the reader holds one request's span of it, the resampler's
+    # own block and a decoded block
+    path = tmp_path / "stereo.wav"
+    write_clip(path, 60 * 48000, 2, 48000, False, 11)
+    tracemalloc.start()
+    try:
+        out = audio._read_resampled(path, 22050)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.n_frames == 60 * 22050
+    assert peak < out.samples.nbytes + (8 << 20)
