@@ -163,9 +163,8 @@ def _open_data(fh, path):
 
 
 def _decode(fh, path, dtype, n_channels, offset, n_samples):
-    """Yield (start, samples): the data chunk as float64 blocks of
-    _DECODE_FRAMES frames, in order. PCM is scaled by 1/32768; a non-finite
-    float sample raises."""
+    """Yield the data chunk as float64 blocks of _DECODE_FRAMES frames, in
+    order. PCM is scaled by 1/32768; a non-finite float sample raises."""
     fh.seek(offset)
     step = _DECODE_FRAMES * n_channels
     itemsize = np.dtype(dtype).itemsize
@@ -177,7 +176,7 @@ def _decode(fh, path, dtype, n_channels, offset, n_samples):
             block /= _PCM_SCALE
         elif not np.all(np.isfinite(block)):
             raise UnsupportedFormatError(f"{path}: float samples must be finite")
-        yield start, block
+        yield block
         del block  # not held here while the next block is decoded
 
 
@@ -191,9 +190,8 @@ def read_wav(path) -> Waveform:
     """
     with open(path, "rb") as fh:
         sample_rate, n_channels, n_samples, blocks = _open_data(fh, path)
-        samples = np.empty(n_samples)
-        for start, block in blocks:
-            samples[start : start + len(block)] = block
+        # with one channel _mono passes the interleaved samples through
+        samples = _mono(blocks, 1, n_samples)
     if n_channels > 1:
         samples = samples.reshape(-1, n_channels)
     return Waveform(samples, sample_rate)
@@ -210,8 +208,7 @@ def read_mono(path) -> Waveform:
 def _read_resampled(path, rate: int) -> Waveform:
     """``resample(read_mono(path), rate)``, bit for bit, without holding the
     clip at its own rate: the data chunk is decoded, averaged to mono and
-    resampled a block at a time, the filter's history carried from each
-    block to the next (see _MonoStream).
+    resampled a block at a time (see _mono_blocks and _resample_poly).
 
     At the file's own rate, or at a ratio resample refuses, this is
     read_mono(path): the caller's resample of it then returns it or raises,
@@ -222,8 +219,7 @@ def _read_resampled(path, rate: int) -> Waveform:
         up, down = _factors(sample_rate, rate)
         if rate == sample_rate or max(up, down) > MAX_RESAMPLE_FACTOR:
             return Waveform(_mono(blocks, n_channels, n_samples), sample_rate)
-        n = n_samples // n_channels
-        y = _resample_poly(_MonoStream(blocks, n_channels, n), n, up, down)
+        y = _resample_poly(_mono_blocks(blocks, n_channels), n_samples // n_channels, up, down)
     return Waveform(np.clip(y, -1.0, 1.0, out=y), rate)
 
 
@@ -231,81 +227,35 @@ def _mono(blocks, n_channels: int, n_samples: int) -> np.ndarray:
     """The whole clip of a data chunk's decoded ``blocks``, averaged to mono
     a block at a time."""
     mono = np.empty(n_samples // n_channels)
-    for start, block in blocks:
-        lo = start // n_channels
-        _mix(block, n_channels, mono[lo : lo + len(block) // n_channels])
+    lo = 0
+    for x in _mono_blocks(blocks, n_channels):
+        mono[lo : lo + len(x)] = x
+        lo += len(x)
     return mono
 
 
-def _mix(block: np.ndarray, n_channels: int, out: np.ndarray) -> None:
-    """out[:] = the decoded ``block`` of interleaved frames averaged to mono."""
-    if n_channels == 1:
-        out[:] = block
-    else:
-        _channel_mean(block.reshape(-1, n_channels), out)
+def _mono_blocks(blocks, n_channels: int):
+    """Yield each of a data chunk's decoded ``blocks`` averaged to mono: the
+    block itself when there is one channel."""
+    for block in blocks:
+        if n_channels > 1:
+            block = _channel_mean(block.reshape(-1, n_channels))
+        yield block
+        del block  # not held here while the next block is decoded
 
 
-class _MonoStream:
-    """``fill(lines, start)`` for _resample_poly: _fill_block of the mono
-    clip whose data chunk ``blocks`` decodes, read as the requests come.
-
-    _resample_poly passes the same lines each time, and each request starts
-    a whole number of lines after the last one and before it ends, where
-    the filter's history begins. So the lines the two share are moved up,
-    and only the lines past them are read from the clip, a decoded block at
-    a time, its samples past the request kept for the next. Every sample is
-    decoded once, and no more than one decoded block is held besides the
-    lines.
-    """
-
-    def __init__(self, blocks, n_channels: int, n: int):
-        self._blocks = blocks
-        self._n_channels = n_channels
-        self._n = n
-        self._start = None  # the last request's start
-        self._rest = np.empty(0)  # decoded samples not yet in the lines
-
-    def __call__(self, lines: np.ndarray, start: int) -> None:
-        n_lines, width = lines.shape
-        kept = 0
-        if self._start is not None:
-            shift = (start - self._start) // width
-            kept = max(0, n_lines - shift)
-            lines[:kept] = lines[shift:]
-        self._start = start
-        first, stop = start + kept * width, start + n_lines * width
-        lo, hi = max(first, 0), min(stop, self._n)
-        if lo > first or hi < stop:  # 0.0 outside the clip
-            lines[kept:].fill(0.0)
-        while lo < hi:
-            if not len(self._rest):
-                self._rest = None  # the last block's samples go before the next is decoded
-                self._rest = self._decoded()
-            k = min(len(self._rest), hi - lo)
-            _put(lines, self._rest[:k], lo - start)
-            self._rest = self._rest[k:]
-            lo += k
-
-    def _decoded(self) -> np.ndarray:
-        """The next decoded block, averaged to mono."""
-        _, block = next(self._blocks)
-        mono = np.empty(len(block) // self._n_channels)
-        _mix(block, self._n_channels, mono)
-        return mono
-
-
-def _channel_mean(frames: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = frames.mean(axis=1), bit for bit. Below 8 channels numpy
-    adds a row's values in order, starting from +0.0, so the columns are
-    added that way, a whole column per call; from 8 on it sums pairwise."""
+def _channel_mean(frames: np.ndarray) -> np.ndarray:
+    """frames.mean(axis=1), bit for bit. Below 8 channels numpy adds a
+    row's values in order, starting from +0.0, so the columns are added that
+    way, a whole column per call; from 8 on it sums pairwise."""
     n_channels = frames.shape[1]
     if n_channels >= 8:
-        np.mean(frames, axis=1, out=out)
-        return
-    np.add(frames[:, 0], 0.0, out=out)  # +0.0 + -0.0 is +0.0, as in numpy's sum
+        return np.mean(frames, axis=1)
+    out = np.add(frames[:, 0], 0.0)  # +0.0 + -0.0 is +0.0, as in numpy's sum
     for k in range(1, n_channels):
         out += frames[:, k]
     out /= n_channels
+    return out
 
 
 def to_mono(w: Waveform) -> Waveform:
@@ -387,17 +337,6 @@ def _i0(x: np.ndarray) -> np.ndarray:
     return exp
 
 
-def _fill_block(lines: np.ndarray, x: np.ndarray, start: int) -> None:
-    """Set ``lines[j, m] = x[start + j * width + m]`` for ``lines`` of shape
-    (n, width), and to 0.0 where that index falls outside x."""
-    n, width = lines.shape
-    a, b = max(-start, 0), min(len(x) - start, n * width)
-    if a > 0 or b < n * width:
-        lines.fill(0.0)
-    if b > a:
-        _put(lines, x[start + a : start + b], a)
-
-
 def _put(lines: np.ndarray, xs: np.ndarray, a: int) -> None:
     """Set ``lines[j, m] = xs[j * width + m - a]`` for the positions a to
     a + len(xs) of ``lines`` of shape (n, width), row by row."""
@@ -415,11 +354,12 @@ def _put(lines: np.ndarray, xs: np.ndarray, a: int) -> None:
         lines[j1, :m1] = xs[len(xs) - m1 :]
 
 
-def _resample_poly(fill, n_in: int, up: int, down: int) -> np.ndarray:
-    """Polyphase FIR resampling of the ``n_in`` inputs that ``fill`` reads,
-    bit-equal to scipy 1.17's ``resample_poly`` with the ``_lowpass``
-    filter. ``fill(lines, start)`` sets lines as _fill_block does for the
-    input array, and is called with rising starts.
+def _resample_poly(samples, n_in: int, up: int, down: int) -> np.ndarray:
+    """Polyphase FIR resampling of the ``n_in`` inputs that the iterator
+    ``samples`` yields as consecutive 1-D float64 arrays, bit-equal to scipy
+    1.17's ``resample_poly`` with the ``_lowpass`` filter. The next array is
+    taken only once the last is used up, and the last is dropped first, so
+    no more than one is held besides the block's inputs.
 
     After resample_poly's pad-and-trim bookkeeping, output r is the sum of
     x[q] * h[half_len + r*down - up*q] over q. upfirdn starts each output
@@ -458,11 +398,14 @@ def _resample_poly(fill, n_in: int, up: int, down: int) -> np.ndarray:
     # wraps to the next position; there the taps read overlapping windows
     # of the one line instead
     reach = int(first[-1]) + n_taps
-    block = np.empty((down, rows + (reach - 1) // down))
+    n_lines = rows + (reach - 1) // down
+    block = np.empty((down, n_lines))
+    lines = block.T
     windows = np.lib.stride_tricks.sliding_window_view(block[0], rows)
     prod = np.empty((width + 1, rows))
     acc = np.empty(rows)
     out = np.empty((n_rows, up))
+    x, i = np.empty(0), 0  # the array being read and its next sample
     # numpy runs a ufunc over strided lines shorter than its buffer (8192
     # elements by default) through that buffer, which made the products
     # about 3x slower. numpy wants a multiple of 16, and leaving errstate
@@ -470,7 +413,23 @@ def _resample_poly(fill, n_in: int, up: int, down: int) -> np.ndarray:
     with np.errstate():
         np.setbufsize(max(16, rows // 16 * 16))
         for r0 in range(0, n_rows, rows):
-            fill(block.T, r0 * down - (n_taps - 1))
+            start = r0 * down - (n_taps - 1)  # the input of lines[0, 0]
+            # the last block's lines past its rows, the filter's history, are
+            # this block's first
+            kept = n_lines - rows if r0 else 0
+            lines[:kept] = lines[rows : rows + kept]
+            fresh, stop = start + kept * down, start + n_lines * down
+            lo, hi = max(fresh, 0), min(stop, n_in)
+            if lo > fresh or hi < stop:  # 0.0 outside the clip
+                lines[kept:].fill(0.0)
+            while lo < hi:
+                if i == len(x):
+                    x = None  # the spent array goes before the next is made
+                    x, i = next(samples), 0
+                k = min(len(x) - i, hi - lo)
+                _put(lines, x[i : i + k], lo - start)
+                i += k
+                lo += k
             for c in range(up):
                 q0 = int(first[c])
                 for k0 in range(0, n_taps, width):
@@ -513,7 +472,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         raise ValueError(
             f"cannot resample {w.sample_rate} Hz to {target_rate} Hz: the rate "
             f"ratio {up}/{down} exceeds the factor limit {MAX_RESAMPLE_FACTOR}")
-    y = _resample_poly(lambda lines, start: _fill_block(lines, x, start), len(x), up, down)
+    y = _resample_poly(iter([x]), len(x), up, down)
     return Waveform(np.clip(y, -1.0, 1.0, out=y), target_rate)
 
 

@@ -206,13 +206,23 @@ class SplitAssignment:
                           "test": len(self.test)}}
 
 
+def _sum_in_order(values) -> float:
+    """The values added left to right, as sum() adds floats before Python
+    3.12; from 3.12 it compensates the rounding, which changes the bits."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def check_ratios(ratios) -> None:
     """Raise ValueError unless ``ratios`` are three positive numbers summing
     to 1; written so that NaN fails."""
     if len(ratios) != 3 or not all(r > 0 for r in ratios):
         raise ValueError(f"ratios must be three positive numbers, got {ratios}")
-    if not abs(sum(ratios) - 1.0) <= 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    total = _sum_in_order(ratios)
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {total}")
 
 
 def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
@@ -318,7 +328,7 @@ def corpus_stats(records) -> CorpusStats:
         n_clips=len(records),
         n_speakers=len({r.speaker for r in records}),
         avg_subtitle_words=total_tokens / len(records),
-        avg_duration_s=sum(r.duration_s for r in records) / len(records),
+        avg_duration_s=_sum_in_order(r.duration_s for r in records) / len(records),
         emotion_counts=emotion_counts,
         word_counts=ranked,
         utterance_length_histogram=dict(histogram),

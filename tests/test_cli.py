@@ -842,6 +842,13 @@ class TestSplitCommand:
         assert code == 2
         assert json.loads(err)["error"] == {
             "type": "usage", "message": "--ratios values must be numbers, got 'a,b,c'"}
+        # the ratios are added left to right on every Python (3.12's sum()
+        # would report 0.6)
+        code, _, err = invoke(capsys, "split", manifest, "--ratios", "0.1,0.2,0.3",
+                              "--seed", "1")
+        assert code == 2
+        assert json.loads(err)["error"] == {
+            "type": "usage", "message": "ratios must sum to 1, got 0.6000000000000001"}
 
     def test_data_errors_exit_one(self, tmp_path, capsys):
         duplicate = jsonl(tmp_path / "dup.jsonl", manifest_rows(3) + manifest_rows(1))

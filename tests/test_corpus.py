@@ -297,6 +297,12 @@ class TestCorpusStats:
         assert stats.avg_subtitle_words == 1.5
         assert stats.avg_duration_s == 3.0
 
+    def test_durations_are_added_left_to_right(self):
+        # on every Python: from 3.12 sum() compensates float rounding, which
+        # would give 0.1 here
+        stats = corpus_stats([record(i=i, start=0, end=100) for i in range(10)])
+        assert stats.avg_duration_s == 0.09999999999999999
+
     def test_counts(self):
         records = [record(i=1, movie="a", speaker="x"),
                    record(i=2, movie="a", speaker="y", emotion="happy"),

@@ -3,11 +3,15 @@
 included, over the standard rate pairs, across block boundaries and at the
 factor limit, plus its memory bound and its speed against scipy's. Its
 filter and the cephes i0 port in its Kaiser window equal scipy's bit for
-bit. The streamed reader (``audio._read_resampled``) equals resample of
-read_mono bit for bit and holds no clip at the file's rate."""
+bit. The resampler reads its inputs from an iterator of arrays: cut at any
+points, they give the same bits, and each array is dropped before the next
+is taken. The streamed reader (``audio._read_resampled``) equals resample
+of read_mono bit for bit and holds no clip at the file's rate."""
 
+import gc
 import time
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -122,23 +126,23 @@ def test_empty_waveform_resamples_to_empty():
 
 def test_ufunc_buffer_size_is_restored():
     # the resampler shrinks numpy's ufunc buffer to its block's row count:
-    # the caller's size comes back after the call and after a block raises
+    # the caller's size comes back after the call and after taking the next
+    # input array raises, as the WAV decoder does on a non-finite block
     before = np.getbufsize()
-    fill_block, sizes = audio._fill_block, []
+    x, sizes = samples("noise", 4000, 9), []
 
-    def failing_fill_block(lines, x, start):
+    def failing_arrays():
         sizes.append(np.getbufsize())
-        if len(sizes) == 2:
-            raise RuntimeError("block failed")
-        fill_block(lines, x, start)
+        yield x[:2000]
+        sizes.append(np.getbufsize())
+        raise RuntimeError("block failed")
 
-    w = Waveform(samples("noise", 4000, 9), 44100)  # 2000 outputs, 32 blocks of 64
+    w = Waveform(x, 44100)  # 2000 outputs, 32 blocks of 64
     with mock.patch.object(audio, "_RESAMPLE_ROWS", 64):
         assert_same_resample(w, 22050)
         assert np.getbufsize() == before
-        with mock.patch.object(audio, "_fill_block", failing_fill_block), \
-                pytest.raises(RuntimeError, match="block failed"):
-            resample(w, 22050)
+        with pytest.raises(RuntimeError, match="block failed"):
+            audio._resample_poly(failing_arrays(), len(x), 1, 2)
     assert sizes == [64, 64]
     assert np.getbufsize() == before
 
@@ -256,3 +260,55 @@ def test_streamed_reader_holds_the_output_plus_its_blocks(tmp_path):
         tracemalloc.stop()
     assert out.n_frames == 60 * 22050
     assert peak < out.samples.nbytes + (8 << 20)
+
+
+def cut(x, sizes):
+    """x as consecutive chunks of the given sizes, the rest as the last."""
+    chunks, lo = [], 0
+    for size in sizes:
+        chunks.append(x[lo : lo + size])
+        lo += len(chunks[-1])
+    return chunks + [x[lo:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([rate for rate in READER_RATES if rate != 22050]),
+       st.sampled_from([0, 1, 2]) | st.integers(0, 6000),
+       st.lists(st.sampled_from([0, 1]) | st.integers(0, 3000), max_size=30),
+       st.integers(2, 64), st.integers(1, 4000), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_any_chunking_of_the_inputs_gives_the_same_bits(rate, n, sizes, rows, span, products,
+                                                       seed):
+    # the resampler carries the filter's history from block to block, and
+    # its inputs from array to array, wherever the two kinds of edge fall;
+    # scipy's resample of the whole array is what resample must give
+    x = samples("noise", n, seed)
+    expected = reference_resample.resample(Waveform(x, rate), 22050).samples
+    up, down = audio._factors(rate, 22050)
+    with mock.patch.object(audio, "_RESAMPLE_ROWS", rows), \
+            mock.patch.object(audio, "_RESAMPLE_SPAN", span), \
+            mock.patch.object(audio, "_RESAMPLE_PRODUCTS", products):
+        got = audio._resample_poly(iter(cut(x, sizes)), n, up, down)
+    np.clip(got, -1.0, 1.0, out=got)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_each_input_array_is_dropped_before_the_next_is_taken():
+    # the reader's decoded blocks are its inputs: holding a spent one while
+    # the next is decoded would hold two blocks besides the lines
+    x = samples("noise", 30000, 4)
+    last = None
+
+    def copies():
+        nonlocal last
+        for lo in range(0, len(x), 1700):
+            gc.collect()
+            assert last is None or last() is None, "the last array is still held"
+            chunk = x[lo : lo + 1700].copy()
+            last = weakref.ref(chunk)
+            yield chunk
+            del chunk
+
+    with mock.patch.object(audio, "_RESAMPLE_ROWS", 64):
+        got = audio._resample_poly(copies(), len(x), 147, 160)
+        expected = audio._resample_poly(iter([x]), len(x), 147, 160)
+    assert got.tobytes() == expected.tobytes()
