@@ -82,7 +82,7 @@ def _pipeline_config(args):
 
 class _SharedPitch:
     """The first n_frames pitch values of w, tracked a block at a time (see
-    dsp._pitch_blocks) from both ends: a forked child (metrics._ForkedCall)
+    dsp._pitch_blocks) from both ends: a forked child (_fork._ForkedCall)
     takes blocks from the first on, and calling this object takes them from
     the last back, then waits for the child and returns the values.
 
@@ -99,6 +99,8 @@ class _SharedPitch:
 
         import numpy as np
 
+        from ._fork import _ForkedCall
+
         n_pitch = dk.dsp._pitch_frame_count(w, cfg.frame.hop)
         shared = mmap.mmap(-1, 8 * (2 + n_pitch))
         self._claimed = np.frombuffer(shared, np.int64, 2)
@@ -108,8 +110,7 @@ class _SharedPitch:
         self._n_frames = n_frames
         self._track = partial(dk.dsp._pitch_blocks, w, args.pitch_fmin, args.pitch_fmax,
                               args.pitch_threshold, cfg.frame.hop, self._values)
-        self._child = dk.metrics._ForkedCall(self._track,
-                                             partial(_claims, self._claimed, 0))
+        self._child = _ForkedCall(self._track, partial(_claims, self._claimed, 0))
 
     def __call__(self):
         self._track(partial(_claims, self._claimed, 1))
@@ -183,8 +184,16 @@ def cmd_batch(args) -> dict:
 
 
 def cmd_accuracy(args) -> dict:
-    train = dk.scoring.load_embeddings(args.train)
-    test = dk.scoring.load_embeddings(args.test)
+    from ._fork import _ForkedCall
+
+    # on a second CPU a child loads --test while this process loads --train;
+    # an error in --train is raised first, as --test's waits for the call
+    loading = _ForkedCall(dk.scoring.load_embeddings, args.test)
+    try:
+        train = dk.scoring.load_embeddings(args.train)
+        test = loading()
+    finally:
+        loading.close()
     model = dk.scoring.build_centroids(train)
     value = dk.scoring.accuracy(test, model)
     return {
@@ -244,9 +253,8 @@ def cmd_split(args) -> dict:
         dk.corpus.check_ratios(ratios)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    records = dk.corpus.load_manifest(args.manifest)
-    assignment = dk.corpus.split_dataset(records, ratios, seed=args.seed,
-                                         stratify_by_speaker=args.stratify_by_speaker)
+    assignment = dk.corpus._manifest_split(args.manifest, ratios, args.seed,
+                                           args.stratify_by_speaker)
     return {
         "config": {"manifest": args.manifest, "ratios": list(ratios),
                    "seed": args.seed,
@@ -258,8 +266,7 @@ def cmd_split(args) -> dict:
 def cmd_stats(args) -> dict:
     if args.top_words < 0:
         raise UsageError(f"--top-words must be >= 0, got {args.top_words}")
-    records = dk.corpus.load_manifest(args.manifest)
-    stats = dk.corpus.corpus_stats(records)
+    stats = dk.corpus._manifest_stats(args.manifest)
     top = None if args.top_words == 0 else args.top_words
     return {
         "config": {"manifest": args.manifest, "top_words": args.top_words},

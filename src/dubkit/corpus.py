@@ -10,8 +10,10 @@ optional FFmpeg-style argument vectors as a convenience.
 import operator
 import random
 import string
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 from . import jsonl
@@ -44,12 +46,7 @@ class ClipRecord:
     end_ms: int
 
     def __post_init__(self):
-        if self.emotion not in EMOTIONS:
-            raise ValueError(f"unknown emotion {jsonl.excerpt(self.emotion)}; "
-                             f"expected one of {', '.join(EMOTIONS)}")
-        if self.end_ms <= self.start_ms:
-            raise ValueError(f"clip duration must be positive "
-                             f"({self.start_ms}..{self.end_ms} ms)")
+        _check_clip(self.emotion, self.start_ms, self.end_ms)
 
     @property
     def clip_id(self) -> str:
@@ -60,32 +57,46 @@ class ClipRecord:
         return (self.end_ms - self.start_ms) / 1000.0
 
 
+def _check_clip(emotion, start_ms, end_ms) -> None:
+    """The checks of a ClipRecord's values beyond their types."""
+    if emotion not in EMOTIONS:
+        raise ValueError(f"unknown emotion {jsonl.excerpt(emotion)}; "
+                         f"expected one of {', '.join(EMOTIONS)}")
+    if end_ms <= start_ms:
+        raise ValueError(f"clip duration must be positive ({start_ms}..{end_ms} ms)")
+
+
 _row_fields = operator.itemgetter(*_REQUIRED_FIELDS)
+_record_fields = operator.attrgetter(*_REQUIRED_FIELDS)
 
 
-def _record_from_row(row: dict) -> ClipRecord:
+def _typed_fields(row: dict) -> tuple:
+    """A manifest row's ClipRecord fields, each of its type, in order."""
     fields = movie_id, clip_index, speaker, emotion, text, start_ms, end_ms = _row_fields(row)
     # the common row, checked inline; any other goes through jsonl's checks
-    if (type(movie_id) is type(speaker) is type(emotion) is type(text) is str
+    if not (type(movie_id) is type(speaker) is type(emotion) is type(text) is str
             and type(clip_index) is type(start_ms) is type(end_ms) is int
             and -jsonl.INT64_END <= clip_index < jsonl.INT64_END
             and -jsonl.INT64_END <= start_ms < jsonl.INT64_END
             and -jsonl.INT64_END <= end_ms < jsonl.INT64_END):
-        return ClipRecord(*fields)
-    return ClipRecord(
-        movie_id=jsonl.text(row, "movie_id"),
-        clip_index=jsonl.integer(row, "clip_index"),
-        speaker=jsonl.text(row, "speaker"),
-        emotion=jsonl.text(row, "emotion"),
-        text=jsonl.text(row, "text"),
-        start_ms=jsonl.integer(row, "start_ms"),
-        end_ms=jsonl.integer(row, "end_ms"),
-    )
+        fields = (jsonl.text(row, "movie_id"), jsonl.integer(row, "clip_index"),
+                  jsonl.text(row, "speaker"), jsonl.text(row, "emotion"),
+                  jsonl.text(row, "text"), jsonl.integer(row, "start_ms"),
+                  jsonl.integer(row, "end_ms"))
+    return fields
+
+
+def _line_fields(line: str) -> tuple:
+    """A manifest line's ClipRecord fields, through ClipRecord's checks."""
+    fields = _typed_fields(jsonl.parse_object(line, _REQUIRED_FIELDS))
+    _check_clip(fields[3], fields[5], fields[6])
+    return fields
 
 
 def load_manifest(path) -> list[ClipRecord]:
     """Read a JSONL clip manifest, validating every row."""
-    return jsonl.load_objects(path, _record_from_row, _REQUIRED_FIELDS, ManifestError)
+    return jsonl.load_objects(path, lambda row: ClipRecord(*_typed_fields(row)),
+                              _REQUIRED_FIELDS, ManifestError)
 
 
 @dataclass(frozen=True)
@@ -234,11 +245,31 @@ def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
     speaker-stratified mode applies the same rule within each speaker's
     records instead, in sorted speaker order.
     """
-    records = list(records)
+    return _split([_split_part(map(_record_fields, records))], ratios, seed,
+                  stratify_by_speaker)
+
+
+def _manifest_split(path, ratios, seed: int, stratify_by_speaker: bool) -> SplitAssignment:
+    """split_dataset(load_manifest(path), ...), a part per CPU (jsonl.fold_lines)."""
+    parts = jsonl.fold_lines(path, _line_fields, _split_part, ManifestError)
+    return _split(parts, ratios, seed, stratify_by_speaker)
+
+
+def _split_part(rows) -> tuple:
+    """(clip ids, speakers) of some rows' ClipRecord fields."""
+    ids, speakers = [], []
+    for movie_id, clip_index, speaker, *_ in rows:
+        ids.append(f"{movie_id}_{clip_index:05d}")
+        speakers.append(speaker)
+    return ids, speakers
+
+
+def _split(parts, ratios, seed: int, stratify_by_speaker: bool) -> SplitAssignment:
+    """split_dataset of the rows whose _split_part results are ``parts``."""
     check_ratios(ratios)
-    if len(records) < 3:
-        raise ValueError(f"need at least 3 records to split, got {len(records)}")
-    ids = [r.clip_id for r in records]
+    ids = [i for part_ids, _ in parts for i in part_ids]
+    if len(ids) < 3:
+        raise ValueError(f"need at least 3 records to split, got {len(ids)}")
     if len(set(ids)) != len(ids):
         seen = set()
         clash = next(i for i in ids if i in seen or seen.add(i))
@@ -247,8 +278,9 @@ def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
     groups = [ids]
     if stratify_by_speaker:
         by_speaker: dict = {}
-        for record in records:
-            by_speaker.setdefault(record.speaker, []).append(record.clip_id)
+        for part_ids, speakers in parts:
+            for clip_id, speaker in zip(part_ids, speakers):
+                by_speaker.setdefault(speaker, []).append(clip_id)
         groups = [by_speaker[speaker] for speaker in sorted(by_speaker)]
     rng = random.Random(seed)
     train: list = []
@@ -302,35 +334,51 @@ def corpus_stats(records) -> CorpusStats:
     Average subtitle length counts whitespace tokens; ranked word counts
     use lowercased, punctuation-stripped tokens.
     """
-    records = list(records)
-    if not records:
-        raise ValueError("cannot compute statistics of an empty record list")
+    return _stats([_stats_part(map(_record_fields, records))])
 
-    lengths = [len(r.text.split()) for r in records]
-    histogram = Counter(lengths)
-    total_tokens = sum(lengths)
 
+def _manifest_stats(path) -> CorpusStats:
+    """corpus_stats(load_manifest(path)), a part per CPU (jsonl.fold_lines)."""
+    return _stats(jsonl.fold_lines(path, _line_fields, _stats_part, ManifestError))
+
+
+def _stats_part(rows) -> tuple:
+    """What corpus_stats keeps of some rows' ClipRecord fields, durations
+    in row order."""
+    histogram, words, emotions = Counter(), Counter(), Counter()
+    movies, speakers, durations, n_tokens = set(), set(), array("d"), 0
     # a chunk of texts is tokenised at once: "\n" is whitespace, and neither
     # cased nor case-ignorable, so str.lower's final-sigma rule sees each row
     # end as the end of a string
-    word_counter: Counter = Counter()
-    for start in range(0, len(records), _COUNT_CHUNK):
-        chunk = "\n".join([r.text for r in records[start : start + _COUNT_CHUNK]])
-        word_counter.update(chunk.lower().translate(_PUNCT_TABLE).split())
-    ranked = sorted(word_counter.items(), key=lambda item: (-item[1], item[0]))
+    while chunk := list(islice(rows, _COUNT_CHUNK)):
+        movie_ids, _, speaker_ids, emotion_names, texts, starts, ends = zip(*chunk)
+        lengths = [len(text.split()) for text in texts]
+        histogram.update(lengths)
+        n_tokens += sum(lengths)
+        words.update("\n".join(texts).lower().translate(_PUNCT_TABLE).split())
+        emotions.update(emotion_names)
+        movies.update(movie_ids)
+        speakers.update(speaker_ids)
+        durations.extend([(end - start) / 1000.0 for start, end in zip(starts, ends)])
+    return histogram, n_tokens, words, emotions, movies, speakers, durations
 
-    emotion_counts = {emotion: 0 for emotion in EMOTIONS}
-    for record in records:
-        emotion_counts[record.emotion] += 1
 
+def _stats(parts) -> CorpusStats:
+    """corpus_stats of the rows whose _stats_part results are ``parts``."""
+    histograms, n_tokens, words, emotions, movies, speakers, durations = zip(*parts)
+    n_clips = sum(map(len, durations))
+    if not n_clips:
+        raise ValueError("cannot compute statistics of an empty record list")
+    emotion_counts = sum(emotions, Counter())
     return CorpusStats(
-        n_movies=len({r.movie_id for r in records}),
-        n_clips=len(records),
-        n_speakers=len({r.speaker for r in records}),
-        avg_subtitle_words=total_tokens / len(records),
-        avg_duration_s=_sum_in_order(r.duration_s for r in records) / len(records),
-        emotion_counts=emotion_counts,
-        word_counts=ranked,
-        utterance_length_histogram=dict(histogram),
+        n_movies=len(set().union(*movies)),
+        n_clips=n_clips,
+        n_speakers=len(set().union(*speakers)),
+        avg_subtitle_words=sum(n_tokens) / n_clips,
+        # added left to right, part 0's first, to the bits of a one-part sum
+        avg_duration_s=_sum_in_order(chain.from_iterable(durations)) / n_clips,
+        emotion_counts={emotion: emotion_counts[emotion] for emotion in EMOTIONS},
+        word_counts=sorted(sum(words, Counter()).items(),
+                           key=lambda item: (-item[1], item[0])),
+        utterance_length_histogram=dict(sum(histograms, Counter())),
     )
-

@@ -6,6 +6,9 @@ message through ``excerpt``.
 
 import json
 import math
+import os
+import stat
+from functools import partial
 
 # the exclusive upper bound of a signed 64-bit integer
 INT64_END = 2**63
@@ -47,13 +50,14 @@ def parse_object(text: str, required=()) -> dict:
     return row
 
 
-def _raw_lines(fh):
-    # the line breaks of text mode: \n, \r\n and a lone \r
-    for raw in fh:
-        if b"\r" in raw:
-            yield from raw.splitlines()
-        else:
-            yield raw
+# the least bytes fold_lines cuts a part of a file to: a file under about
+# twice this took longer in two parts than in one
+_PART_BYTES = 256 * 1024
+
+
+class _BadLine(Exception):
+    """(line number in its part, message) of a line that failed to decode
+    or convert."""
 
 
 def load_lines(path, convert, error=ValueError) -> list:
@@ -61,19 +65,92 @@ def load_lines(path, convert, error=ValueError) -> list:
     invalid UTF-8 included, is re-raised as ``error`` with the location,
     formatted only then. Lines are decoded one at a time so that a bad byte
     is located. A byte order mark that starts the file is skipped."""
-    out = []
-    with open(path, "rb") as fh:
-        # a UTF-8 byte order mark, as a spreadsheet's "CSV UTF-8" export writes
-        if fh.peek(3).startswith(b"\xef\xbb\xbf"):
-            fh.read(3)
-        for lineno, raw in enumerate(_raw_lines(fh), start=1):
+    return _fold_parts(path, convert, list, error, 1)[0]
+
+
+def fold_lines(path, convert, fold, error=ValueError) -> list:
+    """``fold(values)`` of each part of a file in file order, values being
+    ``convert(line)`` of its non-blank lines as in load_lines. A regular file
+    has a part per usable CPU, each at least _PART_BYTES long and starting
+    after a ``\\n``: part 0 is folded here, each later one in a forked child
+    (_fork._ForkedCall). A pipe or other file is one part."""
+    from ._fork import _usable_cpus  # the one-part readers load no fork code
+
+    return _fold_parts(path, convert, fold, error, _usable_cpus())
+
+
+def _fold_parts(path, convert, fold, error, cpus: int) -> list:
+    starts = [0]
+    if cpus > 1 and stat.S_ISREG((info := os.stat(path)).st_mode):
+        from ._fork import _ForkedCall  # bound whenever there is a later part
+
+        starts = _part_starts(path, info.st_size, min(cpus, info.st_size // _PART_BYTES))
+    # the first bad line in file order is raised: a part's only once every
+    # part before it is clean and its lines are counted
+    stops = [*starts[1:], None]
+    children = []
+    try:
+        for start, stop in zip(starts[1:], stops[1:]):
+            children.append(_ForkedCall(_fold_part, path, start, stop, convert, fold))
+        results, offset = [], 0
+        for part in [partial(_fold_part, path, 0, stops[0], convert, fold), *children]:
             try:
-                line = raw.decode("utf-8")
-                if line.strip():
-                    out.append(convert(line))
-            except ValueError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from None
-    return out
+                n_lines, result = part()
+            except _BadLine as exc:
+                raise error(f"{path}:{offset + exc.args[0]}: {exc.args[1]}") from None
+            results.append(result)
+            offset += n_lines
+        return results
+    finally:
+        for child in children:
+            child.close()
+
+
+def _part_starts(path, size: int, parts: int) -> list:
+    """0, then the offset after the first ``\\n`` at or past k/parts of the
+    file and _PART_BYTES past the last offset, unless that leaves less."""
+    starts = [0]
+    with open(path, "rb") as fh:
+        for k in range(1, parts):
+            fh.seek(max(size * k // parts, starts[-1] + _PART_BYTES) - 1)
+            fh.readline()
+            if fh.tell() + _PART_BYTES > size:
+                break
+            starts.append(fh.tell())
+    return starts
+
+
+def _fold_part(path, start: int, stop, convert, fold) -> tuple:
+    """(lines read, ``fold(values)``) of the lines of bytes ``start`` to
+    ``stop`` (None: the end) as text mode breaks them (\\n, \\r\\n, \\r)."""
+    lineno = 0
+
+    def values(fh):
+        nonlocal lineno
+        left = math.inf if stop is None else stop - fh.tell()
+        for raw in fh:
+            for piece in raw.splitlines() if b"\r" in raw else (raw,):
+                lineno += 1
+                try:
+                    line = piece.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    value = convert(line)
+                except ValueError as exc:
+                    raise _BadLine(lineno, str(exc)) from None
+                yield value
+            left -= len(raw)
+            if left <= 0:
+                return
+
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        # a UTF-8 byte order mark, as a spreadsheet's "CSV UTF-8" export writes
+        elif fh.peek(3).startswith(b"\xef\xbb\xbf"):
+            fh.read(3)
+        result = fold(values(fh))
+    return lineno, result
 
 
 def load_objects(path, convert, required, error=ValueError) -> list:

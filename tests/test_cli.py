@@ -656,6 +656,24 @@ class TestAccuracyCommand:
         assert error["type"] == "EmbeddingFormatError"
         assert error["message"].startswith(f"{test}:2: dimension 3")
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_train_is_loaded_beside_test_and_its_error_comes_first(self, tmp_path, capsys,
+                                                                   monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        forks = spy_forks(monkeypatch)
+        good = jsonl(tmp_path / "good.jsonl", [{"label": "a", "id": "1", "vector": [1.0]}])
+        bad_train, bad_test = (jsonl(tmp_path / name, [{"label": "a", "id": "1", "vector": [0.0]}])
+                               for name in ("bad_train.jsonl", "bad_test.jsonl"))
+        code, out, _ = invoke(capsys, "accuracy", "--train", good, "--test", good)
+        assert (code, json.loads(out)["accuracy_percent"]) == (0, 100.0)
+        for train, test, named in [(bad_train, bad_test, bad_train), (good, bad_test, bad_test),
+                                   (bad_train, good, bad_train)]:
+            code, out, err = invoke(capsys, "accuracy", "--train", train, "--test", test)
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == {"type": "EmbeddingFormatError",
+                                                "message": f"{named}:1: zero vector"}
+        assert len(forks) == (4 if cpus == 2 else 0) and all(map(reaped, forks))
+
 
 class TestMosCommand:
     def test_csv_ratings(self, tmp_path, capsys):
@@ -1205,7 +1223,10 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert namespace["percent"] == 50.0
 
 
+# two usable CPUs: split and stats cut {bigmanifest} in two parts and fork
 RUN_CLI = """
+import os
+os.sched_getaffinity = lambda pid: {{0, 1}}
 from dubkit.cli import run
 try:
     status = run({argv!r})
@@ -1225,11 +1246,11 @@ dk.evaluate_pair(w, w)
 # process pool; only the commands that run the corpus or SRT layer load it
 @pytest.mark.parametrize("argv,absent", [
     (None, ("numpy", "scipy")),
-    (["--version"], ("numpy", "dubkit.corpus", "dubkit.srt", "dataclasses")),
-    (["srt", "parse", "{srt}"], ("numpy", "dubkit.corpus")),
-    (["srt", "plan", "{srt}", "--movie", "m.mkv", "--emit-commands"], ("numpy",)),
-    (["split", "{manifest}", "--seed", "1"], ("numpy", "dubkit.srt")),
-    (["stats", "{manifest}"], ("numpy", "dubkit.srt")),
+    (["--version"], ("numpy", "dubkit.corpus", "dubkit.srt", "dataclasses", "ctypes")),
+    (["srt", "parse", "{srt}"], ("numpy", "dubkit.corpus", "ctypes")),
+    (["srt", "plan", "{srt}", "--movie", "m.mkv", "--emit-commands"], ("numpy", "ctypes")),
+    (["split", "{bigmanifest}", "--seed", "1"], ("numpy", "dubkit.srt")),
+    (["stats", "{bigmanifest}"], ("numpy", "dubkit.srt")),
     (["accuracy", "--train", "{embeddings}", "--test", "{embeddings}"],
      ("scipy", "dubkit.corpus", "dubkit.srt")),
     (["mos", "{ratings}"], ("scipy", "dubkit.corpus", "dubkit.srt")),
@@ -1256,10 +1277,12 @@ def test_command_imports_only_its_layers(tmp_path, argv, absent):
              "pairs": jsonl(tmp_path / "p.jsonl", [
                  {"id": f"p{k}", "generated": "g.wav", "reference": "r.wav"}
                  for k in range(2)]),
-             "manifest": jsonl(tmp_path / "m.jsonl", manifest_rows(10)),
+             # over twice jsonl._PART_BYTES
+             "bigmanifest": jsonl(tmp_path / "m.jsonl", manifest_rows(5000)),
              "embeddings": jsonl(tmp_path / "e.jsonl", [
                  {"label": "a", "id": "1", "vector": [1.0, 0.0]},
                  {"label": "b", "id": "1", "vector": [0.0, 1.0]}])}
+    assert os.path.getsize(files["bigmanifest"]) >= 2 * dubkit.jsonl._PART_BYTES
     if argv is None:
         code = "import dubkit.cli"
     elif argv == "same-rate-pair":

@@ -1,3 +1,5 @@
+import json
+from dataclasses import astuple
 from unittest import mock
 
 import pytest
@@ -117,8 +119,11 @@ class TestManifest:
         changes=st.dictionaries(st.sampled_from(MANIFEST_FIELDS), field_values, max_size=2))
     def test_row_checks_match_the_per_field_checks(self, row, changes):
         row.update(changes)
-        assert (outcome(corpus._record_from_row, row)
-                == outcome(reference_corpus.record_from_row, row))
+        expected = outcome(reference_corpus.record_from_row, row)
+        assert outcome(lambda r: ClipRecord(*corpus._typed_fields(r)), row) == expected
+        # the fields the stats and split folds take, through the same checks
+        fields = outcome(corpus._line_fields, json.dumps(row))
+        assert fields == (expected[0] and astuple(expected[0]), expected[1])
 
     def test_integral_floats_accepted(self, tmp_path):
         path = tmp_path / "m.jsonl"
