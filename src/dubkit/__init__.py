@@ -26,7 +26,7 @@ _EXPORTS = {
                 "evaluate_pair", "evaluate_corpus", "load_pair_manifest"),
     "scoring": ("EmbeddingSet", "CentroidModel", "MosSummary", "load_embeddings",
                 "build_centroids", "accuracy", "mos_aggregate", "load_ratings"),
-    "srt": ("SrtEntry", "load_srt", "parse_srt"),
+    "srt": ("load_srt", "parse_srt"),
     "corpus": ("ClipRecord", "ClipPlan", "CorpusStats", "SplitAssignment",
                "EMOTIONS", "build_clip_plan", "corpus_stats", "load_manifest",
                "split_dataset"),

@@ -217,7 +217,7 @@ def cmd_srt_parse(args) -> dict:
     return {
         "config": {"srt": args.srt},
         "n_entries": len(entries),
-        "entries": [vars(e) for e in entries],
+        "entries": entries,
     }
 
 

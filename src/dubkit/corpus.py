@@ -13,6 +13,7 @@ import string
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -100,24 +101,9 @@ def load_manifest(path) -> list[ClipRecord]:
 
 
 @dataclass(frozen=True)
-class ClipJob:
-    """One planned video cut plus audio extraction."""
-
-    movie_id: str
-    index: int
-    start_s: float
-    end_s: float
-    audio_mode: str
-    out_audio: str
-    out_video: str
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-
-@dataclass(frozen=True)
 class ClipPlan:
-    """Machine-readable cutting plan for one movie."""
+    """Machine-readable cutting plan for one movie; each of ``jobs`` is a
+    dict, the object ``srt plan`` writes for its cue."""
 
     movie_id: str
     movie_path: str
@@ -127,18 +113,18 @@ class ClipPlan:
     commands: list | None = None
 
     def to_dict(self) -> dict:
-        plan = {**vars(self), "jobs": [job.to_dict() for job in self.jobs]}
+        plan = dict(vars(self))
         if self.commands is None:
             del plan["commands"]
         return plan
 
 
-def _clip_commands(job: ClipJob, movie_path: str) -> list:
-    span = ["-ss", f"{job.start_s:.3f}", "-to", f"{job.end_s:.3f}"]
+def _clip_commands(job: dict, movie_path: str) -> list:
+    span = ["-ss", f"{job['start_s']:.3f}", "-to", f"{job['end_s']:.3f}"]
     video = ["ffmpeg", "-y", "-i", movie_path, *span, "-c:v", "copy", "-an",
-             job.out_video]
+             job["out_video"]]
     audio = ["ffmpeg", "-y", "-i", movie_path, *span, "-map", "0:a:0",
-             *AUDIO_MODES[job.audio_mode], job.out_audio]
+             *AUDIO_MODES[job["audio_mode"]], job["out_audio"]]
     return [video, audio]
 
 
@@ -159,7 +145,7 @@ def clip_movie_id(movie_path, movie_id: str | None = None) -> str:
 
 def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-channel",
                     movie_id: str | None = None, emit_commands: bool = False) -> ClipPlan:
-    """Turn subtitle cues into one cut-and-extract job per cue.
+    """Turn parse_srt's cue dicts into one cut-and-extract job dict per cue.
 
     Output files are named ``{movie_id}_{index:05d}.wav`` / ``.mp4`` under
     ``out_dir``; ``clip_movie_id`` picks and checks the id. The plan is
@@ -171,7 +157,7 @@ def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-chan
         raise ValueError("cannot plan clips from an empty cue list")
     if audio_mode not in AUDIO_MODES:
         raise ValueError(f"unknown audio_mode {audio_mode!r}")
-    indices = [e.index for e in entries]
+    indices = [e["index"] for e in entries]
     duplicates = sorted({i for i, c in Counter(indices).items() if c > 1})
     if duplicates:
         raise ValueError(f"duplicate cue indices in plan: {duplicates}")
@@ -186,16 +172,11 @@ def build_clip_plan(entries, movie_path, out_dir, audio_mode: str = "center-chan
     prefix = "" if base == "." else base if base.endswith("/") else base + "/"
     jobs = []
     for entry in entries:
-        stem = f"{prefix}{movie_id}_{entry.index:05d}"
-        jobs.append(ClipJob(
-            movie_id=movie_id,
-            index=entry.index,
-            start_s=entry.start_ms / 1000.0,
-            end_s=entry.end_ms / 1000.0,
-            audio_mode=audio_mode,
-            out_audio=f"{stem}.wav",
-            out_video=f"{stem}.mp4",
-        ))
+        stem = f"{prefix}{movie_id}_{entry['index']:05d}"
+        jobs.append({"movie_id": movie_id, "index": entry["index"],
+                     "start_s": entry["start_ms"] / 1000.0,
+                     "end_s": entry["end_ms"] / 1000.0, "audio_mode": audio_mode,
+                     "out_audio": f"{stem}.wav", "out_video": f"{stem}.mp4"})
     commands = None
     if emit_commands:
         commands = [cmd for job in jobs for cmd in _clip_commands(job, movie_path)]
@@ -245,22 +226,25 @@ def split_dataset(records, ratios=(0.6, 0.1, 0.3), seed: int = 0,
     speaker-stratified mode applies the same rule within each speaker's
     records instead, in sorted speaker order.
     """
-    return _split([_split_part(map(_record_fields, records))], ratios, seed,
-                  stratify_by_speaker)
+    return _split([_split_part(stratify_by_speaker, map(_record_fields, records))],
+                  ratios, seed, stratify_by_speaker)
 
 
 def _manifest_split(path, ratios, seed: int, stratify_by_speaker: bool) -> SplitAssignment:
     """split_dataset(load_manifest(path), ...), a part per CPU (jsonl.fold_lines)."""
-    parts = jsonl.fold_lines(path, _line_fields, _split_part, ManifestError)
+    parts = jsonl.fold_lines(path, _line_fields,
+                             partial(_split_part, stratify_by_speaker), ManifestError)
     return _split(parts, ratios, seed, stratify_by_speaker)
 
 
-def _split_part(rows) -> tuple:
-    """(clip ids, speakers) of some rows' ClipRecord fields."""
+def _split_part(stratify_by_speaker: bool, rows) -> tuple:
+    """(clip ids, speakers) of some rows' ClipRecord fields; no speakers
+    unless the split is stratified by them."""
     ids, speakers = [], []
     for movie_id, clip_index, speaker, *_ in rows:
         ids.append(f"{movie_id}_{clip_index:05d}")
-        speakers.append(speaker)
+        if stratify_by_speaker:
+            speakers.append(speaker)
     return ids, speakers
 
 

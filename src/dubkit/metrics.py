@@ -452,7 +452,9 @@ def evaluate_corpus(entries, cfg: PipelineConfig = PipelineConfig()) -> MetricRe
     process holds only the rows; on one CPU the one part is scored here. A
     row does not depend on the part or group it is scored in, so the report
     is the same bits on any number of CPUs. A child that dies raises
-    ChildProcessError, and the other children are killed and reaped.
+    ChildProcessError, and the other children are killed and reaped. Part 0
+    is forked too, unlike jsonl.fold_lines' part 0: scored here, its arrays
+    raised the command's peak RSS 12-16 % on the benchmark's pair workloads.
     """
     entries = list(entries)
     parts = min(_usable_cpus(), len(entries))

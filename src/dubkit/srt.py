@@ -8,7 +8,6 @@ exactly the number, span and text it was written with.
 """
 
 import re
-from dataclasses import dataclass
 
 from .jsonl import INT64_END, excerpt
 
@@ -22,16 +21,6 @@ _CUE_NUMBER = re.compile(r"[0-9]+")
 
 class SrtParseError(ValueError):
     """Malformed cue; the message names the entry and source line."""
-
-
-@dataclass(frozen=True)
-class SrtEntry:
-    """One subtitle cue: sequential number, span in milliseconds, text."""
-
-    index: int
-    start_ms: int
-    end_ms: int
-    text: str
 
 
 def _parse_timestamp(field: tuple, entry_no: int, lineno: int) -> int:
@@ -49,8 +38,9 @@ def _parse_timestamp(field: tuple, entry_no: int, lineno: int) -> int:
     return ms
 
 
-def parse_srt(text: str) -> list[SrtEntry]:
-    """Parse SRT text into entries, in file order.
+def parse_srt(text: str) -> list[dict]:
+    """Parse SRT text into cues in file order, each the object ``srt parse``
+    writes: ``{"index", "start_ms", "end_ms", "text"}``.
 
     Tolerates a UTF-8 BOM and CRLF line endings. Cue numbers are taken as
     written (they need not be consecutive). Cue numbers and timestamp
@@ -103,13 +93,15 @@ def parse_srt(text: str) -> list[SrtEntry]:
         text_joined = " ".join(line.strip() for _, line in block[2:]).strip()
         if not text_joined:
             raise SrtParseError(f"entry {entry_no} (line {index_lineno}): empty cue text")
-        entries.append(SrtEntry(index, start_ms, end_ms, text_joined))
+        entries.append({"index": index, "start_ms": start_ms, "end_ms": end_ms,
+                        "text": text_joined})
     return entries
 
 
-def load_srt(path) -> list[SrtEntry]:
-    """Parse the SRT file at ``path`` (see parse_srt). A byte sequence that
-    is not valid UTF-8 raises SrtParseError naming its 1-based line."""
+def load_srt(path) -> list[dict]:
+    """The cues of the SRT file at ``path``, as parse_srt returns them. A
+    byte sequence that is not valid UTF-8 raises SrtParseError naming its
+    1-based line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

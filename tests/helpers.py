@@ -76,11 +76,16 @@ def format_timestamp(ms: int) -> str:
     return f"{hours:02d}:{minutes:02d}:{seconds:02d},{millis:03d}"
 
 
+def cue(index: int, start_ms: int, end_ms: int, text: str) -> dict:
+    """A cue as parse_srt returns it."""
+    return {"index": index, "start_ms": start_ms, "end_ms": end_ms, "text": text}
+
+
 def serialize_srt(entries) -> str:
-    """SRT text of SrtEntry cues, one blank line between cues."""
+    """SRT text of parse_srt's cues, one blank line between cues."""
     blocks = [
-        f"{e.index}\n{format_timestamp(e.start_ms)} --> "
-        f"{format_timestamp(e.end_ms)}\n{e.text}"
+        f"{e['index']}\n{format_timestamp(e['start_ms'])} --> "
+        f"{format_timestamp(e['end_ms'])}\n{e['text']}"
         for e in entries
     ]
     return "\n\n".join(blocks) + "\n" if blocks else ""

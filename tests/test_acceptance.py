@@ -18,9 +18,9 @@ from dubkit.dsp import MelSpectrogram, mel_spectrogram, mfcc, pitch_track, \
 from dubkit.metrics import (dtw_align, evaluate_corpus, evaluate_pair,
                             load_pair_manifest, mcd, mcd_dtw, mcd_dtw_sl)
 from dubkit.scoring import accuracy, build_centroids, mos_aggregate
-from dubkit.srt import SrtEntry, parse_srt
+from dubkit.srt import parse_srt
 
-from helpers import (brute_force_accuracy, brute_force_dtw_cost, embeddings,
+from helpers import (brute_force_accuracy, brute_force_dtw_cost, cue, embeddings,
                      make_tone, serialize_srt, textbook_mfcc, write_pcm16_wav)
 
 SR = 22050
@@ -179,7 +179,7 @@ def test_criterion_8_corpus_pipeline():
         length = int(rng.integers(200, 8000))
         words = " ".join(f"w{int(rng.integers(100))}"
                          for _ in range(int(rng.integers(1, 9))))
-        entries.append(SrtEntry(i + 1, cursor, cursor + length, words))
+        entries.append(cue(i + 1, cursor, cursor + length, words))
         cursor += length
     assert parse_srt(serialize_srt(entries)) == entries
 

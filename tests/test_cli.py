@@ -717,8 +717,67 @@ Hello there
 General Kenobi
 """
 
+# a byte order mark, CRLF line ends, a cue on two lines and a skipped number
+SRT_BYTES = (b"\xef\xbb\xbf1\r\n00:00:01,000 --> 00:00:02,500\r\nHello there,\r\n"
+             b"  old friend \r\n\r\n12\r\n00:01:03,040 --> 00:01:04,255\r\n"
+             b"General Kenobi\r\n")
+SRT_DOCUMENTS = {
+    "parse": (
+        '{"config": {"srt": "s.srt"}, "n_entries": 2, "entries": [{"index": 1,'
+        ' "start_ms": 1000, "end_ms": 2500, "text": "Hello there, old friend"},'
+        ' {"index": 12, "start_ms": 63040, "end_ms": 64255, "text": "General Kenobi"}]}\n'
+    ),
+    "plan-no-dir": (
+        '{"config": {"srt": "s.srt", "movie": "frozen.mkv", "out_dir": "",'
+        ' "audio_mode": "center-channel", "emit_commands": true}, "movie_id": "frozen",'
+        ' "movie_path": "frozen.mkv", "out_dir": "", "audio_mode": "center-channel",'
+        ' "jobs": [{"movie_id": "frozen", "index": 1, "start_s": 1.0, "end_s": 2.5,'
+        ' "audio_mode": "center-channel", "out_audio": "frozen_00001.wav",'
+        ' "out_video": "frozen_00001.mp4"}, {"movie_id": "frozen", "index": 12,'
+        ' "start_s": 63.04, "end_s": 64.255, "audio_mode": "center-channel",'
+        ' "out_audio": "frozen_00012.wav", "out_video": "frozen_00012.mp4"}],'
+        ' "commands": [["ffmpeg", "-y", "-i", "frozen.mkv", "-ss", "1.000", "-to",'
+        ' "2.500", "-c:v", "copy", "-an", "frozen_00001.mp4"], ["ffmpeg", "-y", "-i",'
+        ' "frozen.mkv", "-ss", "1.000", "-to", "2.500", "-map", "0:a:0", "-af",'
+        ' "pan=mono|c0=FC", "frozen_00001.wav"], ["ffmpeg", "-y", "-i", "frozen.mkv",'
+        ' "-ss", "63.040", "-to", "64.255", "-c:v", "copy", "-an", "frozen_00012.mp4"],'
+        ' ["ffmpeg", "-y", "-i", "frozen.mkv", "-ss", "63.040", "-to", "64.255", "-map",'
+        ' "0:a:0", "-af", "pan=mono|c0=FC", "frozen_00012.wav"]]}\n'
+    ),
+    "plan-double-slash": (
+        '{"config": {"srt": "s.srt", "movie": "frozen.mkv", "out_dir": "a//b/",'
+        ' "audio_mode": "center-channel", "emit_commands": true}, "movie_id": "frozen",'
+        ' "movie_path": "frozen.mkv", "out_dir": "a//b/",'
+        ' "audio_mode": "center-channel", "jobs": [{"movie_id": "frozen", "index": 1,'
+        ' "start_s": 1.0, "end_s": 2.5, "audio_mode": "center-channel",'
+        ' "out_audio": "a/b/frozen_00001.wav", "out_video": "a/b/frozen_00001.mp4"},'
+        ' {"movie_id": "frozen", "index": 12, "start_s": 63.04, "end_s": 64.255,'
+        ' "audio_mode": "center-channel", "out_audio": "a/b/frozen_00012.wav",'
+        ' "out_video": "a/b/frozen_00012.mp4"}], "commands": [["ffmpeg", "-y", "-i",'
+        ' "frozen.mkv", "-ss", "1.000", "-to", "2.500", "-c:v", "copy", "-an",'
+        ' "a/b/frozen_00001.mp4"], ["ffmpeg", "-y", "-i", "frozen.mkv", "-ss", "1.000",'
+        ' "-to", "2.500", "-map", "0:a:0", "-af", "pan=mono|c0=FC",'
+        ' "a/b/frozen_00001.wav"], ["ffmpeg", "-y", "-i", "frozen.mkv", "-ss", "63.040",'
+        ' "-to", "64.255", "-c:v", "copy", "-an", "a/b/frozen_00012.mp4"], ["ffmpeg",'
+        ' "-y", "-i", "frozen.mkv", "-ss", "63.040", "-to", "64.255", "-map", "0:a:0",'
+        ' "-af", "pan=mono|c0=FC", "a/b/frozen_00012.wav"]]}\n'
+    ),
+}
+
 
 class TestSrtCommands:
+    @pytest.mark.parametrize("document,argv", [
+        ("parse", ["parse", "s.srt"]),
+        ("plan-no-dir", ["plan", "s.srt", "--movie", "frozen.mkv", "--out-dir", "",
+                         "--emit-commands"]),
+        ("plan-double-slash", ["plan", "s.srt", "--movie", "frozen.mkv",
+                               "--out-dir", "a//b/", "--emit-commands"]),
+    ], ids=["parse", "plan-no-dir", "plan-double-slash"])
+    def test_documents_are_pinned(self, tmp_path, capsys, monkeypatch, document, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("s.srt").write_bytes(SRT_BYTES)
+        assert invoke(capsys, "srt", *argv) == (0, SRT_DOCUMENTS[document], "")
+
     def test_parse(self, tmp_path, capsys):
         path = tmp_path / "s.srt"
         path.write_text(SRT_TEXT)
@@ -1213,6 +1272,7 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
                                      {"label": "b", "id": "1", "vector": [0.0, 1.0]}])
     jsonl(tmp_path / "test.jsonl", [{"label": "a", "id": "2", "vector": [0.9, 0.1]},
                                     {"label": "a", "id": "3", "vector": [0.1, 0.9]}])
+    (tmp_path / "movie.srt").write_text(SRT_TEXT)
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
@@ -1221,6 +1281,8 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert (namespace["score"], namespace["eta"]) == pytest.approx((row.mcd_dtw_sl, row.eta))
     assert namespace["train"].labels == ("a", "b")
     assert namespace["percent"] == 50.0
+    assert [job["out_audio"] for job in namespace["plan"].jobs] == [
+        "clips/movie_00001.wav", "clips/movie_00002.wav"]
 
 
 # two usable CPUs: split and stats cut {bigmanifest} in two parts and fork
@@ -1247,7 +1309,8 @@ dk.evaluate_pair(w, w)
 @pytest.mark.parametrize("argv,absent", [
     (None, ("numpy", "scipy")),
     (["--version"], ("numpy", "dubkit.corpus", "dubkit.srt", "dataclasses", "ctypes")),
-    (["srt", "parse", "{srt}"], ("numpy", "dubkit.corpus", "ctypes")),
+    (["srt", "parse", "{srt}"], ("numpy", "dubkit.corpus", "ctypes", "dataclasses",
+                                 "inspect")),
     (["srt", "plan", "{srt}", "--movie", "m.mkv", "--emit-commands"], ("numpy", "ctypes")),
     (["split", "{bigmanifest}", "--seed", "1"], ("numpy", "dubkit.srt")),
     (["stats", "{bigmanifest}"], ("numpy", "dubkit.srt")),

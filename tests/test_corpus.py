@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from dubkit import corpus
 from dubkit.corpus import (EMOTIONS, ClipRecord, ManifestError, build_clip_plan,
                            corpus_stats, load_manifest, split_dataset)
-from dubkit.srt import SrtEntry
 
 import reference_corpus
-from helpers import at, jsonl
+from helpers import at, cue, jsonl
 
 
 def record(i=1, movie="frozen", speaker="elsa", emotion="neutral",
@@ -136,30 +135,29 @@ class TestManifest:
 
 class TestClipPlan:
     def entries(self, n=3):
-        return [SrtEntry(i + 1, 1000 * (i + 1), 1000 * (i + 1) + 500, f"cue {i}")
+        return [cue(i + 1, 1000 * (i + 1), 1000 * (i + 1) + 500, f"cue {i}")
                 for i in range(n)]
 
     def test_one_cue_one_job(self):
         plan = build_clip_plan(self.entries(1), "movies/frozen.mkv", "clips")
         assert len(plan.jobs) == 1
         job = plan.jobs[0]
-        assert job.start_s == 1.0
-        assert job.end_s == 1.5
-        assert job.out_audio.endswith("frozen_00001.wav")
-        assert job.out_video.endswith("frozen_00001.mp4")
+        assert job["start_s"] == 1.0
+        assert job["end_s"] == 1.5
+        assert job["out_audio"].endswith("frozen_00001.wav")
+        assert job["out_video"].endswith("frozen_00001.mp4")
 
     def test_jobs_in_cue_order(self):
         plan = build_clip_plan(self.entries(3), "m.mkv", "out")
-        assert [j.index for j in plan.jobs] == [1, 2, 3]
+        assert [j["index"] for j in plan.jobs] == [1, 2, 3]
 
     def test_timestamp_arithmetic(self):
-        entry = SrtEntry(9, 5027129, 5029500, "late cue")
-        plan = build_clip_plan([entry], "m.mkv", "out")
-        assert plan.jobs[0].start_s == 5027.129
-        assert plan.jobs[0].end_s == 5029.5
+        plan = build_clip_plan([cue(9, 5027129, 5029500, "late cue")], "m.mkv", "out")
+        assert plan.jobs[0]["start_s"] == 5027.129
+        assert plan.jobs[0]["end_s"] == 5029.5
 
     def test_duplicate_indices_rejected(self):
-        entries = [SrtEntry(5, 0, 100, "a"), SrtEntry(5, 200, 300, "b")]
+        entries = [cue(5, 0, 100, "a"), cue(5, 200, 300, "b")]
         with pytest.raises(ValueError, match=r"\[5\]"):
             build_clip_plan(entries, "m.mkv", "out")
 
@@ -169,7 +167,7 @@ class TestClipPlan:
 
     def test_monotone_starts_preserved(self):
         plan = build_clip_plan(self.entries(5), "m.mkv", "out")
-        starts = [j.start_s for j in plan.jobs]
+        starts = [j["start_s"] for j in plan.jobs]
         assert starts == sorted(starts)
 
     def test_commands_optional_and_ffmpeg_shaped(self):
@@ -184,7 +182,7 @@ class TestClipPlan:
     def test_center_channel_mode_recorded(self):
         plan = build_clip_plan(self.entries(1), "m.mkv", "out",
                                audio_mode="center-channel", emit_commands=True)
-        assert plan.jobs[0].audio_mode == "center-channel"
+        assert plan.jobs[0]["audio_mode"] == "center-channel"
         audio_cmd = plan.commands[1]
         assert "pan=mono|c0=FC" in audio_cmd
 
@@ -195,7 +193,7 @@ class TestClipPlan:
 
     def test_movie_id_override(self):
         plan = build_clip_plan(self.entries(1), "m.mkv", "out", movie_id="custom")
-        assert plan.jobs[0].out_audio.endswith("custom_00001.wav")
+        assert plan.jobs[0]["out_audio"].endswith("custom_00001.wav")
 
     @pytest.mark.parametrize("movie_id", ["", ".", "..", "a/../b", "../x", "/abs"])
     def test_movie_id_that_cannot_name_a_file_rejected(self, movie_id):

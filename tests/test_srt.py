@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dubkit.srt import SrtEntry, SrtParseError, load_srt, parse_srt
+from dubkit.srt import SrtParseError, load_srt, parse_srt
 
-from helpers import format_timestamp, serialize_srt
+from helpers import cue, format_timestamp, serialize_srt
 
 SIMPLE = """1
 00:00:01,000 --> 00:00:02,500
@@ -15,23 +15,23 @@ Hello there
 class TestParse:
     def test_single_entry(self):
         entries = parse_srt(SIMPLE)
-        assert entries == [SrtEntry(1, 1000, 2500, "Hello there")]
+        assert entries == [cue(1, 1000, 2500, "Hello there")]
         assert parse_srt(SIMPLE.rstrip("\n")) == entries  # no newline after the last cue
 
     def test_high_cue_number_kept(self):
         text = "1340\n01:23:47,129 --> 01:23:49,500\nWhat do you want?\n"
         entries = parse_srt(text)
-        assert entries[0].index == 1340
-        assert entries[0].start_ms == 5027129
+        assert entries[0]["index"] == 1340
+        assert entries[0]["start_ms"] == 5027129
 
     def test_multiline_text_joined_with_spaces(self):
         text = "7\n00:00:01,000 --> 00:00:02,000\nfirst line\nsecond line\n"
-        assert parse_srt(text)[0].text == "first line second line"
+        assert parse_srt(text)[0]["text"] == "first line second line"
 
     def test_crlf_and_bom_tolerated(self):
         text = "﻿1\r\n00:00:01,000 --> 00:00:02,000\r\nhi\r\n\r\n2\r\n00:00:03,000 --> 00:00:04,000\r\nyo\r\n"
         entries = parse_srt(text)
-        assert [e.index for e in entries] == [1, 2]
+        assert [e["index"] for e in entries] == [1, 2]
 
     def test_multiple_blank_separators(self):
         text = "1\n00:00:01,000 --> 00:00:02,000\na\n\n\n\n2\n00:00:03,000 --> 00:00:04,000\nb\n"
@@ -65,7 +65,7 @@ class TestParse:
 
     def test_largest_int64_cue_number_parses(self):
         text = "9223372036854775807\n00:00:01,000 --> 00:00:02,000\nhi\n"
-        assert parse_srt(text)[0].index == 2**63 - 1
+        assert parse_srt(text)[0]["index"] == 2**63 - 1
 
     @pytest.mark.parametrize("number", ["9223372036854775808", "9" * 20, "9" * 5000],
                              ids=["2**63", "20-nines", "5000-nines"])
@@ -87,7 +87,7 @@ class TestParse:
 
     def test_timestamps_must_fit_int64_milliseconds(self):
         largest = format_timestamp(2**63 - 1)
-        assert parse_srt(f"1\n00:00:01,000 --> {largest}\nhi\n")[0].end_ms == 2**63 - 1
+        assert parse_srt(f"1\n00:00:01,000 --> {largest}\nhi\n")[0]["end_ms"] == 2**63 - 1
         text = f"1\n00:00:01,000 --> {format_timestamp(2**63)}\nhi\n"
         with pytest.raises(SrtParseError, match=r"entry 1 \(line 2\): timestamp field too long"):
             parse_srt(text)
@@ -126,8 +126,8 @@ class TestLoad:
         data = "\ufeff1\r\n00:00:01,000 --> 00:00:02,500\r\nCafé\r\n\r\n2\r00:00:03,000 --> 00:00:04,000\rb\r"
         path = tmp_path / "s.srt"
         path.write_bytes(data.encode("utf-8"))
-        assert load_srt(path) == parse_srt(data) == [SrtEntry(1, 1000, 2500, "Café"),
-                                                     SrtEntry(2, 3000, 4000, "b")]
+        assert load_srt(path) == parse_srt(data) == [cue(1, 1000, 2500, "Café"),
+                                                     cue(2, 3000, 4000, "b")]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "\r\r\n"])
     @pytest.mark.parametrize("bad,reason", [(b"\xff", "0xff (invalid start byte)"),
@@ -157,14 +157,14 @@ class TestSerialize:
         assert serialize_srt([]) == ""
 
     def test_exactly_one_blank_line_between_cues(self):
-        entries = [SrtEntry(1, 0, 1000, "a"), SrtEntry(2, 2000, 3000, "b")]
+        entries = [cue(1, 0, 1000, "a"), cue(2, 2000, 3000, "b")]
         text = serialize_srt(entries)
         assert text == "1\n00:00:00,000 --> 00:00:01,000\na\n\n2\n00:00:02,000 --> 00:00:03,000\nb\n"
 
     def test_round_trip_fig_style_fixture(self):
         entries = [
-            SrtEntry(726, 2750321, 2752000, "Where are you going?"),
-            SrtEntry(1340, 5027129, 5029500, "I know that feeling."),
+            cue(726, 2750321, 2752000, "Where are you going?"),
+            cue(1340, 5027129, 5029500, "I know that feeling."),
         ]
         assert parse_srt(serialize_srt(entries)) == entries
 
@@ -186,8 +186,7 @@ def srt_entries(draw):
     for k in range(n):
         start = draw(st.integers(0, 10_000_000))
         length = draw(st.integers(1, 60_000))
-        entries.append(SrtEntry(k + 1, start, start + length,
-                                draw(cue_text).strip() or "x"))
+        entries.append(cue(k + 1, start, start + length, draw(cue_text).strip() or "x"))
     return entries
 
 
